@@ -2,20 +2,23 @@
 
 All attacks consume a GradientSource, which hides whether gradients come
 from a classical surrogate model or flow end-to-end through the
-quanvolutional layer via the parameter-shift rule.
+quanvolutional layer via its compiled observables.
 
 Perturbed pixels are NOT clamped to [0, 1] by default: the benchmark sweeps
 budgets well above 1, and with clamping every epsilon >= 1 would produce the
 same saturated image.  Pass clamp=(0.0, 1.0) to restore the conventional
-box constraint.
+box constraint.  Quanvolution features are 2-periodic in every pixel, so an
+unclamped step of an even integer epsilon leaves them unchanged.
 
 Iterative attacks track the perturbation delta rather than the perturbed
 image so that the single-step reductions (PGD with steps=1 and alpha=eps,
 MIM with decay 0) are bit-identical to FGSM.  No attack uses randomness.
+Budgets must be finite and non-negative; NaN is rejected.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,8 +43,7 @@ class AttackConfig:
     clamp: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.decay < 0:
@@ -49,6 +51,11 @@ class AttackConfig:
 
     def resolved_step_size(self) -> float:
         return self.epsilon / 4.0 if self.step_size is None else self.step_size
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
 
 
 class GradientSource:
@@ -83,7 +90,7 @@ class SurrogateSource(GradientSource):
 
 
 class EndToEndSource(GradientSource):
-    """Exact gradients through quanvolution (parameter shift) and the head."""
+    """Exact gradients through quanvolution (compiled observables) and the head."""
 
     mode = "end_to_end"
 
@@ -113,8 +120,7 @@ def fgsm(
     clamp: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """One signed-gradient step of size epsilon."""
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    _check_epsilon(epsilon)
     image = np.asarray(image, dtype=float)
     step = epsilon * np.sign(source.gradient(image, label))
     return _clamped(image + step, clamp)

@@ -26,7 +26,6 @@ Recognized keys, with defaults in brackets:
     base_seed      master seed                             [0]
     mode           surrogate | end_to_end                  [surrogate]
     clamp          true to clip adversarial pixels to [0,1]  [false]
-    rescale        true maps feature channels to [0, 1]    [false]
     cache          true to keep QNVF caches in the out dir [true]
     train.epochs / train.batch_size / train.lr / train.optimizer   [30 / 4 / 0.001 / adam]
     random.depth / random.two_qubit_prob                   [2 / 0.3]
@@ -87,7 +86,6 @@ _CONFIG_DEFAULTS = {
     "base_seed": "0",
     "mode": "surrogate",
     "clamp": "false",
-    "rescale": "false",
     "cache": "true",
     "train.epochs": "30",
     "train.batch_size": "4",
@@ -191,7 +189,6 @@ def build_sweep_config(cfg: dict[str, str], out_dir: str | None) -> harness.Swee
             base_seed=int(cfg["base_seed"]),
             mode=cfg["mode"],
             clamp=(0.0, 1.0) if _parse_bool("clamp", cfg["clamp"]) else None,
-            rescale_features=_parse_bool("rescale", cfg["rescale"]),
             train_cfg=nn.TrainConfig(
                 batch_size=int(cfg["train.batch_size"]),
                 epochs=int(cfg["train.epochs"]),

@@ -27,6 +27,7 @@ configured and in per-process memory either way.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import sys
 import time
@@ -65,7 +66,6 @@ class SweepConfig:
     attack_steps: int = 10
     attack_decay: float = 1.0
     random_spec: RandomCircuitSpec = field(default_factory=RandomCircuitSpec)
-    rescale_features: bool = False
     cache_dir: str | None = None
 
     def __post_init__(self):
@@ -74,6 +74,8 @@ class SweepConfig:
         if self.mode not in ("surrogate", "end_to_end"):
             raise ValueError(f"unknown gradient mode {self.mode!r}")
         for grid in (self.epsilons, self.epsilons_for(AttackKind.FGSM)):
+            if not all(math.isfinite(e) for e in grid):
+                raise ValueError(f"epsilon grid must be finite, got {grid}")
             if list(grid) != sorted(grid):
                 raise ValueError("epsilon grid must be sorted ascending")
             if not grid or grid[0] != 0.0:
@@ -201,11 +203,10 @@ def run_trial(
         if ansatz_kind is None:
             raise ValueError("quantum architecture needs an ansatz kind")
         circuit = build_ansatz(ansatz_kind, 4, seed=cell_seed, random_spec=cfg.random_spec)
-        qcfg = QuanvConfig(circuit=circuit, rescale_unit=cfg.rescale_features)
+        qcfg = QuanvConfig(circuit=circuit)
         fingerprint = _subset_fingerprint(cfg.train_data), _subset_fingerprint(cfg.test_data)
-        scale_tag = "u" if cfg.rescale_features else "z"
-        train_key = f"{fingerprint[0]}_{ansatz_label}_{scale_tag}_{cell_seed:016x}_train"
-        test_key = f"{fingerprint[1]}_{ansatz_label}_{scale_tag}_{cell_seed:016x}_test"
+        train_key = f"{fingerprint[0]}_{ansatz_label}_{cell_seed:016x}_train"
+        test_key = f"{fingerprint[1]}_{ansatz_label}_{cell_seed:016x}_test"
         train_x = _cached_quanvolve(cfg.train_data.images, qcfg, train_key, cfg.cache_dir)
         test_x = _cached_quanvolve(cfg.test_data.images, qcfg, test_key, cfg.cache_dir)
     else:

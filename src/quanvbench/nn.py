@@ -18,6 +18,7 @@ frozen model are safe to run concurrently; only train() mutates parameters.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -310,6 +311,10 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 

@@ -1,17 +1,20 @@
-"""Exact statevector simulation of small qubit registers.
+"""Exact statevector simulation of small qubit registers, in batches.
 
 Conventions:
     - Qubit 0 is the most significant bit of the basis-state index: for an
       n-qubit register, basis state ``k`` assigns qubit q the bit
       ``(k >> (n - 1 - q)) & 1``.  Equivalently, reshaping the amplitude
       vector to shape (2,)*n puts qubit q on axis q.
-    - All operations are pure: the input state is never modified and a new
-      state is returned, so they are safe to call from many threads.
-    - Expectation values are exact (no shot sampling).
+    - States are arrays whose last axis holds the 2^n amplitudes; leading
+      axes are a batch.  A single state is the batch shape ().
+    - All operations are pure: the input amplitudes are never modified and
+      a new array is returned, so they are safe to call from many threads.
 
 The production path applies gates by structured index arithmetic on the
-reshaped amplitude tensor; dense matrices exist only in
-:func:`dense_unitary_oracle`, which tests use to cross-check circuits.
+reshaped amplitude tensor; the quanvolutional layer runs it once per filter
+on the basis states to obtain the circuit's unitary.  Dense matrices built
+from Kronecker products exist only in :func:`dense_unitary_oracle`, which
+tests and the verify command use to cross-check the kernel.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ from math import cos, sin
 
 import numpy as np
 
-MAX_QUBITS = 12
 MAX_ORACLE_QUBITS = 6
 
 
@@ -120,32 +122,6 @@ class Circuit:
                 )
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """2^n complex amplitudes of an n-qubit register, unit norm."""
-
-    n_qubits: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        if self.amps.shape != (2**self.n_qubits,):
-            raise ValueError(
-                f"expected {2**self.n_qubits} amplitudes, got shape {self.amps.shape}"
-            )
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-
-def zero_state(n: int) -> StateVector:
-    """|0...0> on n qubits.  1 <= n <= 12 (memory guard)."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(n, amps)
-
-
 # Single-qubit matrices, used both by the kernel and the dense oracle.
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -187,8 +163,7 @@ def _single_qubit_matrix(gate: Gate) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Batched kernels.  `amps` has shape batch_shape + (2**n,); qubit q lives on
-# axis (ndim - n + q) of the reshaped tensor.  apply_gate is the batch-of-one
-# case, so there is a single source of gate semantics.
+# axis (ndim - n + q) of the reshaped tensor.
 # ---------------------------------------------------------------------------
 
 
@@ -240,42 +215,13 @@ def apply_gate_batch(amps: np.ndarray, gate: Gate, n_qubits: int) -> np.ndarray:
 
 def apply_circuit_batch(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
     """Fold apply_gate_batch over the circuit's gates in order."""
+    if amps.shape[-1] != 2**circuit.n_qubits:
+        raise ValueError(
+            f"amplitude axis {amps.shape[-1]} does not match 2^{circuit.n_qubits}"
+        )
     for g in circuit.gates:
         amps = apply_gate_batch(amps, g, circuit.n_qubits)
     return amps
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Matrix action of one gate's unitary on the state; norm preserved."""
-    return StateVector(
-        state.n_qubits, apply_gate_batch(state.amps, gate, state.n_qubits)
-    )
-
-
-def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply the circuit's gates in order."""
-    if circuit.n_qubits != state.n_qubits:
-        raise ValueError(
-            f"circuit acts on {circuit.n_qubits} qubits, state has {state.n_qubits}"
-        )
-    return StateVector(state.n_qubits, apply_circuit_batch(state.amps, circuit))
-
-
-def expect_z_batch(amps: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    """Per-state <Z_qubit> for a batch of statevectors; values in [-1, 1]."""
-    if not 0 <= qubit < n_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {n_qubits} qubits")
-    batch_shape = amps.shape[:-1]
-    probs = np.abs(amps.reshape(batch_shape + (2,) * n_qubits)) ** 2
-    ax = len(batch_shape) + qubit
-    other = tuple(a for a in range(len(batch_shape), probs.ndim) if a != ax)
-    marg = probs.sum(axis=other) if other else probs
-    return marg[..., 0] - marg[..., 1]
-
-
-def expect_z(state: StateVector, qubit: int) -> float:
-    """Exact Pauli-Z expectation of one qubit: P(bit=0) - P(bit=1)."""
-    return float(expect_z_batch(state.amps, qubit, state.n_qubits))
 
 
 # ---------------------------------------------------------------------------

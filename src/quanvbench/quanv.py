@@ -1,18 +1,27 @@
-"""Quanvolutional layer: patch encoding, circuit execution, feature decoding.
+"""Quanvolutional layer: the frozen filter compiled into per-qubit observables.
 
 Images are (H, W, C) float arrays, row-major.  A kernel_size x kernel_size
 patch is flattened row-major and pixel i drives qubit i through an angle
-encoding phi_i = pi * x_i applied as R_y(phi_i) to |0>.  After the filter
-circuit runs, channel q of the output pixel is the exact expectation <Z_q>,
-so feature maps take values in [-1, 1] and have kernel_size^2 channels.
+encoding phi_i = pi * x_i applied as R_y(phi_i) to |0>.  That encoding is a
+real product state psi = (x)_i (cos, sin)(phi_i / 2).  Channel q of the
+output pixel is the exact expectation <Z_q> after the filter circuit U,
 
-Input gradients use the parameter-shift rule for R_y (exact, two circuit
-evaluations per pixel); finite differences exist only as a test oracle.
+    <Z_q> = psi^T M_q psi,    M_q = Re(U^dagger Z_q U),
 
-Raw inputs live in [0, 1] and are range-checked by default.  Adversarially
-perturbed images may leave that interval when attack clamping is disabled;
-callers quanvolving such data pass ``validate=False`` (the encoding itself
-is defined for any real value).
+so the frozen circuit is compiled once, per QuanvConfig, into n real
+symmetric 2^n x 2^n observables (the imaginary part of U^dagger Z_q U is
+antisymmetric and vanishes on real states).  Feature maps take values in
+[-1, 1] and have kernel_size^2 channels.
+
+Each pixel enters a feature as a degree-1 trigonometric polynomial in pi*x,
+so features are 2-periodic in every pixel.  Exact input gradients come from
+the same quadratic form: d<Z_q>/dx_i = 2 (d_i psi)^T M_q psi, where d_i psi
+swaps qubit i's factor for its derivative.
+
+Raw inputs live in [0, 1] and are range-checked by default (NaN fails the
+check).  Adversarially perturbed images may leave that interval when attack
+clamping is disabled; callers quanvolving such data pass ``validate=False``
+(the encoding itself is defined for any real value).
 
 Feature maps can be cached on disk in the QNVF container: little-endian
 header (magic "QNVF", version u32, count u32, H u32, W u32, C u32, metadata
@@ -21,30 +30,45 @@ hash u64) followed by the maps as row-major float32.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qsim import Circuit, apply_circuit_batch, expect_z_batch
+from .qsim import Circuit, apply_circuit_batch
 
 QNVF_MAGIC = b"QNVF"
 QNVF_VERSION = 1
 _QNVF_HEADER = struct.Struct("<4sIIIIIQ")
+
+# compiled observables hold n * 4^n floats: 9 qubits (3x3 kernels) is 19 MB
+MAX_QUBITS = 9
+
+
+def _compile_observables(circuit: Circuit) -> np.ndarray:
+    """Re(U^dagger Z_q U) for every qubit q, shape (n, 2^n, 2^n).
+
+    U is built column by column by the statevector kernel acting on the
+    2^n basis states; qubit q is bit (n - 1 - q) of the basis index.
+    """
+    n = circuit.n_qubits
+    dim = 2**n
+    u = apply_circuit_batch(np.eye(dim, dtype=complex), circuit).T
+    bits = (np.arange(dim)[None, :] >> (n - 1 - np.arange(n)[:, None])) & 1
+    z = 1.0 - 2.0 * bits  # (n, 2^n) diagonals of Z_q
+    return np.stack([(u.conj().T @ (z[q][:, None] * u)).real for q in range(n)])
 
 
 @dataclass(frozen=True)
 class QuanvConfig:
     """Filter circuit plus patch geometry; kernel_size^2 must equal n_qubits.
 
-    Feature channels are raw <Z> expectations in [-1, 1] by default;
-    rescale_unit remaps them to [0, 1] for pipelines that want pixel-like
-    feature ranges.
+    ``observables`` is derived from the circuit when the config is built.
     """
 
     circuit: Circuit
     kernel_size: int = 2
     stride: int = 2
-    rescale_unit: bool = False
+    observables: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kernel_size < 1:
@@ -56,6 +80,11 @@ class QuanvConfig:
                 f"kernel_size^2 = {self.kernel_size**2} must equal circuit qubit "
                 f"count {self.circuit.n_qubits}"
             )
+        if self.circuit.n_qubits > MAX_QUBITS:
+            raise ValueError(
+                f"{self.circuit.n_qubits} qubits exceed the {MAX_QUBITS}-qubit limit"
+            )
+        object.__setattr__(self, "observables", _compile_observables(self.circuit))
 
 
 def output_shape(height: int, width: int, cfg: QuanvConfig) -> tuple[int, int, int]:
@@ -65,43 +94,31 @@ def output_shape(height: int, width: int, cfg: QuanvConfig) -> tuple[int, int, i
     return ((height - k) // s + 1, (width - k) // s + 1, k * k)
 
 
-def _encode_angles(angles: np.ndarray) -> np.ndarray:
-    """Product state from per-qubit R_y angles; angles shape (B, n) -> (B, 2^n)."""
-    half = angles / 2.0
-    qubit_states = np.stack([np.cos(half), np.sin(half)], axis=-1)  # (B, n, 2)
-    amps = np.ones((angles.shape[0], 1), dtype=complex)
-    for i in range(angles.shape[1]):
-        amps = (amps[:, :, None] * qubit_states[:, i, None, :]).reshape(
-            angles.shape[0], -1
-        )
-    return amps
+def _patch_factors(image: np.ndarray, cfg: QuanvConfig) -> np.ndarray:
+    """(cos, sin)(pi x / 2) of every pixel of every patch: (H, W, 1) -> (P, k*k, 2).
 
-
-def encode_patch(patch: np.ndarray, validate: bool = True):
-    """Angle-encode one flattened patch: tensor product of R_y(pi*x_i)|0>."""
-    from .qsim import StateVector
-
-    patch = np.asarray(patch, dtype=float).reshape(-1)
-    if validate and (np.any(patch < 0.0) or np.any(patch > 1.0)):
-        raise ValueError("patch values must lie in [0, 1]")
-    amps = _encode_angles(np.pi * patch[None, :])[0]
-    return StateVector(len(patch), amps)
-
-
-def _extract_patches(image: np.ndarray, cfg: QuanvConfig) -> np.ndarray:
-    """(H, W, 1) image -> (rows, cols, k*k) row-major patch matrix."""
+    Patches are taken row-major over the output grid, pixels row-major
+    within a patch.
+    """
     k, s = cfg.kernel_size, cfg.stride
-    plane = image[:, :, 0]
-    windows = np.lib.stride_tricks.sliding_window_view(plane, (k, k))[::s, ::s]
-    rows, cols = windows.shape[:2]
-    return windows.reshape(rows, cols, k * k)
+    windows = np.lib.stride_tricks.sliding_window_view(image[:, :, 0], (k, k))[::s, ::s]
+    half = np.pi * windows.reshape(-1, k * k) / 2.0
+    return np.stack([np.cos(half), np.sin(half)], axis=-1)
+
+
+def _product_states(factors: np.ndarray) -> np.ndarray:
+    """Per-qubit real 2-vectors (P, n, 2) -> product states (P, 2^n), qubit 0 first."""
+    amps = factors[:, 0]
+    for i in range(1, factors.shape[1]):
+        amps = (amps[:, :, None] * factors[:, i, None, :]).reshape(len(factors), -1)
+    return amps
 
 
 def _check_image(image: np.ndarray, validate: bool) -> np.ndarray:
     image = np.asarray(image, dtype=float)
     if image.ndim != 3 or image.shape[2] != 1:
         raise ValueError(f"expected single-channel (H, W, 1) image, got {image.shape}")
-    if validate and (np.any(image < 0.0) or np.any(image > 1.0)):
+    if validate and not np.all((image >= 0.0) & (image <= 1.0)):
         raise ValueError("image values must lie in [0, 1]")
     return image
 
@@ -112,13 +129,9 @@ def quanvolve_image(
     """Feature map of shape ((H-k)//s+1, (W-k)//s+1, k^2) with <Z_q> channels."""
     image = _check_image(image, validate)
     rows, cols, n = output_shape(image.shape[0], image.shape[1], cfg)
-    patches = _extract_patches(image, cfg).reshape(-1, n)
-    amps = apply_circuit_batch(_encode_angles(np.pi * patches), cfg.circuit)
-    features = np.stack(
-        [expect_z_batch(amps, q, cfg.circuit.n_qubits) for q in range(n)], axis=-1
-    )
-    if cfg.rescale_unit:
-        features = (features + 1.0) / 2.0
+    psi = _product_states(_patch_factors(image, cfg))
+    # psi @ M_q is (M_q psi)^T because M_q is symmetric: shape (n, P, 2^n)
+    features = np.sum((psi @ cfg.observables) * psi, axis=-1).T
     return features.reshape(rows, cols, n)
 
 
@@ -139,11 +152,11 @@ def input_gradient(
     upstream: np.ndarray,
     validate: bool = True,
 ) -> np.ndarray:
-    """Exact d(sum(upstream * features))/d(pixel), via the parameter-shift rule.
+    """Exact d(sum(upstream * features))/d(pixel) from the compiled observables.
 
-    For pixel x in a patch, d<Z_q>/dx = pi * (<Z_q>(phi + pi/2) -
-    <Z_q>(phi - pi/2)) / 2 with phi = pi * x.  Patch gradients are
-    accumulated into their source pixels; pixels outside every patch get 0.
+    For a patch with state psi and upstream weights u_q, pixel i gets
+    2 (d_i psi)^T (sum_q u_q M_q) psi.  Patch gradients are accumulated into
+    their source pixels; pixels outside every patch get 0.
     """
     image = _check_image(image, validate)
     rows, cols, n = output_shape(image.shape[0], image.shape[1], cfg)
@@ -154,32 +167,24 @@ def input_gradient(
             f"shape {(rows, cols, n)}"
         )
 
-    patches = _extract_patches(image, cfg).reshape(-1, n)
-    up_flat = upstream.reshape(-1, n)
-    angles = np.pi * patches
-    nq = cfg.circuit.n_qubits
-
-    patch_grad = np.zeros_like(patches)
+    factors = _patch_factors(image, cfg)
+    psi = _product_states(factors)
+    # (sum_q u_q M_q) psi per patch: shape (P, 2^n)
+    weighted = np.sum(upstream.reshape(-1, n).T[:, :, None] * (psi @ cfg.observables), axis=0)
+    # d/dx (cos, sin)(pi x / 2) = (pi / 2) (-sin, cos)
+    derivs = (np.pi / 2.0) * np.stack([-factors[..., 1], factors[..., 0]], axis=-1)
+    patch_grad = np.empty((len(psi), n))
     for i in range(n):
-        shifted = {}
-        for sign in (1.0, -1.0):
-            a = angles.copy()
-            a[:, i] += sign * np.pi / 2.0
-            amps = apply_circuit_batch(_encode_angles(a), cfg.circuit)
-            shifted[sign] = np.stack(
-                [expect_z_batch(amps, q, nq) for q in range(n)], axis=-1
-            )
-        dfeat_dpix = np.pi * (shifted[1.0] - shifted[-1.0]) / 2.0  # (P, n)
-        if cfg.rescale_unit:
-            dfeat_dpix *= 0.5
-        patch_grad[:, i] = np.sum(up_flat * dfeat_dpix, axis=1)
+        swapped = factors.copy()
+        swapped[:, i] = derivs[:, i]
+        patch_grad[:, i] = 2.0 * np.sum(_product_states(swapped) * weighted, axis=1)
 
     grad = np.zeros_like(image)
     k, s = cfg.kernel_size, cfg.stride
     pg = patch_grad.reshape(rows, cols, k, k)
-    for r in range(rows):
-        for c in range(cols):
-            grad[r * s : r * s + k, c * s : c * s + k, 0] += pg[r, c]
+    for a in range(k):
+        for b in range(k):
+            grad[a : a + s * rows : s, b : b + s * cols : s, 0] += pg[:, :, a, b]
     return grad
 
 

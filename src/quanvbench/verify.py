@@ -1,11 +1,15 @@
 """Self-contained oracle suites behind the `verify` CLI command.
 
 Each check exercises a production code path against an independent
-reference: the statevector kernels against dense Kronecker-product
-matrices, both gradient paths against central finite differences, and the
-attack implementations against their algebraic reduction identities and
-containment guarantees.  A corrupted gate, a broken chain rule, or a
-mis-projected attack step fails loudly here before any experiment runs.
+reference: the batched statevector kernel against dense Kronecker-product
+matrices, quanvolution features (read from the compiled observables)
+against a dense simulation of the full encoding-plus-filter circuit,
+quanvolution input gradients against central finite differences and the
+parameter-shift rule, model input gradients against finite differences,
+and the attack implementations against their algebraic reduction
+identities and containment guarantees.  A corrupted gate, a wrong
+observable, a broken chain rule, or a mis-projected attack step fails
+loudly here before any experiment runs.
 """
 from __future__ import annotations
 
@@ -55,7 +59,7 @@ def _random_circuit(n_qubits, n_gates, rng):
 
 
 def check_statevector_oracle() -> tuple[bool, str]:
-    """apply_circuit vs dense Kronecker-product matrices, 100 random pairs."""
+    """apply_circuit_batch vs dense Kronecker-product matrices, 100 random pairs."""
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(100):
@@ -63,17 +67,64 @@ def check_statevector_oracle() -> tuple[bool, str]:
         c = _random_circuit(n, int(rng.integers(1, 25)), rng)
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         amps /= np.linalg.norm(amps)
-        fast = qsim.apply_circuit(qsim.StateVector(n, amps), c).amps
+        fast = qsim.apply_circuit_batch(amps, c)
         dense = qsim.dense_unitary_oracle(c) @ amps
         worst = max(worst, float(np.max(np.abs(fast - dense))))
     return worst < 1e-9, f"max elementwise error {worst:.2e} (tolerance 1e-9)"
 
 
-def check_parameter_shift_gradients() -> tuple[bool, str]:
-    """Quanvolution input gradients vs finite differences, every ansatz kind."""
+def _dense_features(patch: np.ndarray, circuit: qsim.Circuit) -> np.ndarray:
+    """<Z_q> after R_y(pi x_q) encoding gates and the filter, via dense matrices."""
+    n = circuit.n_qubits
+    encode = tuple(qsim.ry(q, float(np.pi * x)) for q, x in enumerate(patch))
+    full = qsim.Circuit(n, encode + circuit.gates)
+    state = qsim.dense_unitary_oracle(full)[:, 0]  # U|0...0>
+    out = np.empty(n)
+    for q in range(n):
+        z_q = np.kron(np.kron(np.eye(2**q), np.diag([1.0, -1.0])), np.eye(2 ** (n - 1 - q)))
+        out[q] = float(np.real(state.conj() @ z_q @ state))
+    return out
+
+
+def check_feature_oracle() -> tuple[bool, str]:
+    """Quanvolution features vs the dense simulation of every patch circuit."""
+    rng = np.random.default_rng(909)
+    worst = 0.0
+    for kind in AnsatzKind:
+        cfg = QuanvConfig(circuit=build_ansatz(kind, 4, seed=313))
+        img = rng.uniform(0, 1, (6, 6, 1))
+        features = quanv.quanvolve_image(img, cfg)
+        for r in range(3):
+            for c in range(3):
+                patch = img[2 * r : 2 * r + 2, 2 * c : 2 * c + 2, 0].reshape(-1)
+                err = float(np.max(np.abs(features[r, c] - _dense_features(patch, cfg.circuit))))
+                worst = max(worst, err)
+        if worst >= 1e-12:
+            return False, f"{kind.value}: feature error {worst:.2e} (tolerance 1e-12)"
+    return True, f"all 5 ansatz kinds, max feature error {worst:.2e} (tolerance 1e-12)"
+
+
+def _central_difference(img, idx, step, cfg, upstream) -> float:
+    """sum(upstream * features) at img[idx] + step minus at img[idx] - step."""
+    plus, minus = img.copy(), img.copy()
+    plus[idx] += step
+    minus[idx] -= step
+    return float(
+        np.sum(upstream * quanv.quanvolve_image(plus, cfg, validate=False))
+        - np.sum(upstream * quanv.quanvolve_image(minus, cfg, validate=False))
+    )
+
+
+def check_input_gradients() -> tuple[bool, str]:
+    """Quanvolution input gradients vs finite differences and parameter shift.
+
+    Each feature is a degree-1 trigonometric polynomial in pi * x, so moving
+    a pixel by +-1/2 (a +-pi/2 shift of its angle) gives the exact
+    derivative pi/2 * (f(x + 1/2) - f(x - 1/2)).
+    """
     rng = np.random.default_rng(202)
     h = 1e-5
-    worst = 0.0
+    worst_fd = worst_ps = 0.0
     for kind in AnsatzKind:
         cfg = QuanvConfig(circuit=build_ansatz(kind, 4, seed=303))
         img = rng.uniform(0.05, 0.95, (6, 6, 1))
@@ -81,18 +132,18 @@ def check_parameter_shift_gradients() -> tuple[bool, str]:
         exact = quanv.input_gradient(img, cfg, upstream)
         for flat in rng.choice(img.size, 20, replace=False):
             idx = np.unravel_index(flat, img.shape)
-            plus, minus = img.copy(), img.copy()
-            plus[idx] += h
-            minus[idx] -= h
-            fd = (
-                np.sum(upstream * quanv.quanvolve_image(plus, cfg, validate=False))
-                - np.sum(upstream * quanv.quanvolve_image(minus, cfg, validate=False))
-            ) / (2 * h)
-            rel = abs(exact[idx] - fd) / max(1.0, abs(fd))
-            worst = max(worst, rel)
-        if worst >= 1e-5:
-            return False, f"{kind.value}: relative error {worst:.2e} (tolerance 1e-5)"
-    return True, f"all 5 ansatz kinds, max relative error {worst:.2e} (tolerance 1e-5)"
+            fd = _central_difference(img, idx, h, cfg, upstream) / (2 * h)
+            worst_fd = max(worst_fd, abs(exact[idx] - fd) / max(1.0, abs(fd)))
+        for idx in np.ndindex(img.shape):
+            ps = np.pi / 2 * _central_difference(img, idx, 0.5, cfg, upstream)
+            worst_ps = max(worst_ps, abs(exact[idx] - ps) / max(1.0, abs(ps)))
+        if worst_fd >= 1e-5 or worst_ps >= 1e-10:
+            return False, (f"{kind.value}: relative error {worst_fd:.2e} vs finite "
+                           f"differences (tolerance 1e-5), {worst_ps:.2e} vs parameter "
+                           f"shift (tolerance 1e-10)")
+    return True, (f"all 5 ansatz kinds, max relative error {worst_fd:.2e} vs finite "
+                  f"differences (tolerance 1e-5), {worst_ps:.2e} vs parameter shift "
+                  f"(tolerance 1e-10)")
 
 
 def check_backprop_gradients() -> tuple[bool, str]:
@@ -182,7 +233,8 @@ def check_epsilon_ball() -> tuple[bool, str]:
 
 CHECKS = (
     ("statevector vs dense-matrix oracle", check_statevector_oracle),
-    ("parameter-shift vs finite-difference gradients", check_parameter_shift_gradients),
+    ("features vs dense-matrix circuit oracle", check_feature_oracle),
+    ("input gradients vs finite differences and parameter shift", check_input_gradients),
     ("backprop vs finite-difference gradients", check_backprop_gradients),
     ("attack reduction identities", check_attack_reductions),
     ("epsilon-ball containment", check_epsilon_ball),

@@ -26,10 +26,10 @@ def random_circuit(n_qubits: int, n_gates: int, rng: np.random.Generator) -> qsi
     return qsim.Circuit(n_qubits, tuple(gates))
 
 
-def random_state(n_qubits: int, rng: np.random.Generator) -> qsim.StateVector:
+def random_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """Random unit-norm amplitude vector of length 2^n."""
     amps = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
-    amps /= np.linalg.norm(amps)
-    return qsim.StateVector(n_qubits, amps)
+    return amps / np.linalg.norm(amps)
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from quanvbench.attacks import (
 )
 from quanvbench.ansatz import AnsatzKind, build_ansatz
 from quanvbench.nn import Architecture, TrainConfig, build_model, train
-from quanvbench.quanv import QuanvConfig
+from quanvbench.quanv import QuanvConfig, quanvolve_image
 
 
 class FixedGradientSource:
@@ -62,6 +62,25 @@ def test_fgsm_positive_gradient_steps_up():
 def test_fgsm_negative_epsilon_rejected():
     with pytest.raises(ValueError):
         fgsm(FixedGradientSource(np.ones((2, 2, 1))), np.zeros((2, 2, 1)), 0, -0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_epsilon_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        AttackConfig(AttackKind.PGD, bad)
+    with pytest.raises(ValueError, match="finite"):
+        fgsm(FixedGradientSource(np.ones((2, 2, 1))), np.zeros((2, 2, 1)), 0, bad)
+
+
+def test_unclamped_fgsm_at_even_epsilon_leaves_features_unchanged(trained_toy):
+    # quanvolution features are 2-periodic in every pixel and FGSM moves
+    # each pixel by epsilon * sign(gradient)
+    model, xs, ys = trained_toy
+    qcfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=1))
+    adv = fgsm(SurrogateSource(model), xs[0], int(ys[0]), 2.0)
+    assert np.max(np.abs(adv - xs[0])) == 2.0
+    features = quanvolve_image(adv, qcfg, validate=False)
+    assert np.max(np.abs(features - quanvolve_image(xs[0], qcfg))) <= 1e-12
 
 
 def test_fgsm_clamp(rng):

@@ -71,7 +71,7 @@ def test_config_comments_and_blanks_ignored():
 def test_cmd_verify_passes(capsys):
     assert main(["verify"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 5
+    assert out.count("[PASS]") == 6
     assert "[FAIL]" not in out
 
 
@@ -150,6 +150,15 @@ def test_cmd_sweep_unknown_key_exit_2(tmp_path, capsys):
     rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
     assert rc == EXIT_USAGE
     assert "mystery_key" in capsys.readouterr().err
+
+
+def test_cmd_sweep_nan_epsilon_exit_2(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text(TINY_SWEEP.replace("epsilons = 0, 0.1, 1", "epsilons = 0, nan"))
+    rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.csv").exists()
 
 
 def test_cmd_sweep_seed_override_changes_hash(tmp_path):

@@ -204,13 +204,20 @@ def test_train_memorizes_small_dataset(rng):
     assert trace[-1].loss <= trace[0].loss
 
 
-def test_zero_learning_rate_leaves_parameters(rng):
+def test_parameters_change_only_through_optimizer_step(rng, monkeypatch):
+    monkeypatch.setattr(nn._Adam, "step", lambda self, entries: None)
     xs, ys = random_dataset(rng, n=8)
     m = build_model(Architecture.CLASSICAL_FC, "mnist", seed=2)
     before = [arr.copy() for _, _, arr in m.param_entries()]
-    train(m, xs, ys, TrainConfig(epochs=2, learning_rate=0.0, seed=2))
+    train(m, xs, ys, TrainConfig(epochs=2, seed=2))
     for (_, _, arr), b in zip(m.param_entries(), before):
         assert np.array_equal(arr, b)
+
+
+@pytest.mark.parametrize("lr", [0.0, -1e-3, np.nan, np.inf])
+def test_learning_rate_must_be_finite_and_positive(lr):
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(learning_rate=lr)
 
 
 def test_training_is_deterministic(rng):

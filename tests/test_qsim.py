@@ -3,45 +3,29 @@ import pytest
 from scipy.linalg import expm
 
 from quanvbench import qsim
+from quanvbench.quanv import QuanvConfig
 from quanvbench.qsim import Circuit, Gate, GateKind, cnot, h, rot, ry, rz, zz
 
 from conftest import random_circuit, random_state
 
 
-# ---------------------------------------------------------------------------
-# zero_state
-# ---------------------------------------------------------------------------
-
-def test_zero_state_one_qubit():
-    s = qsim.zero_state(1)
-    assert np.array_equal(s.amps, np.array([1, 0], dtype=complex))
+def basis_state(n: int, k: int = 0) -> np.ndarray:
+    amps = np.zeros(2**n, dtype=complex)
+    amps[k] = 1.0
+    return amps
 
 
-def test_zero_state_two_qubits():
-    s = qsim.zero_state(2)
-    assert np.array_equal(s.amps, np.array([1, 0, 0, 0], dtype=complex))
-
-
-def test_zero_state_four_qubits():
-    s = qsim.zero_state(4)
-    assert s.amps.shape == (16,)
-    assert s.amps[0] == 1.0
-    assert np.all(s.amps[1:] == 0)
-
-
-@pytest.mark.parametrize("n", [0, -1, 13])
-def test_zero_state_rejects_bad_counts(n):
-    with pytest.raises(ValueError):
-        qsim.zero_state(n)
+def apply(gate: Gate, amps: np.ndarray) -> np.ndarray:
+    n = int(np.log2(amps.shape[-1]))
+    return qsim.apply_gate_batch(amps, gate, n)
 
 
 # ---------------------------------------------------------------------------
-# apply_gate
+# apply_gate_batch
 # ---------------------------------------------------------------------------
 
 def test_ry_pi_flips_zero_to_one():
-    s = qsim.apply_gate(qsim.zero_state(1), ry(0, np.pi))
-    assert np.allclose(s.amps, [0, 1], atol=1e-10)
+    assert np.allclose(apply(ry(0, np.pi), basis_state(1)), [0, 1], atol=1e-10)
 
 
 def test_zz_on_00_is_exp_minus_i_theta():
@@ -51,22 +35,21 @@ def test_zz_on_00_is_exp_minus_i_theta():
     u = expm(-1j * theta * zkron)
     expected = u @ np.array([1, 0, 0, 0], dtype=complex)
 
-    s = qsim.apply_gate(qsim.zero_state(2), zz(0, 1, theta))
-    assert np.allclose(s.amps, expected, atol=1e-12)
-    assert np.isclose(s.amps[0], np.exp(-1j * theta), atol=1e-12)
+    amps = apply(zz(0, 1, theta), basis_state(2))
+    assert np.allclose(amps, expected, atol=1e-12)
+    assert np.isclose(amps[0], np.exp(-1j * theta), atol=1e-12)
 
 
 def test_rz_zero_is_identity(rng):
     s = random_state(3, rng)
-    out = qsim.apply_gate(s, rz(1, 0.0))
-    assert np.allclose(out.amps, s.amps, atol=1e-14)
+    assert np.allclose(apply(rz(1, 0.0), s), s, atol=1e-14)
 
 
 def test_apply_gate_does_not_mutate_input():
-    s = qsim.zero_state(2)
-    before = s.amps.copy()
-    qsim.apply_gate(s, h(0))
-    assert np.array_equal(s.amps, before)
+    s = basis_state(2)
+    before = s.copy()
+    apply(h(0), s)
+    assert np.array_equal(s, before)
 
 
 def test_gate_validation():
@@ -77,89 +60,83 @@ def test_gate_validation():
     with pytest.raises(ValueError):
         Gate(GateKind.CNOT, (1, 1))  # targets must be distinct
     with pytest.raises(ValueError):
-        qsim.apply_gate(qsim.zero_state(1), cnot(0, 1))  # out of range
+        qsim.apply_gate_batch(basis_state(1), cnot(0, 1), 1)  # out of range
 
 
 def test_qubit0_is_most_significant_bit():
     # RY(pi) on qubit 0 of a 3-qubit register must set index 4 = |100>.
-    s = qsim.apply_gate(qsim.zero_state(3), ry(0, np.pi))
-    expected = np.zeros(8, dtype=complex)
-    expected[4] = 1.0
-    assert np.allclose(s.amps, expected, atol=1e-12)
+    assert np.allclose(apply(ry(0, np.pi), basis_state(3)), basis_state(3, 4), atol=1e-12)
 
 
 def test_cnot_control_one_flips_target():
-    s = qsim.apply_gate(qsim.zero_state(2), ry(0, np.pi))  # |10>
-    s = qsim.apply_gate(s, cnot(0, 1))
-    expected = np.zeros(4, dtype=complex)
-    expected[3] = 1.0  # |11>
-    assert np.allclose(s.amps, expected, atol=1e-12)
+    s = apply(ry(0, np.pi), basis_state(2))  # |10>
+    assert np.allclose(apply(cnot(0, 1), s), basis_state(2, 3), atol=1e-12)  # |11>
 
 
 # ---------------------------------------------------------------------------
-# apply_circuit
+# apply_circuit_batch
 # ---------------------------------------------------------------------------
 
 def test_empty_circuit_unchanged(rng):
     s = random_state(4, rng)
-    out = qsim.apply_circuit(s, Circuit(4))
-    assert np.array_equal(out.amps, s.amps)
+    assert np.array_equal(qsim.apply_circuit_batch(s, Circuit(4)), s)
 
 
 def test_two_ry_pi_gives_11():
     c = Circuit(2, (ry(0, np.pi), ry(1, np.pi)))
-    s = qsim.apply_circuit(qsim.zero_state(2), c)
-    assert np.allclose(s.amps, [0, 0, 0, 1], atol=1e-10)
+    assert np.allclose(qsim.apply_circuit_batch(basis_state(2), c), [0, 0, 0, 1], atol=1e-10)
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        qsim.apply_circuit(qsim.zero_state(3), Circuit(4))
+        qsim.apply_circuit_batch(basis_state(3), Circuit(4))
 
 
 def test_random_circuit_matches_dense_oracle(rng):
     for _ in range(5):
         c = random_circuit(4, 20, rng)
         s = random_state(4, rng)
-        fast = qsim.apply_circuit(s, c).amps
-        dense = qsim.dense_unitary_oracle(c) @ s.amps
+        fast = qsim.apply_circuit_batch(s, c)
+        dense = qsim.dense_unitary_oracle(c) @ s
         assert np.max(np.abs(fast - dense)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
-# expect_z
+# <Z> read-out, compiled into QuanvConfig.observables = Re(U^dagger Z_q U)
 # ---------------------------------------------------------------------------
 
+def z_observable(circuit: Circuit) -> np.ndarray:
+    k = int(round(np.sqrt(circuit.n_qubits)))
+    return QuanvConfig(circuit=circuit, kernel_size=k).observables
+
+
 def test_expect_z_of_zero_state():
-    assert qsim.expect_z(qsim.zero_state(1), 0) == 1.0
+    m = z_observable(Circuit(1))
+    assert np.array_equal(m[0], np.diag([1.0, -1.0]))
+    assert basis_state(1).real @ m[0] @ basis_state(1).real == 1.0
 
 
 def test_expect_z_equal_superposition():
-    s = qsim.apply_gate(qsim.zero_state(1), ry(0, np.pi / 2))
-    assert abs(qsim.expect_z(s, 0)) < 1e-10
+    m = z_observable(Circuit(1, (ry(0, np.pi / 2),)))
+    assert abs(m[0][0, 0]) < 1e-10
 
 
 def test_expect_z_closed_form():
     # <Z> after RY(phi)|0> is cos(phi); cross-check against the amplitude sum.
     phi = 0.3
-    s = qsim.apply_gate(qsim.zero_state(1), ry(0, phi))
-    probs = np.abs(s.amps) ** 2
-    assert np.isclose(qsim.expect_z(s, 0), np.cos(phi), atol=1e-12)
-    assert np.isclose(qsim.expect_z(s, 0), probs[0] - probs[1], atol=1e-14)
-
-
-def test_expect_z_out_of_range():
-    with pytest.raises(ValueError):
-        qsim.expect_z(qsim.zero_state(2), 2)
+    c = Circuit(1, (ry(0, phi),))
+    probs = np.abs(qsim.apply_circuit_batch(basis_state(1), c)) ** 2
+    ez = z_observable(c)[0][0, 0]
+    assert np.isclose(ez, np.cos(phi), atol=1e-12)
+    assert np.isclose(ez, probs[0] - probs[1], atol=1e-14)
 
 
 def test_expect_z_bounds(rng):
-    for _ in range(50):
-        c = random_circuit(3, 15, rng)
-        s = qsim.apply_circuit(qsim.zero_state(3), c)
-        for q in range(3):
-            v = qsim.expect_z(s, q)
-            assert -1 - 1e-12 <= v <= 1 + 1e-12
+    for _ in range(20):
+        m = z_observable(random_circuit(4, 15, rng))
+        assert np.allclose(m, np.swapaxes(m, 1, 2), atol=1e-12)  # real symmetric
+        eig = np.linalg.eigvalsh(m)
+        assert np.all(eig >= -1 - 1e-12) and np.all(eig <= 1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +185,8 @@ def test_unitarity(rng):
 def test_norm_preservation(rng):
     for _ in range(20):
         c = random_circuit(4, 30, rng)
-        s = random_state(4, rng)
-        out = qsim.apply_circuit(s, c)
-        assert abs(out.norm() - 1.0) < 1e-9
+        out = qsim.apply_circuit_batch(random_state(4, rng), c)
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
 
 def test_oracle_equivalence_100_random_pairs(rng):
@@ -218,8 +194,8 @@ def test_oracle_equivalence_100_random_pairs(rng):
         n = int(rng.integers(1, 5))
         c = random_circuit(n, int(rng.integers(1, 25)), rng)
         s = random_state(n, rng)
-        fast = qsim.apply_circuit(s, c).amps
-        dense = qsim.dense_unitary_oracle(c) @ s.amps
+        fast = qsim.apply_circuit_batch(s, c)
+        dense = qsim.dense_unitary_oracle(c) @ s
         assert np.max(np.abs(fast - dense)) < 1e-9
 
 
@@ -229,31 +205,23 @@ def test_zz_gates_commute(rng):
         angles = rng.uniform(0, 2 * np.pi, size=4)
         gates = [zz(a, b, t) for (a, b), t in zip(pairs, angles)]
         s = random_state(4, rng)
-        fwd = qsim.apply_circuit(s, Circuit(4, tuple(gates))).amps
-        rev = qsim.apply_circuit(s, Circuit(4, tuple(reversed(gates)))).amps
+        fwd = qsim.apply_circuit_batch(s, Circuit(4, tuple(gates)))
+        rev = qsim.apply_circuit_batch(s, Circuit(4, tuple(reversed(gates))))
         assert np.max(np.abs(fwd - rev)) < 1e-12
 
 
 def test_rot_is_rz_ry_rz(rng):
     a, b, c = rng.uniform(0, 2 * np.pi, size=3)
     s = random_state(2, rng)
-    via_rot = qsim.apply_circuit(s, Circuit(2, (rot(1, a, b, c),))).amps
-    via_seq = qsim.apply_circuit(
-        s, Circuit(2, (rz(1, c), ry(1, b), rz(1, a)))
-    ).amps
+    via_rot = qsim.apply_circuit_batch(s, Circuit(2, (rot(1, a, b, c),)))
+    via_seq = qsim.apply_circuit_batch(s, Circuit(2, (rz(1, c), ry(1, b), rz(1, a))))
     assert np.allclose(via_rot, via_seq, atol=1e-12)
 
 
 def test_batched_matches_single(rng):
+    # each row of a batch evolves exactly as it would on its own
     c = random_circuit(4, 15, rng)
-    batch = np.stack([random_state(4, rng).amps for _ in range(7)])
+    batch = np.stack([random_state(4, rng) for _ in range(7)])
     out_batch = qsim.apply_circuit_batch(batch, c)
     for i in range(7):
-        single = qsim.apply_circuit(qsim.StateVector(4, batch[i]), c).amps
-        assert np.array_equal(out_batch[i], single)
-    for q in range(4):
-        ez = qsim.expect_z_batch(out_batch, q, 4)
-        for i in range(7):
-            assert np.isclose(
-                ez[i], qsim.expect_z(qsim.StateVector(4, out_batch[i]), q), atol=1e-14
-            )
+        assert np.array_equal(out_batch[i], qsim.apply_circuit_batch(batch[i], c))

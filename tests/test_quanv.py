@@ -3,7 +3,7 @@ import pytest
 
 from quanvbench import qsim, quanv
 from quanvbench.ansatz import AnsatzKind, build_ansatz
-from quanvbench.quanv import QuanvConfig, encode_patch, input_gradient, quanvolve_dataset, quanvolve_image
+from quanvbench.quanv import QuanvConfig, input_gradient, quanvolve_dataset, quanvolve_image
 
 
 def identity_cfg(k=2, s=2):
@@ -15,49 +15,81 @@ def ansatz_cfg(kind, seed=31):
 
 
 # ---------------------------------------------------------------------------
-# encode_patch
+# angle encoding R_y(pi * x)|0>, seen through the features
 # ---------------------------------------------------------------------------
 
+def patch_image(values):
+    return np.asarray(values, dtype=float).reshape(2, 2, 1)
+
+
 def test_encode_all_zeros():
-    s = encode_patch([0, 0, 0, 0])
-    assert np.allclose(s.amps, qsim.zero_state(4).amps, atol=1e-12)
-    assert all(qsim.expect_z(s, q) == pytest.approx(1.0) for q in range(4))
+    out = quanvolve_image(patch_image([0, 0, 0, 0]), identity_cfg())
+    assert np.allclose(out, 1.0, atol=1e-12)  # |0000>
 
 
 def test_encode_all_ones():
-    s = encode_patch([1, 1, 1, 1])
-    expected = np.zeros(16, dtype=complex)
-    expected[15] = 1.0  # |1111>
-    assert np.allclose(s.amps, expected, atol=1e-12)
-    assert all(qsim.expect_z(s, q) == pytest.approx(-1.0) for q in range(4))
+    out = quanvolve_image(patch_image([1, 1, 1, 1]), identity_cfg())
+    assert np.allclose(out, -1.0, atol=1e-12)  # |1111>
 
 
 def test_encode_half_pixel():
-    s = encode_patch([0.5, 0, 0, 0])
-    assert abs(qsim.expect_z(s, 0)) < 1e-10
-    for q in (1, 2, 3):
-        assert qsim.expect_z(s, q) == pytest.approx(1.0, abs=1e-10)
+    out = quanvolve_image(patch_image([0.5, 0, 0, 0]), identity_cfg())[0, 0]
+    assert abs(out[0]) < 1e-10
+    assert np.allclose(out[1:], 1.0, atol=1e-10)
 
 
 def test_encode_matches_gate_application(rng):
+    # encoding the patch == running R_y(pi x_q) gates on |0000> before the filter
     patch = rng.uniform(0, 1, 4)
-    s = encode_patch(patch)
-    via_gates = qsim.zero_state(4)
-    for q, x in enumerate(patch):
-        via_gates = qsim.apply_gate(via_gates, qsim.ry(q, np.pi * x))
-    assert np.allclose(s.amps, via_gates.amps, atol=1e-12)
+    filt = build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=5)
+    encode = tuple(qsim.ry(q, np.pi * x) for q, x in enumerate(patch))
+    via_gates = QuanvConfig(circuit=qsim.Circuit(4, encode + filt.gates))
+    assert np.allclose(
+        quanvolve_image(patch_image(patch), QuanvConfig(circuit=filt)),
+        quanvolve_image(patch_image([0, 0, 0, 0]), via_gates),
+        atol=1e-12,
+    )
 
 
 def test_encode_rejects_out_of_range():
     with pytest.raises(ValueError):
-        encode_patch([0.2, 1.1, 0.0, 0.0])
+        quanvolve_image(patch_image([0.2, 1.1, 0.0, 0.0]), identity_cfg())
     with pytest.raises(ValueError):
-        encode_patch([-0.01, 0, 0, 0])
+        quanvolve_image(patch_image([-0.01, 0, 0, 0]), identity_cfg())
 
 
 def test_encode_unchecked_accepts_out_of_range():
-    s = encode_patch([2.0, 0, 0, 0], validate=False)
-    assert abs(s.norm() - 1.0) < 1e-12
+    out = quanvolve_image(patch_image([2.0, 0, 0, 0]), identity_cfg(), validate=False)
+    assert np.allclose(out, 1.0, atol=1e-12)  # R_y(2 pi) = -I
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_non_finite_pixels(bad, rng):
+    img = rng.uniform(0, 1, (4, 4, 1))
+    img[1, 2, 0] = bad
+    with pytest.raises(ValueError):
+        quanvolve_image(img, identity_cfg())
+    with pytest.raises(ValueError):
+        input_gradient(img, identity_cfg(), np.zeros((2, 2, 4)))
+
+
+@pytest.mark.parametrize("kind", list(AnsatzKind))
+def test_features_are_2_periodic_in_every_pixel(kind, rng):
+    # each pixel enters as a degree-1 trigonometric polynomial in pi * x
+    cfg = ansatz_cfg(kind)
+    img = rng.uniform(0, 1, (6, 6, 1))
+    shift = 2.0 * rng.integers(-3, 4, img.shape)
+    assert np.max(np.abs(
+        quanvolve_image(img + shift, cfg, validate=False) - quanvolve_image(img, cfg)
+    )) <= 1e-12
+
+
+def test_observables_are_derived_from_the_circuit():
+    circuit = build_ansatz(AnsatzKind.ZZ_STAR, 4, seed=3)
+    a, b = QuanvConfig(circuit=circuit), QuanvConfig(circuit=circuit)
+    assert a.observables.shape == (4, 16, 16)
+    assert "observables" not in repr(a)
+    assert a == b and hash(a) == hash(b)
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +111,14 @@ def test_single_patch_matches_manual_composition(rng):
     img = rng.uniform(0, 1, (2, 2, 1))
     cfg = ansatz_cfg(AnsatzKind.ZZ_FULL)
     out = quanvolve_image(img, cfg)
-    state = qsim.apply_circuit(encode_patch(img.reshape(-1)), cfg.circuit)
-    manual = [qsim.expect_z(state, q) for q in range(4)]
+    amps = np.zeros(16, dtype=complex)
+    amps[0] = 1.0
+    encode = tuple(qsim.ry(q, np.pi * x) for q, x in enumerate(img.reshape(-1)))
+    state = qsim.apply_circuit_batch(amps, qsim.Circuit(4, encode + cfg.circuit.gates))
+    probs = (np.abs(state) ** 2).reshape(2, 2, 2, 2)
+    manual = [
+        probs.take(0, axis=q).sum() - probs.take(1, axis=q).sum() for q in range(4)
+    ]
     assert np.allclose(out[0, 0], manual, atol=1e-12)
 
 
@@ -127,6 +165,8 @@ def test_config_validation():
         QuanvConfig(circuit=qsim.Circuit(4), kernel_size=3)  # 9 != 4
     with pytest.raises(ValueError):
         QuanvConfig(circuit=qsim.Circuit(4), kernel_size=2, stride=0)
+    with pytest.raises(ValueError, match="limit"):
+        QuanvConfig(circuit=qsim.Circuit(16), kernel_size=4)  # 16 x 4^16 floats
 
 
 # ---------------------------------------------------------------------------
@@ -185,34 +225,6 @@ def finite_difference_gradient(img, cfg, upstream, h=1e-5):
     return grad
 
 
-def test_rescale_unit_maps_features_and_gradient(rng):
-    circuit = build_ansatz(AnsatzKind.ZZ_LINEAR, 4, seed=44)
-    raw_cfg = QuanvConfig(circuit=circuit)
-    unit_cfg = QuanvConfig(circuit=circuit, rescale_unit=True)
-    img = rng.uniform(0, 1, (4, 4, 1))
-    raw = quanvolve_image(img, raw_cfg)
-    unit = quanvolve_image(img, unit_cfg)
-    assert np.allclose(unit, (raw + 1) / 2, atol=1e-14)
-    assert np.all(unit >= 0) and np.all(unit <= 1)
-
-    upstream = rng.normal(size=(2, 2, 4))
-    exact = input_gradient(img, unit_cfg, upstream)
-    fd = finite_difference_gradient_cfg(img, unit_cfg, upstream)
-    assert np.allclose(exact, fd, atol=1e-7)
-
-
-def finite_difference_gradient_cfg(img, cfg, upstream, h=1e-5):
-    grad = np.zeros_like(img)
-    for idx in np.ndindex(img.shape):
-        plus, minus = img.copy(), img.copy()
-        plus[idx] += h
-        minus[idx] -= h
-        f_plus = np.sum(upstream * quanvolve_image(plus, cfg, validate=False))
-        f_minus = np.sum(upstream * quanvolve_image(minus, cfg, validate=False))
-        grad[idx] = (f_plus - f_minus) / (2 * h)
-    return grad
-
-
 @pytest.mark.parametrize("kind", list(AnsatzKind))
 def test_gradient_matches_finite_differences_all_ansatz_kinds(kind, rng):
     cfg = ansatz_cfg(kind, seed=97)
@@ -223,6 +235,18 @@ def test_gradient_matches_finite_differences_all_ansatz_kinds(kind, rng):
     coords = [np.unravel_index(i, img.shape) for i in rng.choice(36, 20, replace=False)]
     for idx in coords:
         assert abs(exact[idx] - fd[idx]) <= 1e-5 * max(1.0, abs(fd[idx]))
+
+
+@pytest.mark.parametrize("k,s", [(2, 1), (3, 2)])
+def test_gradient_overlapping_patches_matches_finite_differences(k, s, rng):
+    # pixels shared by several patches sum every patch's contribution
+    circuit = build_ansatz(AnsatzKind.ZZ_LINEAR, k * k, seed=13)
+    cfg = QuanvConfig(circuit=circuit, kernel_size=k, stride=s)
+    img = rng.uniform(0.05, 0.95, (5, 5, 1))
+    upstream = rng.normal(size=quanvolve_image(img, cfg).shape)
+    exact = input_gradient(img, cfg, upstream)
+    fd = finite_difference_gradient(img, cfg, upstream)
+    assert np.allclose(exact, fd, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

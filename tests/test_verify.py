@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quanvbench import qsim, verify
+from quanvbench import qsim, quanv, verify
 
 
 def test_all_checks_pass_quickly():
@@ -12,13 +12,14 @@ def test_all_checks_pass_quickly():
     elapsed = time.perf_counter() - t0
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
     assert elapsed < 60.0
-    assert len(results) == 5
+    assert len(results) == 6
 
 
 def test_gradient_check_covers_every_ansatz_kind():
-    passed, detail = verify.check_parameter_shift_gradients()
+    passed, detail = verify.check_input_gradients()
     assert passed
     assert "all 5 ansatz kinds" in detail
+    assert "finite differences" in detail and "parameter shift" in detail
 
 
 def test_corrupted_zz_sign_fails_dense_oracle(monkeypatch):
@@ -34,3 +35,18 @@ def test_corrupted_zz_sign_fails_dense_oracle(monkeypatch):
     passed, detail = verify.check_statevector_oracle()
     assert not passed
     assert "error" in detail
+
+
+def test_flipped_z_sign_in_observables_fails_feature_oracle(monkeypatch):
+    # mutation check: one qubit's compiled observable with the wrong Z sign
+    real = quanv._compile_observables
+
+    def corrupted(circuit):
+        observables = real(circuit)
+        observables[1] *= -1.0
+        return observables
+
+    monkeypatch.setattr(quanv, "_compile_observables", corrupted)
+    passed, detail = verify.check_feature_oracle()
+    assert not passed
+    assert "feature error" in detail
