@@ -13,11 +13,13 @@ unclamped step of an even integer epsilon leaves them unchanged.
 Iterative attacks track the perturbation delta rather than the perturbed
 image so that the single-step reductions (PGD with steps=1 and alpha=eps,
 MIM with decay 0) are bit-identical to FGSM.  No attack uses randomness.
-Budgets must be finite and non-negative; NaN is rejected.
+Budgets and decays must be finite and >= 0, step sizes finite and > 0.
+
+Attacks run on (N, H, W, 1) batches with one gradient call per step; each
+image moves in its own epsilon ball along the gradient of its own loss.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -46,8 +48,10 @@ class AttackConfig:
         _check_epsilon(self.epsilon)
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.decay < 0:
-            raise ValueError(f"decay must be >= 0, got {self.decay}")
+        if not (self.step_size is None or math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+        if not (math.isfinite(self.decay) and self.decay >= 0):
+            raise ValueError(f"decay must be finite and >= 0, got {self.decay}")
 
     def resolved_step_size(self) -> float:
         return self.epsilon / 4.0 if self.step_size is None else self.step_size
@@ -59,14 +63,16 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 class GradientSource:
-    """Loss and input-gradient provider for a fixed model under attack."""
+    """Input gradients of a fixed model under attack.
+
+    ``gradient(images, labels)`` takes an (N, H, W, 1) batch and its (N,)
+    labels and returns (N, H, W, 1): row i is the gradient of image i's own
+    cross-entropy loss.
+    """
 
     mode = "abstract"
 
-    def loss(self, image: np.ndarray, label: int) -> float:
-        raise NotImplementedError
-
-    def gradient(self, image: np.ndarray, label: int) -> np.ndarray:
+    def gradient(self, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -82,11 +88,8 @@ class SurrogateSource(GradientSource):
     def __init__(self, model: nn.Model):
         self.model = model
 
-    def loss(self, image, label):
-        return nn.loss(self.model, image, label)
-
-    def gradient(self, image, label):
-        return nn.input_gradient(self.model, image, label)
+    def gradient(self, images, labels):
+        return nn.input_gradient(self.model, images, labels)
 
 
 class EndToEndSource(GradientSource):
@@ -98,14 +101,10 @@ class EndToEndSource(GradientSource):
         self.quanv_cfg = quanv_cfg
         self.head = head
 
-    def loss(self, image, label):
-        features = quanv.quanvolve_image(image, self.quanv_cfg, validate=False)
-        return nn.loss(self.head, features, label)
-
-    def gradient(self, image, label):
-        features = quanv.quanvolve_image(image, self.quanv_cfg, validate=False)
-        upstream = nn.input_gradient(self.head, features, label)
-        return quanv.input_gradient(image, self.quanv_cfg, upstream, validate=False)
+    def gradient(self, images, labels):
+        features = quanv.quanvolve_dataset(images, self.quanv_cfg, validate=False)
+        upstream = nn.input_gradient(self.head, features, labels)
+        return quanv.input_gradient(images, self.quanv_cfg, upstream, validate=False)
 
 
 def _clamped(x: np.ndarray, clamp: tuple[float, float] | None) -> np.ndarray:
@@ -114,90 +113,72 @@ def _clamped(x: np.ndarray, clamp: tuple[float, float] | None) -> np.ndarray:
 
 def fgsm(
     source: GradientSource,
-    image: np.ndarray,
-    label: int,
+    images: np.ndarray,
+    labels: np.ndarray,
     epsilon: float,
     clamp: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """One signed-gradient step of size epsilon."""
+    """One signed-gradient step of size epsilon on every image."""
     _check_epsilon(epsilon)
-    image = np.asarray(image, dtype=float)
-    step = epsilon * np.sign(source.gradient(image, label))
-    return _clamped(image + step, clamp)
+    images = np.asarray(images, dtype=float)
+    step = epsilon * np.sign(source.gradient(images, labels))
+    return _clamped(images + step, clamp)
 
 
 def _iterative(
     source: GradientSource,
-    image: np.ndarray,
-    label: int,
+    images: np.ndarray,
+    labels: np.ndarray,
     cfg: AttackConfig,
     momentum: bool,
 ) -> np.ndarray:
-    image = np.asarray(image, dtype=float)
+    images = np.asarray(images, dtype=float)
     eps, alpha = cfg.epsilon, cfg.resolved_step_size()
-    delta = np.zeros_like(image)
-    g_acc = np.zeros_like(image)
-    adv = image
+    delta = np.zeros_like(images)
+    g_acc = np.zeros_like(images)
+    adv = images
     for _ in range(cfg.steps):
-        grad = source.gradient(adv, label)
+        grad = source.gradient(adv, labels)
         if momentum:
-            l1 = np.sum(np.abs(grad))
-            g_acc = cfg.decay * g_acc + (grad / l1 if l1 > 0 else grad)
+            # L1 norm per image; an all-zero gradient is left as it is
+            l1 = np.sum(np.abs(grad), axis=(1, 2, 3), keepdims=True)
+            g_acc = cfg.decay * g_acc + grad / np.where(l1 > 0, l1, 1.0)
             direction = np.sign(g_acc)
         else:
             direction = np.sign(grad)
         delta = np.clip(delta + alpha * direction, -eps, eps)
-        adv = image + delta
+        adv = images + delta
         if cfg.clamp is not None:
             adv = _clamped(adv, cfg.clamp)
-            delta = adv - image
+            delta = adv - images
     return adv
 
 
-def pgd(source: GradientSource, image, label, cfg: AttackConfig) -> np.ndarray:
-    """Iterative signed-gradient ascent projected onto the epsilon ball."""
+def pgd(source: GradientSource, images, labels, cfg: AttackConfig) -> np.ndarray:
+    """Iterative signed-gradient ascent projected onto each image's epsilon ball."""
     if cfg.kind is not AttackKind.PGD:
         raise ValueError(f"expected PGD config, got {cfg.kind}")
-    return _iterative(source, image, label, cfg, momentum=False)
+    return _iterative(source, images, labels, cfg, momentum=False)
 
 
-def mim(source: GradientSource, image, label, cfg: AttackConfig) -> np.ndarray:
-    """PGD with an L1-normalized momentum accumulator steering the sign."""
+def mim(source: GradientSource, images, labels, cfg: AttackConfig) -> np.ndarray:
+    """PGD with a per-image L1-normalized momentum accumulator steering the sign."""
     if cfg.kind is not AttackKind.MIM:
         raise ValueError(f"expected MIM config, got {cfg.kind}")
-    return _iterative(source, image, label, cfg, momentum=True)
-
-
-def attack(source: GradientSource, image, label, cfg: AttackConfig) -> np.ndarray:
-    if cfg.kind is AttackKind.FGSM:
-        return fgsm(source, image, label, cfg.epsilon, cfg.clamp)
-    if cfg.kind is AttackKind.PGD:
-        return pgd(source, image, label, cfg)
-    return mim(source, image, label, cfg)
+    return _iterative(source, images, labels, cfg, momentum=True)
 
 
 def attack_batch(source: GradientSource, images, labels, cfg: AttackConfig) -> np.ndarray:
-    """Attack each image independently; order preserved, fully deterministic."""
-    if len(images) == 0:
-        return np.asarray(images, dtype=float)
-    return np.stack([attack(source, img, int(lbl), cfg) for img, lbl in zip(images, labels)])
+    """Attack every image of an (N, H, W, 1) batch; order preserved, deterministic.
 
-
-def config_hash(cfg: AttackConfig) -> int:
-    """Stable 64-bit hash of an attack configuration."""
-    canonical = (f"{cfg.kind.value}|{cfg.epsilon!r}|{cfg.steps}|"
-                 f"{cfg.resolved_step_size()!r}|{cfg.decay!r}|{cfg.clamp!r}")
-    return int.from_bytes(hashlib.blake2b(canonical.encode(), digest_size=8).digest(), "little")
-
-
-def save_adversarial_set(path, images: np.ndarray, cfg: AttackConfig) -> None:
-    """Serialize adversarial images as QNVF with the config hash as metadata."""
-    quanv.write_qnvf(path, np.asarray(images, dtype=float), meta_hash=config_hash(cfg))
-
-
-def load_adversarial_set(path, expected_cfg: AttackConfig | None = None) -> np.ndarray:
-    """Read an adversarial QNVF set, optionally checking the config hash."""
-    images, meta = quanv.read_qnvf(path)
-    if expected_cfg is not None and meta != config_hash(expected_cfg):
-        raise ValueError(f"{path}: attack config hash mismatch")
-    return images.astype(float)
+    At epsilon 0 every attack leaves the images where they are, so the
+    (clamped) clean images come back without a gradient call.
+    """
+    images = np.array(images, dtype=float)  # a copy: never aliases the input
+    if len(images) == 0 or cfg.epsilon == 0:
+        return _clamped(images, cfg.clamp)
+    if cfg.kind is AttackKind.FGSM:
+        return fgsm(source, images, labels, cfg.epsilon, cfg.clamp)
+    if cfg.kind is AttackKind.PGD:
+        return pgd(source, images, labels, cfg)
+    return mim(source, images, labels, cfg)

@@ -269,18 +269,24 @@ def _backward_from_logits(model: Model, dlogits: np.ndarray, caches):
     return dout, grads
 
 
-def input_gradient(model: Model, x: np.ndarray, label: int) -> np.ndarray:
-    """Exact d(cross-entropy)/d(input); dropout disabled."""
+def input_gradient(model: Model, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Exact d(cross-entropy)/d(input) of each image's own loss; dropout disabled.
+
+    ``x`` is an (N, *input_shape) batch and ``labels`` its (N,) classes; row i
+    of the result is the gradient of image i's loss alone (no 1/N).
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != model.input_shape:
+    labels = np.asarray(labels)
+    if x.shape[1:] != model.input_shape or labels.shape != x.shape[:1]:
         raise ValueError(
-            f"input shape {x.shape} does not match model input {model.input_shape}"
+            f"inputs {x.shape} with labels {labels.shape} do not match a batch of "
+            f"model input {model.input_shape}"
         )
-    probs, caches = _forward_batch(model, x[None], training=False)
+    probs, caches = _forward_batch(model, x, training=False)
     dlogits = probs.copy()
-    dlogits[0, label] -= 1.0
+    dlogits[np.arange(len(x)), labels] -= 1.0
     dx, _ = _backward_from_logits(model, dlogits, caches)
-    return dx[0]
+    return dx
 
 
 def evaluate(model: Model, inputs: np.ndarray, labels: np.ndarray) -> float:

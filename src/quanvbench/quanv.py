@@ -42,6 +42,8 @@ _QNVF_HEADER = struct.Struct("<4sIIIIIQ")
 
 # compiled observables hold n * 4^n floats: 9 qubits (3x3 kernels) is 19 MB
 MAX_QUBITS = 9
+# images per block of input_gradient: bounds its (images * patches, 2^n) temporaries
+_GRADIENT_GROUP = 8
 
 
 def _compile_observables(circuit: Circuit) -> np.ndarray:
@@ -94,14 +96,15 @@ def output_shape(height: int, width: int, cfg: QuanvConfig) -> tuple[int, int, i
     return ((height - k) // s + 1, (width - k) // s + 1, k * k)
 
 
-def _patch_factors(image: np.ndarray, cfg: QuanvConfig) -> np.ndarray:
-    """(cos, sin)(pi x / 2) of every pixel of every patch: (H, W, 1) -> (P, k*k, 2).
+def _patch_factors(images: np.ndarray, cfg: QuanvConfig) -> np.ndarray:
+    """(cos, sin)(pi x / 2) of every pixel of every patch: (N, H, W, 1) -> (N*P, k*k, 2).
 
-    Patches are taken row-major over the output grid, pixels row-major
-    within a patch.
+    Patches are taken image by image, row-major over the output grid, pixels
+    row-major within a patch.
     """
     k, s = cfg.kernel_size, cfg.stride
-    windows = np.lib.stride_tricks.sliding_window_view(image[:, :, 0], (k, k))[::s, ::s]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        images[..., 0], (k, k), axis=(1, 2))[:, ::s, ::s]
     half = np.pi * windows.reshape(-1, k * k) / 2.0
     return np.stack([np.cos(half), np.sin(half)], axis=-1)
 
@@ -114,10 +117,11 @@ def _product_states(factors: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _check_image(image: np.ndarray, validate: bool) -> np.ndarray:
+def _check_image(image: np.ndarray, validate: bool, batch: bool = False) -> np.ndarray:
     image = np.asarray(image, dtype=float)
-    if image.ndim != 3 or image.shape[2] != 1:
-        raise ValueError(f"expected single-channel (H, W, 1) image, got {image.shape}")
+    if image.ndim != 3 + batch or image.shape[-1] != 1:
+        layout = "(N, H, W, 1) images" if batch else "(H, W, 1) image"
+        raise ValueError(f"expected single-channel {layout}, got {image.shape}")
     if validate and not np.all((image >= 0.0) & (image <= 1.0)):
         raise ValueError("image values must lie in [0, 1]")
     return image
@@ -129,7 +133,7 @@ def quanvolve_image(
     """Feature map of shape ((H-k)//s+1, (W-k)//s+1, k^2) with <Z_q> channels."""
     image = _check_image(image, validate)
     rows, cols, n = output_shape(image.shape[0], image.shape[1], cfg)
-    psi = _product_states(_patch_factors(image, cfg))
+    psi = _product_states(_patch_factors(image[None], cfg))
     # psi @ M_q is (M_q psi)^T because M_q is symmetric: shape (n, P, 2^n)
     features = np.sum((psi @ cfg.observables) * psi, axis=-1).T
     return features.reshape(rows, cols, n)
@@ -147,44 +151,50 @@ def quanvolve_dataset(
 
 
 def input_gradient(
-    image: np.ndarray,
+    images: np.ndarray,
     cfg: QuanvConfig,
     upstream: np.ndarray,
     validate: bool = True,
 ) -> np.ndarray:
-    """Exact d(sum(upstream * features))/d(pixel) from the compiled observables.
+    """Exact d(sum(upstream[j] * features[j]))/d(images[j]) for every image j.
 
-    For a patch with state psi and upstream weights u_q, pixel i gets
+    Takes (N, H, W, 1) images and (N, rows, cols, n) upstream weights.  For
+    a patch with state psi and upstream weights u_q, pixel i gets
     2 (d_i psi)^T (sum_q u_q M_q) psi.  Patch gradients are accumulated into
     their source pixels; pixels outside every patch get 0.
     """
-    image = _check_image(image, validate)
-    rows, cols, n = output_shape(image.shape[0], image.shape[1], cfg)
+    images = _check_image(images, validate, batch=True)
+    rows, cols, n = output_shape(images.shape[1], images.shape[2], cfg)
     upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (rows, cols, n):
+    if upstream.shape != (len(images), rows, cols, n):
         raise ValueError(
-            f"upstream shape {upstream.shape} does not match feature map "
-            f"shape {(rows, cols, n)}"
+            f"upstream shape {upstream.shape} does not match feature maps "
+            f"shape {(len(images), rows, cols, n)}"
         )
 
-    factors = _patch_factors(image, cfg)
-    psi = _product_states(factors)
-    # (sum_q u_q M_q) psi per patch: shape (P, 2^n)
-    weighted = np.sum(upstream.reshape(-1, n).T[:, :, None] * (psi @ cfg.observables), axis=0)
-    # d/dx (cos, sin)(pi x / 2) = (pi / 2) (-sin, cos)
-    derivs = (np.pi / 2.0) * np.stack([-factors[..., 1], factors[..., 0]], axis=-1)
-    patch_grad = np.empty((len(psi), n))
-    for i in range(n):
-        swapped = factors.copy()
-        swapped[:, i] = derivs[:, i]
-        patch_grad[:, i] = 2.0 * np.sum(_product_states(swapped) * weighted, axis=1)
-
-    grad = np.zeros_like(image)
+    grad = np.zeros_like(images)
     k, s = cfg.kernel_size, cfg.stride
-    pg = patch_grad.reshape(rows, cols, k, k)
-    for a in range(k):
-        for b in range(k):
-            grad[a : a + s * rows : s, b : b + s * cols : s, 0] += pg[:, :, a, b]
+    for start in range(0, len(images), _GRADIENT_GROUP):
+        group = slice(start, start + _GRADIENT_GROUP)
+        factors = _patch_factors(images[group], cfg)
+        psi = _product_states(factors)
+        u = upstream[group].reshape(-1, n)
+        # (sum_q u_q M_q) psi per patch, one q at a time: shape (G*P, 2^n)
+        weighted = u[:, 0, None] * (psi @ cfg.observables[0])
+        for q in range(1, n):
+            weighted += u[:, q, None] * (psi @ cfg.observables[q])
+        # d/dx (cos, sin)(pi x / 2) = (pi / 2) (-sin, cos)
+        derivs = (np.pi / 2.0) * np.stack([-factors[..., 1], factors[..., 0]], axis=-1)
+        patch_grad = np.empty((len(psi), n))
+        for i in range(n):
+            swapped = factors.copy()
+            swapped[:, i] = derivs[:, i]
+            patch_grad[:, i] = 2.0 * np.sum(_product_states(swapped) * weighted, axis=1)
+
+        pg = patch_grad.reshape(-1, rows, cols, k, k)
+        for a in range(k):
+            for b in range(k):
+                grad[group, a : a + s * rows : s, b : b + s * cols : s, 0] += pg[..., a, b]
     return grad
 
 

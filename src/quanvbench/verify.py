@@ -20,7 +20,7 @@ import numpy as np
 
 from . import nn, qsim, quanv
 from .ansatz import AnsatzKind, build_ansatz
-from .attacks import AttackConfig, AttackKind, SurrogateSource, attack, fgsm, mim, pgd
+from .attacks import AttackConfig, AttackKind, SurrogateSource, attack_batch, fgsm, mim, pgd
 from .nn import Architecture
 from .quanv import QuanvConfig
 
@@ -129,7 +129,7 @@ def check_input_gradients() -> tuple[bool, str]:
         cfg = QuanvConfig(circuit=build_ansatz(kind, 4, seed=303))
         img = rng.uniform(0.05, 0.95, (6, 6, 1))
         upstream = rng.normal(size=(3, 3, 4))
-        exact = quanv.input_gradient(img, cfg, upstream)
+        exact = quanv.input_gradient(img[None], cfg, upstream[None])[0]
         for flat in rng.choice(img.size, 20, replace=False):
             idx = np.unravel_index(flat, img.shape)
             fd = _central_difference(img, idx, h, cfg, upstream) / (2 * h)
@@ -155,7 +155,7 @@ def check_backprop_gradients() -> tuple[bool, str]:
         model = nn.build_model(arch, dataset, seed=505)
         x = rng.uniform(0, 1, model.input_shape)
         label = int(rng.integers(10))
-        grad = nn.input_gradient(model, x, label)
+        grad = nn.input_gradient(model, x[None], np.array([label]))[0]
         for flat in rng.choice(x.size, 50, replace=False):
             idx = np.unravel_index(flat, x.shape)
             plus, minus = x.copy(), x.copy()
@@ -179,40 +179,41 @@ def _toy_source() -> SurrogateSource:
 
 
 def check_attack_reductions() -> tuple[bool, str]:
-    """PGD(1 step, alpha=eps) == FGSM, MIM(decay 0) == PGD, bit for bit."""
+    """PGD(1 step, alpha=eps) == FGSM, MIM(decay 0) == PGD, bit for bit, on batches."""
     rng = np.random.default_rng(707)
     source = _toy_source()
     for trial in range(5):
-        img = rng.uniform(0, 1, (28, 28, 1))
-        label = int(rng.integers(10))
+        imgs = rng.uniform(0, 1, (5, 28, 28, 1))
+        labels = rng.integers(0, 10, 5)
         eps = float(rng.uniform(0.05, 0.5))
-        a = fgsm(source, img, label, eps)
-        b = pgd(source, img, label, AttackConfig(AttackKind.PGD, eps, steps=1, step_size=eps))
+        a = fgsm(source, imgs, labels, eps)
+        b = pgd(source, imgs, labels, AttackConfig(AttackKind.PGD, eps, steps=1, step_size=eps))
         if a.tobytes() != b.tobytes():
             return False, f"PGD single-step differs from FGSM at eps={eps:.3f}"
         alpha = eps / 3
-        p = pgd(source, img, label, AttackConfig(AttackKind.PGD, eps, steps=6, step_size=alpha))
-        m = mim(source, img, label,
+        p = pgd(source, imgs, labels,
+                AttackConfig(AttackKind.PGD, eps, steps=6, step_size=alpha))
+        m = mim(source, imgs, labels,
                 AttackConfig(AttackKind.MIM, eps, steps=6, step_size=alpha, decay=0.0))
         if p.tobytes() != m.tobytes():
             return False, f"MIM with zero decay differs from PGD at eps={eps:.3f}"
-        f1 = fgsm(source, img, label, alpha)
-        m1 = mim(source, img, label,
+        f1 = fgsm(source, imgs, labels, alpha)
+        m1 = mim(source, imgs, labels,
                  AttackConfig(AttackKind.MIM, eps, steps=1, step_size=alpha, decay=0.9))
         if f1.tobytes() != m1.tobytes():
             return False, f"MIM single step differs from FGSM step at alpha={alpha:.3f}"
-    return True, "5 random configs, all three identities bit-exact"
+    return True, "5 random configs on 5-image batches, all three identities bit-exact"
 
 
 def check_epsilon_ball() -> tuple[bool, str]:
-    """Containment |adv - x|_inf <= eps under fuzzing, 100 runs per attack."""
+    """Containment |adv - x|_inf <= eps per image under fuzzing, 100 batches per attack."""
     rng = np.random.default_rng(808)
     source = _toy_source()
     worst = 0.0
     for kind in AttackKind:
         for _ in range(100):
-            img = rng.uniform(0, 1, (28, 28, 1))
-            label = int(rng.integers(10))
+            imgs = rng.uniform(0, 1, (5, 28, 28, 1))
+            labels = rng.integers(0, 10, 5)
             cfg = AttackConfig(
                 kind,
                 epsilon=float(rng.uniform(0, 2)),
@@ -221,14 +222,15 @@ def check_epsilon_ball() -> tuple[bool, str]:
                 decay=float(rng.uniform(0, 1.5)),
                 clamp=(0.0, 1.0) if rng.random() < 0.5 else None,
             )
-            adv = attack(source, img, label, cfg)
-            overshoot = float(np.max(np.abs(adv - img))) - cfg.epsilon
+            adv = attack_batch(source, imgs, labels, cfg)
+            overshoot = float(np.max(np.abs(adv - imgs))) - cfg.epsilon
             worst = max(worst, overshoot)
             if overshoot > 1e-9:
                 return False, f"{kind.value}: ball exceeded by {overshoot:.2e}"
             if cfg.clamp is not None and (np.any(adv < 0.0) or np.any(adv > 1.0)):
                 return False, f"{kind.value}: clamp violated"
-    return True, f"300 fuzzed attacks contained (worst overshoot {worst:.2e})"
+    return True, (f"300 fuzzed attacks on 5-image batches contained "
+                  f"(worst overshoot {worst:.2e})")
 
 
 CHECKS = (

@@ -7,7 +7,6 @@ from quanvbench.attacks import (
     AttackKind,
     EndToEndSource,
     SurrogateSource,
-    attack,
     attack_batch,
     fgsm,
     mim,
@@ -15,22 +14,32 @@ from quanvbench.attacks import (
 )
 from quanvbench.ansatz import AnsatzKind, build_ansatz
 from quanvbench.nn import Architecture, TrainConfig, build_model, train
-from quanvbench.quanv import QuanvConfig, quanvolve_image
+from quanvbench.quanv import QuanvConfig, quanvolve_dataset, quanvolve_image
 
 
 class FixedGradientSource:
-    """Deterministic stand-in whose gradient field is supplied directly."""
+    """Deterministic stand-in whose gradient fields are supplied directly.
+
+    Each field is an (N, H, W, 1) batch; call i returns field i, cycling.
+    """
 
     mode = "fixed"
 
-    def __init__(self, grad):
-        self.grad = np.asarray(grad, dtype=float)
+    def __init__(self, *fields):
+        self.fields = [np.asarray(f, dtype=float) for f in fields]
+        self.calls = 0
 
-    def gradient(self, image, label):
-        return self.grad
+    def gradient(self, images, labels):
+        field = self.fields[self.calls % len(self.fields)]
+        self.calls += 1
+        return field
 
-    def loss(self, image, label):
-        return float(np.sum(image * self.grad))
+
+class RaisingSource:
+    mode = "raising"
+
+    def gradient(self, images, labels):
+        raise AssertionError("gradient must not be called")
 
 
 @pytest.fixture(scope="module")
@@ -43,25 +52,37 @@ def trained_toy():
     return model, xs, ys
 
 
+@pytest.fixture(scope="module")
+def toy_end_to_end():
+    """End-to-end source on 6x6 images: a dense head over 3x3x4 feature maps."""
+    qcfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=21))
+    head_rng = np.random.default_rng(21)
+    head = nn.Model(
+        [nn.Flatten(), nn.Dense(36, 10, head_rng), nn.Softmax()],
+        input_shape=(3, 3, 4), arch=Architecture.QUNN, dataset="mnist", rng_seed=21,
+    )
+    return EndToEndSource(qcfg, head)
+
+
 # ---------------------------------------------------------------------------
 # FGSM
 # ---------------------------------------------------------------------------
 
 def test_fgsm_zero_epsilon_is_identity(rng):
-    img = rng.uniform(0, 1, (4, 4, 1))
-    out = fgsm(FixedGradientSource(rng.normal(size=(4, 4, 1))), img, 0, 0.0)
+    img = rng.uniform(0, 1, (1, 4, 4, 1))
+    out = fgsm(FixedGradientSource(rng.normal(size=(1, 4, 4, 1))), img, [0], 0.0)
     assert np.array_equal(out, img)
 
 
 def test_fgsm_positive_gradient_steps_up():
-    img = np.full((3, 3, 1), 0.5)
-    out = fgsm(FixedGradientSource(np.ones((3, 3, 1))), img, 0, 0.1)
+    img = np.full((1, 3, 3, 1), 0.5)
+    out = fgsm(FixedGradientSource(np.ones((1, 3, 3, 1))), img, [0], 0.1)
     assert np.allclose(out, 0.6, atol=1e-15)
 
 
 def test_fgsm_negative_epsilon_rejected():
     with pytest.raises(ValueError):
-        fgsm(FixedGradientSource(np.ones((2, 2, 1))), np.zeros((2, 2, 1)), 0, -0.1)
+        fgsm(FixedGradientSource(np.ones((1, 2, 2, 1))), np.zeros((1, 2, 2, 1)), [0], -0.1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -69,7 +90,19 @@ def test_non_finite_epsilon_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         AttackConfig(AttackKind.PGD, bad)
     with pytest.raises(ValueError, match="finite"):
-        fgsm(FixedGradientSource(np.ones((2, 2, 1))), np.zeros((2, 2, 1)), 0, bad)
+        fgsm(FixedGradientSource(np.ones((1, 2, 2, 1))), np.zeros((1, 2, 2, 1)), [0], bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.0])
+def test_step_size_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="step_size"):
+        AttackConfig(AttackKind.MIM, 0.1, step_size=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decay_must_be_finite(bad):
+    with pytest.raises(ValueError, match="decay"):
+        AttackConfig(AttackKind.MIM, 0.1, decay=bad)
 
 
 def test_unclamped_fgsm_at_even_epsilon_leaves_features_unchanged(trained_toy):
@@ -77,15 +110,15 @@ def test_unclamped_fgsm_at_even_epsilon_leaves_features_unchanged(trained_toy):
     # each pixel by epsilon * sign(gradient)
     model, xs, ys = trained_toy
     qcfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=1))
-    adv = fgsm(SurrogateSource(model), xs[0], int(ys[0]), 2.0)
+    adv = fgsm(SurrogateSource(model), xs[:1], ys[:1], 2.0)[0]
     assert np.max(np.abs(adv - xs[0])) == 2.0
     features = quanvolve_image(adv, qcfg, validate=False)
     assert np.max(np.abs(features - quanvolve_image(xs[0], qcfg))) <= 1e-12
 
 
 def test_fgsm_clamp(rng):
-    img = rng.uniform(0, 1, (4, 4, 1))
-    out = fgsm(FixedGradientSource(np.ones((4, 4, 1))), img, 0, 0.9, clamp=(0.0, 1.0))
+    img = rng.uniform(0, 1, (1, 4, 4, 1))
+    out = fgsm(FixedGradientSource(np.ones((1, 4, 4, 1))), img, [0], 0.9, clamp=(0.0, 1.0))
     assert np.all(out <= 1.0) and np.all(out >= 0.0)
 
 
@@ -105,7 +138,7 @@ def test_fgsm_damages_attacked_model(trained_toy):
 def test_pgd_single_step_equals_fgsm(trained_toy):
     model, xs, _ = trained_toy
     source = SurrogateSource(model)
-    img, label, eps = xs[0], 3, 0.2
+    img, label, eps = xs[:1], [3], 0.2
     via_fgsm = fgsm(source, img, label, eps)
     via_pgd = pgd(source, img, label, AttackConfig(AttackKind.PGD, eps, steps=1, step_size=eps))
     assert np.array_equal(via_fgsm, via_pgd)
@@ -115,7 +148,7 @@ def test_pgd_single_step_equals_fgsm(trained_toy):
 def test_mim_zero_decay_equals_pgd(trained_toy):
     model, xs, _ = trained_toy
     source = SurrogateSource(model)
-    img, label = xs[1], 5
+    img, label = xs[1:2], [5]
     cfg_p = AttackConfig(AttackKind.PGD, 0.3, steps=10, step_size=0.05)
     cfg_m = AttackConfig(AttackKind.MIM, 0.3, steps=10, step_size=0.05, decay=0.0)
     a = pgd(source, img, label, cfg_p)
@@ -127,7 +160,7 @@ def test_mim_zero_decay_equals_pgd(trained_toy):
 def test_mim_single_step_equals_fgsm_with_step_size(trained_toy):
     model, xs, _ = trained_toy
     source = SurrogateSource(model)
-    img, label = xs[2], 1
+    img, label = xs[2:3], [1]
     alpha = 0.07
     via_fgsm = fgsm(source, img, label, alpha)
     via_mim = mim(
@@ -135,6 +168,29 @@ def test_mim_single_step_equals_fgsm_with_step_size(trained_toy):
         AttackConfig(AttackKind.MIM, 0.5, steps=1, step_size=alpha, decay=0.8),
     )
     assert np.array_equal(via_fgsm, via_mim)
+
+
+def test_mim_normalises_momentum_per_image():
+    # Pixel 0 of image 0 gets +1 then -2: with its own L1 norms (1, then 4)
+    # the momentum stays positive.  A batch-wide norm would be dominated by
+    # image 1, whose L1 norm shrinks tenfold, and flip that pixel negative.
+    first, second = np.zeros((2, 2, 2, 1)), np.zeros((2, 2, 2, 1))
+    first[0, 0, 0], second[0, 0, 0], second[0, 1, 1] = 1.0, -2.0, 2.0
+    first[1], second[1] = 1.0, 0.1
+    cfg = AttackConfig(AttackKind.MIM, 1.0, steps=2, step_size=0.1, decay=1.0)
+    images = np.zeros((2, 2, 2, 1))
+
+    def run(scale):
+        fields = [f.copy() for f in (first, second)]
+        for f in fields:
+            f[1] *= scale
+        return attack_batch(FixedGradientSource(*fields), images, [0, 0], cfg)
+
+    base = run(1.0)
+    assert base[0, 0, 0, 0] > 0
+    scaled = run(1e6)
+    for row in range(2):
+        assert scaled[row].tobytes() == base[row].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +206,8 @@ def test_epsilon_ball_containment_fuzzed(kind, rng):
         cfg = AttackConfig(kind, eps, steps=int(rng.integers(1, 8)),
                            step_size=float(rng.uniform(0.01, 1.5)),
                            decay=float(rng.uniform(0, 1.5)))
-        source = FixedGradientSource(rng.normal(size=shape))
-        adv = attack(source, img, 0, cfg)
+        source = FixedGradientSource(rng.normal(size=(1, *shape)))
+        adv = attack_batch(source, img[None], [0], cfg)[0]
         assert np.max(np.abs(adv - img)) <= eps + 1e-9
 
 
@@ -164,8 +220,8 @@ def test_clamp_respected_fuzzed(kind, rng):
         cfg = AttackConfig(kind, eps, steps=int(rng.integers(1, 6)),
                            step_size=float(rng.uniform(0.05, 2.0)),
                            clamp=(0.0, 1.0))
-        source = FixedGradientSource(rng.normal(size=shape))
-        adv = attack(source, img, 0, cfg)
+        source = FixedGradientSource(rng.normal(size=(1, *shape)))
+        adv = attack_batch(source, img[None], [0], cfg)[0]
         assert np.all(adv >= 0.0) and np.all(adv <= 1.0)
         assert np.max(np.abs(adv - img)) <= eps + 1e-9
 
@@ -174,9 +230,9 @@ def test_pgd_projection_with_changing_gradients(trained_toy):
     model, xs, ys = trained_toy
     source = SurrogateSource(model)
     cfg = AttackConfig(AttackKind.PGD, 0.1, steps=10, step_size=0.05)
+    adv = pgd(source, xs[:5], ys[:5], cfg)
     for i in range(5):
-        adv = pgd(source, xs[i], int(ys[i]), cfg)
-        assert np.max(np.abs(adv - xs[i])) <= 0.1 + 1e-9
+        assert np.max(np.abs(adv[i] - xs[i])) <= 0.1 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +243,11 @@ def test_pgd_loss_at_least_fgsm_loss(trained_toy):
     model, xs, ys = trained_toy
     source = SurrogateSource(model)
     eps = 0.2
+    fgsm_adv = fgsm(source, xs[:5], ys[:5], eps)
+    pgd_adv = pgd(source, xs[:5], ys[:5], AttackConfig(AttackKind.PGD, eps, steps=10))
     for i in range(5):
-        img, label = xs[i], int(ys[i])
-        fgsm_loss = source.loss(fgsm(source, img, label, eps), label)
-        pgd_adv = pgd(source, img, label, AttackConfig(AttackKind.PGD, eps, steps=10))
-        assert source.loss(pgd_adv, label) >= fgsm_loss - 1e-9
+        label = int(ys[i])
+        assert nn.loss(model, pgd_adv[i], label) >= nn.loss(model, fgsm_adv[i], label) - 1e-9
 
 
 def test_attack_batch_empty(trained_toy):
@@ -199,6 +255,16 @@ def test_attack_batch_empty(trained_toy):
     out = attack_batch(SurrogateSource(model), np.zeros((0, 28, 28, 1)),
                        np.zeros(0, dtype=int), AttackConfig(AttackKind.FGSM, 0.1))
     assert len(out) == 0
+
+
+@pytest.mark.parametrize("kind", list(AttackKind))
+@pytest.mark.parametrize("clamp", [None, (0.2, 0.8)])
+def test_attack_batch_zero_epsilon_skips_gradients(kind, clamp, rng):
+    images = rng.uniform(0, 1, (3, 4, 4, 1))
+    out = attack_batch(RaisingSource(), images, [0, 1, 2], AttackConfig(kind, 0.0, clamp=clamp))
+    expected = images if clamp is None else np.clip(images, *clamp)
+    assert out.tobytes() == expected.tobytes()
+    assert not np.shares_memory(out, images)
 
 
 def test_attack_batch_shape_and_per_image_balls(trained_toy):
@@ -218,47 +284,47 @@ def test_attack_batch_deterministic(trained_toy):
     assert np.array_equal(a, b)
 
 
-def test_adversarial_set_round_trip(tmp_path, trained_toy):
-    from quanvbench.attacks import load_adversarial_set, save_adversarial_set
-
-    model, xs, ys = trained_toy
-    cfg = AttackConfig(AttackKind.FGSM, 0.1)
-    adv = attack_batch(SurrogateSource(model), xs[:4], ys[:4], cfg)
-    path = tmp_path / "adv.qnvf"
-    save_adversarial_set(path, adv, cfg)
-    loaded = load_adversarial_set(path, expected_cfg=cfg)
-    assert loaded.shape == adv.shape
-    assert np.allclose(loaded, adv, atol=1e-6)  # float32 container
-    with pytest.raises(ValueError, match="hash"):
-        load_adversarial_set(path, expected_cfg=AttackConfig(AttackKind.FGSM, 0.2))
+@pytest.mark.parametrize("kind", list(AttackKind))
+@pytest.mark.parametrize("source_kind", ["surrogate", "end_to_end"])
+def test_attack_batch_equals_one_image_batches(kind, source_kind, trained_toy,
+                                               toy_end_to_end, rng):
+    # each image is attacked in its own ball along its own loss's gradient,
+    # so a batch gives the same bytes as one-image batches stacked
+    if source_kind == "surrogate":
+        model, xs, ys = trained_toy
+        source, images, labels = SurrogateSource(model), xs[:10], ys[:10]
+    else:
+        source = toy_end_to_end
+        images, labels = rng.uniform(0, 1, (10, 6, 6, 1)), rng.integers(0, 10, 10)
+    cfg = AttackConfig(kind, 0.3, steps=4)
+    batched = attack_batch(source, images, labels, cfg)
+    stacked = np.stack([attack_batch(source, images[i : i + 1], labels[i : i + 1], cfg)[0]
+                        for i in range(len(images))])
+    assert batched.tobytes() == stacked.tobytes()
 
 
 # ---------------------------------------------------------------------------
 # End-to-end gradient source
 # ---------------------------------------------------------------------------
 
-def test_end_to_end_source_attacks_through_quanv(rng):
-    circuit = build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=21)
-    qcfg = QuanvConfig(circuit=circuit)
-    # dense head sized for the 3x3x4 feature map of a 6x6 input
-    head_rng = np.random.default_rng(21)
-    head = nn.Model(
-        [nn.Flatten(), nn.Dense(36, 10, head_rng), nn.Softmax()],
-        input_shape=(3, 3, 4), arch=Architecture.QUNN, dataset="mnist", rng_seed=21,
-    )
-    source = EndToEndSource(qcfg, head)
+def test_end_to_end_source_attacks_through_quanv(toy_end_to_end, rng):
+    source = toy_end_to_end
 
-    img = rng.uniform(0, 1, (6, 6, 1))
+    def loss(images, label):
+        features = quanvolve_dataset(images, source.quanv_cfg, validate=False)
+        return nn.loss(source.head, features[0], label)
+
+    img = rng.uniform(0, 1, (1, 6, 6, 1))
     label = 4
-    grad = source.gradient(img, label)
+    grad = source.gradient(img, [label])
     assert grad.shape == img.shape
     assert np.any(grad != 0)
 
     # gradient sanity: stepping along it raises the end-to-end loss
-    base = source.loss(img, label)
-    stepped = source.loss(img + 1e-3 * np.sign(grad), label)
+    base = loss(img, label)
+    stepped = loss(img + 1e-3 * np.sign(grad), label)
     assert stepped > base
 
-    adv = fgsm(source, img, label, 0.25)
+    adv = fgsm(source, img, [label], 0.25)
     assert np.max(np.abs(adv - img)) <= 0.25 + 1e-12
-    assert source.loss(adv, label) > base
+    assert loss(adv, label) > base

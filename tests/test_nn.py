@@ -143,7 +143,7 @@ def test_input_gradient_matches_finite_differences(rng):
     m = build_model(Architecture.CLASSICAL_CNN, "mnist", seed=5)
     x = rng.uniform(0, 1, (28, 28, 1))
     label = 3
-    grad = input_gradient(m, x, label)
+    grad = input_gradient(m, x[None], [label])[0]
     h = 1e-4
     flat_coords = rng.choice(x.size, 50, replace=False)
     for flat in flat_coords:
@@ -160,7 +160,7 @@ def test_input_gradient_fmnist_stack_matches_finite_differences(rng):
     m = build_model(Architecture.QUNN, "fmnist", seed=6)
     x = rng.uniform(-1, 1, (14, 14, 4))
     label = 7
-    grad = input_gradient(m, x, label)
+    grad = input_gradient(m, x[None], [label])[0]
     h = 1e-4
     for flat in rng.choice(x.size, 50, replace=False):
         idx = np.unravel_index(flat, x.shape)
@@ -175,7 +175,7 @@ def test_saturated_softmax_zero_gradient():
     m = zero_weights(build_model(Architecture.CLASSICAL_FC, "mnist", seed=0))
     dense = m.layers[1]
     dense.bias[4] = 60.0  # probability of class 4 saturates at 1
-    grad = input_gradient(m, np.full((28, 28, 1), 0.5), 4)
+    grad = input_gradient(m, np.full((1, 28, 28, 1), 0.5), [4])
     assert np.max(np.abs(grad)) < 1e-8
 
 
@@ -189,7 +189,29 @@ def test_linear_model_gradient_closed_form(rng):
     y[label] = 1.0
     w = m.layers[1].weights  # (784, 10)
     expected = (w @ (p - y)).reshape(28, 28, 1)
-    assert np.allclose(input_gradient(m, x, label), expected, atol=1e-12)
+    assert np.allclose(input_gradient(m, x[None], [label])[0], expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("arch,dataset", [(Architecture.CLASSICAL_CNN, "mnist"),
+                                          (Architecture.QUNN, "fmnist")])
+def test_batched_input_gradient_rows_match_one_image_batches(arch, dataset, rng):
+    # row i is the gradient of image i's own loss: no 1/N, no cross-talk
+    m = build_model(arch, dataset, seed=8)
+    xs = rng.uniform(0, 1, (12,) + m.input_shape)
+    ys = rng.integers(0, 10, 12)
+    batched = input_gradient(m, xs, ys)
+    for i in range(len(xs)):
+        single = input_gradient(m, xs[i : i + 1], ys[i : i + 1])[0]
+        assert np.max(np.abs(batched[i] - single)) <= 1e-15
+        assert np.array_equal(np.sign(batched[i]), np.sign(single))
+
+
+def test_input_gradient_rejects_unbatched_or_mislabelled_input(rng):
+    m = build_model(Architecture.CLASSICAL_FC, "mnist", seed=0)
+    with pytest.raises(ValueError):
+        input_gradient(m, rng.uniform(0, 1, (28, 28, 1)), [0])
+    with pytest.raises(ValueError):
+        input_gradient(m, rng.uniform(0, 1, (2, 28, 28, 1)), [0])
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def test_validate_rejects_non_finite_pixels(bad, rng):
     with pytest.raises(ValueError):
         quanvolve_image(img, identity_cfg())
     with pytest.raises(ValueError):
-        input_gradient(img, identity_cfg(), np.zeros((2, 2, 4)))
+        input_gradient(img[None], identity_cfg(), np.zeros((1, 2, 2, 4)))
 
 
 @pytest.mark.parametrize("kind", list(AnsatzKind))
@@ -194,23 +194,27 @@ def test_dataset_order_preserved(rng):
 def test_gradient_identity_circuit_closed_form():
     # Identity circuit: feature = cos(pi x), so d/dx = -pi sin(pi x).
     cfg = identity_cfg()
-    img = np.full((2, 2, 1), 0.5)
-    upstream = np.zeros((1, 1, 4))
-    upstream[0, 0, 0] = 1.0  # channel 0 reads pixel (0, 0)
-    grad = input_gradient(img, cfg, upstream)
+    img = np.full((1, 2, 2, 1), 0.5)
+    upstream = np.zeros((1, 1, 1, 4))
+    upstream[0, 0, 0, 0] = 1.0  # channel 0 reads pixel (0, 0)
+    grad = input_gradient(img, cfg, upstream)[0]
     assert grad[0, 0, 0] == pytest.approx(-np.pi, abs=1e-10)
     assert np.allclose(grad.reshape(-1)[1:], 0.0, atol=1e-12)
 
 
 def test_gradient_zero_upstream():
     cfg = ansatz_cfg(AnsatzKind.ZZ_FULL)
-    grad = input_gradient(np.full((4, 4, 1), 0.3), cfg, np.zeros((2, 2, 4)))
-    assert np.array_equal(grad, np.zeros((4, 4, 1)))
+    grad = input_gradient(np.full((2, 4, 4, 1), 0.3), cfg, np.zeros((2, 2, 2, 4)))
+    assert np.array_equal(grad, np.zeros((2, 4, 4, 1)))
 
 
 def test_gradient_upstream_shape_checked(rng):
     with pytest.raises(ValueError):
-        input_gradient(rng.uniform(0, 1, (4, 4, 1)), identity_cfg(), np.zeros((3, 3, 4)))
+        input_gradient(rng.uniform(0, 1, (1, 4, 4, 1)), identity_cfg(), np.zeros((1, 3, 3, 4)))
+    with pytest.raises(ValueError):  # one upstream map for two images
+        input_gradient(rng.uniform(0, 1, (2, 4, 4, 1)), identity_cfg(), np.zeros((1, 2, 2, 4)))
+    with pytest.raises(ValueError):  # unbatched image
+        input_gradient(rng.uniform(0, 1, (4, 4, 1)), identity_cfg(), np.zeros((2, 2, 4)))
 
 
 def finite_difference_gradient(img, cfg, upstream, h=1e-5):
@@ -230,7 +234,7 @@ def test_gradient_matches_finite_differences_all_ansatz_kinds(kind, rng):
     cfg = ansatz_cfg(kind, seed=97)
     img = rng.uniform(0.05, 0.95, (6, 6, 1))
     upstream = rng.normal(size=(3, 3, 4))
-    exact = input_gradient(img, cfg, upstream)
+    exact = input_gradient(img[None], cfg, upstream[None])[0]
     fd = finite_difference_gradient(img, cfg, upstream)
     coords = [np.unravel_index(i, img.shape) for i in rng.choice(36, 20, replace=False)]
     for idx in coords:
@@ -244,9 +248,23 @@ def test_gradient_overlapping_patches_matches_finite_differences(k, s, rng):
     cfg = QuanvConfig(circuit=circuit, kernel_size=k, stride=s)
     img = rng.uniform(0.05, 0.95, (5, 5, 1))
     upstream = rng.normal(size=quanvolve_image(img, cfg).shape)
-    exact = input_gradient(img, cfg, upstream)
+    exact = input_gradient(img[None], cfg, upstream[None])[0]
     fd = finite_difference_gradient(img, cfg, upstream)
     assert np.allclose(exact, fd, atol=1e-6)
+
+
+@pytest.mark.parametrize("k,s", [(2, 2), (2, 1)])
+def test_batched_gradient_rows_match_one_image_batches(k, s, rng):
+    # 19 images span several internal image groups, the last one partial
+    cfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.RANDOM, k * k, seed=5),
+                      kernel_size=k, stride=s)
+    imgs = rng.uniform(-0.5, 1.5, (19, 8, 8, 1))
+    upstream = rng.normal(size=(19, *quanvolve_image(imgs[0], cfg, validate=False).shape))
+    batched = input_gradient(imgs, cfg, upstream, validate=False)
+    for i in range(len(imgs)):
+        single = input_gradient(imgs[i : i + 1], cfg, upstream[i : i + 1], validate=False)[0]
+        assert np.max(np.abs(batched[i] - single)) <= 1e-15
+        assert np.array_equal(np.sign(batched[i]), np.sign(single))
 
 
 # ---------------------------------------------------------------------------
