@@ -13,6 +13,11 @@ exp(-i theta Z x Z) interactions whose topology gives the variant its name:
 Parameters are drawn once from a seeded generator and frozen; the
 quanvolutional layer is never trained.  All builders are pure functions of
 their arguments, so the same seed always reproduces the same circuit.
+
+The ZZ gates are diagonal and come after the rotations, so they commute
+with every Pauli-Z read-out: at one seed each ZZ variant computes exactly
+no_entanglement's features, and comparing ansatze compares single-qubit
+rotation filters with random circuits, not entanglement topologies.
 """
 from __future__ import annotations
 

@@ -2,7 +2,7 @@
 
 All attacks consume a GradientSource, which hides whether gradients come
 from a classical surrogate model or flow end-to-end through the
-quanvolutional layer via its compiled observables.
+quanvolutional layer via its compiled Fourier terms.
 
 Perturbed pixels are NOT clamped to [0, 1] by default: the benchmark sweeps
 budgets well above 1, and with clamping every epsilon >= 1 would produce the
@@ -93,7 +93,7 @@ class SurrogateSource(GradientSource):
 
 
 class EndToEndSource(GradientSource):
-    """Exact gradients through quanvolution (compiled observables) and the head."""
+    """Exact gradients through quanvolution (compiled Fourier terms) and the head."""
 
     mode = "end_to_end"
 

@@ -325,12 +325,6 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
-@dataclass(frozen=True)
-class EpochStats:
-    loss: float
-    accuracy: float
-
-
 class _Adam:
     def __init__(self, lr):
         self.lr = lr
@@ -361,7 +355,7 @@ class _SGD:
 
 
 def train(model: Model, inputs, labels, cfg: TrainConfig):
-    """Minimize softmax cross-entropy; returns (model, per-epoch stats).
+    """Minimize softmax cross-entropy; returns the model.
 
     Deterministic for a fixed cfg.seed: shuffling and dropout masks come
     from one seeded generator.  The model is updated in place.
@@ -377,16 +371,13 @@ def train(model: Model, inputs, labels, cfg: TrainConfig):
 
     rng = np.random.default_rng(cfg.seed)
     opt = _Adam(cfg.learning_rate) if cfg.optimizer == "adam" else _SGD(cfg.learning_rate)
-    trace = []
     n = len(inputs)
     for _epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb, yb = inputs[idx], labels[idx]
             probs, caches = _forward_batch(model, xb, training=True, rng=rng)
-            batch_losses.append(cross_entropy(probs, yb))
             dlogits = probs.copy()
             dlogits[np.arange(len(yb)), yb] -= 1.0
             dlogits /= len(yb)
@@ -396,10 +387,7 @@ def train(model: Model, inputs, labels, cfg: TrainConfig):
                 for li, name, arr in model.param_entries()
             ]
             opt.step(entries)
-        trace.append(
-            EpochStats(float(np.mean(batch_losses)), evaluate(model, inputs, labels))
-        )
-    return model, trace
+    return model
 
 
 # ---------------------------------------------------------------------------

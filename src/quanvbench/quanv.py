@@ -1,22 +1,24 @@
-"""Quanvolutional layer: the frozen filter compiled into per-qubit observables.
+"""Quanvolutional layer: the frozen filter compiled into its Fourier terms.
 
 Images are (H, W, C) float arrays, row-major.  A kernel_size x kernel_size
 patch is flattened row-major and pixel i drives qubit i through an angle
 encoding phi_i = pi * x_i applied as R_y(phi_i) to |0>.  That encoding is a
 real product state psi = (x)_i (cos, sin)(phi_i / 2).  Channel q of the
 output pixel is the exact expectation <Z_q> after the filter circuit U,
+psi^T M_q psi with M_q = Re(U^dagger Z_q U) (the imaginary part vanishes on
+real states).  Per qubit, cos^2, sin^2 and cos * sin of phi_i / 2 lie in
+span{1, cos phi_i, sin phi_i}, so every channel is a short trigonometric
+polynomial (Schuld, Sweke & Meyer, arXiv:2008.08605):
 
-    <Z_q> = psi^T M_q psi,    M_q = Re(U^dagger Z_q U),
+    <Z_q> = sum_t C[q, t] prod_i basis_{t_i}(phi_i),  basis = (1, cos, sin).
 
-so the frozen circuit is compiled once, per QuanvConfig, into n real
-symmetric 2^n x 2^n observables (the imaginary part of U^dagger Z_q U is
-antisymmetric and vanishes on real states).  Feature maps take values in
-[-1, 1] and have kernel_size^2 channels.
-
-Each pixel enters a feature as a degree-1 trigonometric polynomial in pi*x,
-so features are 2-periodic in every pixel.  Exact input gradients come from
-the same quadratic form: d<Z_q>/dx_i = 2 (d_i psi)^T M_q psi, where d_i psi
-swaps qubit i's factor for its derivative.
+QuanvConfig compiles the circuit once into the nonzero terms of C.  For a
+filter of single-qubit rotations, with or without the diagonal ZZ gates
+after them, channel q has exactly two: the cos and the sin of pixel q.
+Feature maps take values in [-1, 1] and have kernel_size^2 channels; they
+are 2-periodic in every pixel, and exact input gradients are the same terms
+with one factor differentiated.  Both are evaluated on blocks of images,
+every term reading pixel i of all patches through one strided view.
 
 Raw inputs live in [0, 1] and are range-checked by default (NaN fails the
 check).  Adversarially perturbed images may leave that interval when attack
@@ -40,10 +42,15 @@ QNVF_MAGIC = b"QNVF"
 QNVF_VERSION = 1
 _QNVF_HEADER = struct.Struct("<4sIIIIIQ")
 
-# compiled observables hold n * 4^n floats: 9 qubits (3x3 kernels) is 19 MB
+# compiling goes through n * 4^n floats of observables: 9 qubits (3x3 kernels) is 19 MB
 MAX_QUBITS = 9
-# images per block of input_gradient: bounds its (images * patches, 2^n) temporaries
-_GRADIENT_GROUP = 8
+# images per block of features and gradients: bounds the per-block temporaries
+_BLOCK = 64
+# psi_a psi_b of one qubit, (cos, sin)(phi / 2) products, in the basis (1, cos phi, sin phi)
+_HALF_ANGLE_PRODUCTS = 0.5 * np.array([[[1, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, -1, 0]]])
+# Exact zeros come out of the contraction as rounding noise: at most 3.1e-16
+# over seeds 0-299 of every kind, whose smallest real coefficient was 3.4e-4.
+_STRUCTURAL_ZERO = 1e-12
 
 
 def _compile_observables(circuit: Circuit) -> np.ndarray:
@@ -60,17 +67,36 @@ def _compile_observables(circuit: Circuit) -> np.ndarray:
     return np.stack([(u.conj().T @ (z[q][:, None] * u)).real for q in range(n)])
 
 
+def _compile_terms(circuit: Circuit) -> tuple:
+    """Nonzero terms (channel, coefficient, factors), channel-major.
+
+    A term is coefficient * prod (cos, sin)(pi x_i)[trig] over its factors
+    (i, trig), trig 0 for cos and 1 for sin.
+    """
+    n = circuit.n_qubits
+    coeffs = _compile_observables(circuit).reshape((n,) + (2,) * (2 * n))
+    # one qubit at a time, so no intermediate outgrows the observables: its
+    # bra and ket axes, the first of each remaining half, become one basis
+    # axis appended after the earlier qubits' ones
+    for i in range(n):
+        coeffs = np.tensordot(coeffs, _HALF_ANGLE_PRODUCTS, axes=([1, 1 + n - i], [0, 1]))
+    return tuple(
+        (int(q), float(coeffs[(q, *t)]), tuple((i, b - 1) for i, b in enumerate(t) if b))
+        for q, *t in np.argwhere(np.abs(coeffs) > _STRUCTURAL_ZERO)
+    )
+
+
 @dataclass(frozen=True)
 class QuanvConfig:
     """Filter circuit plus patch geometry; kernel_size^2 must equal n_qubits.
 
-    ``observables`` is derived from the circuit when the config is built.
+    ``terms`` is compiled from the circuit when the config is built.
     """
 
     circuit: Circuit
     kernel_size: int = 2
     stride: int = 2
-    observables: np.ndarray = field(init=False, repr=False, compare=False)
+    terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kernel_size < 1:
@@ -86,7 +112,7 @@ class QuanvConfig:
             raise ValueError(
                 f"{self.circuit.n_qubits} qubits exceed the {MAX_QUBITS}-qubit limit"
             )
-        object.__setattr__(self, "observables", _compile_observables(self.circuit))
+        object.__setattr__(self, "terms", _compile_terms(self.circuit))
 
 
 def output_shape(height: int, width: int, cfg: QuanvConfig) -> tuple[int, int, int]:
@@ -96,58 +122,47 @@ def output_shape(height: int, width: int, cfg: QuanvConfig) -> tuple[int, int, i
     return ((height - k) // s + 1, (width - k) // s + 1, k * k)
 
 
-def _patch_factors(images: np.ndarray, cfg: QuanvConfig) -> np.ndarray:
-    """(cos, sin)(pi x / 2) of every pixel of every patch: (N, H, W, 1) -> (N*P, k*k, 2).
+def _blocked(images: np.ndarray, validate: bool, cfg: QuanvConfig):
+    """Checked (N, H, W, 1) images, feature maps shape, blocks, patch pixels.
 
-    Patches are taken image by image, row-major over the output grid, pixels
-    row-major within a patch.
+    ``pixels[i]`` indexes pixel i of every patch in an (N, H, W) array.
     """
-    k, s = cfg.kernel_size, cfg.stride
-    windows = np.lib.stride_tricks.sliding_window_view(
-        images[..., 0], (k, k), axis=(1, 2))[:, ::s, ::s]
-    half = np.pi * windows.reshape(-1, k * k) / 2.0
-    return np.stack([np.cos(half), np.sin(half)], axis=-1)
-
-
-def _product_states(factors: np.ndarray) -> np.ndarray:
-    """Per-qubit real 2-vectors (P, n, 2) -> product states (P, 2^n), qubit 0 first."""
-    amps = factors[:, 0]
-    for i in range(1, factors.shape[1]):
-        amps = (amps[:, :, None] * factors[:, i, None, :]).reshape(len(factors), -1)
-    return amps
-
-
-def _check_image(image: np.ndarray, validate: bool, batch: bool = False) -> np.ndarray:
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 3 + batch or image.shape[-1] != 1:
-        layout = "(N, H, W, 1) images" if batch else "(H, W, 1) image"
-        raise ValueError(f"expected single-channel {layout}, got {image.shape}")
-    if validate and not np.all((image >= 0.0) & (image <= 1.0)):
+    images = np.asarray(images, dtype=float)
+    if images.ndim != 4 or images.shape[-1] != 1:
+        raise ValueError(f"expected single-channel (N, H, W, 1) images, got {images.shape}")
+    if validate and not np.all((images >= 0.0) & (images <= 1.0)):
         raise ValueError("image values must lie in [0, 1]")
-    return image
+    rows, cols, n = output_shape(images.shape[1], images.shape[2], cfg)
+    k, s = cfg.kernel_size, cfg.stride
+    pixels = [(slice(None), slice(a, a + s * rows, s), slice(b, b + s * cols, s))
+              for a in range(k) for b in range(k)]
+    blocks = [slice(start, start + _BLOCK) for start in range(0, len(images), _BLOCK)]
+    return images, (len(images), rows, cols, n), blocks, pixels
 
 
 def quanvolve_image(
     image: np.ndarray, cfg: QuanvConfig, validate: bool = True
 ) -> np.ndarray:
     """Feature map of shape ((H-k)//s+1, (W-k)//s+1, k^2) with <Z_q> channels."""
-    image = _check_image(image, validate)
-    rows, cols, n = output_shape(image.shape[0], image.shape[1], cfg)
-    psi = _product_states(_patch_factors(image[None], cfg))
-    # psi @ M_q is (M_q psi)^T because M_q is symmetric: shape (n, P, 2^n)
-    features = np.sum((psi @ cfg.observables) * psi, axis=-1).T
-    return features.reshape(rows, cols, n)
+    return quanvolve_dataset(np.asarray(image, dtype=float)[None], cfg, validate)[0]
 
 
 def quanvolve_dataset(
     images: np.ndarray, cfg: QuanvConfig, validate: bool = True
 ) -> np.ndarray:
-    """Quanvolve every image; order preserved."""
-    out = [quanvolve_image(img, cfg, validate) for img in images]
-    if not out:
-        rows, cols, n = 0, 0, cfg.kernel_size**2
-        return np.zeros((0, rows, cols, n))
-    return np.stack(out)
+    """Feature maps (N, rows, cols, k^2) of (N, H, W, 1) images; order preserved."""
+    images, shape, blocks, pixels = _blocked(images, validate, cfg)
+    features = np.zeros(shape)
+    for block in blocks:
+        phi = np.pi * images[block, ..., 0]
+        trig = np.cos(phi), np.sin(phi)
+        out = features[block]
+        for q, coefficient, factors in cfg.terms:
+            term = coefficient
+            for i, t in factors:
+                term = term * trig[t][pixels[i]]
+            out[..., q] += term
+    return features
 
 
 def input_gradient(
@@ -158,43 +173,32 @@ def input_gradient(
 ) -> np.ndarray:
     """Exact d(sum(upstream[j] * features[j]))/d(images[j]) for every image j.
 
-    Takes (N, H, W, 1) images and (N, rows, cols, n) upstream weights.  For
-    a patch with state psi and upstream weights u_q, pixel i gets
-    2 (d_i psi)^T (sum_q u_q M_q) psi.  Patch gradients are accumulated into
-    their source pixels; pixels outside every patch get 0.
+    Takes (N, H, W, 1) images and (N, rows, cols, n) upstream weights.  Each
+    pixel of a term of channel q gets upstream_q times the term with that
+    pixel's factor differentiated, added into the pixel through the view
+    that read it; pixels outside every patch get 0.
     """
-    images = _check_image(images, validate, batch=True)
-    rows, cols, n = output_shape(images.shape[1], images.shape[2], cfg)
+    images, shape, blocks, pixels = _blocked(images, validate, cfg)
     upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (len(images), rows, cols, n):
+    if upstream.shape != shape:
         raise ValueError(
-            f"upstream shape {upstream.shape} does not match feature maps "
-            f"shape {(len(images), rows, cols, n)}"
+            f"upstream shape {upstream.shape} does not match feature maps shape {shape}"
         )
 
     grad = np.zeros_like(images)
-    k, s = cfg.kernel_size, cfg.stride
-    for start in range(0, len(images), _GRADIENT_GROUP):
-        group = slice(start, start + _GRADIENT_GROUP)
-        factors = _patch_factors(images[group], cfg)
-        psi = _product_states(factors)
-        u = upstream[group].reshape(-1, n)
-        # (sum_q u_q M_q) psi per patch, one q at a time: shape (G*P, 2^n)
-        weighted = u[:, 0, None] * (psi @ cfg.observables[0])
-        for q in range(1, n):
-            weighted += u[:, q, None] * (psi @ cfg.observables[q])
-        # d/dx (cos, sin)(pi x / 2) = (pi / 2) (-sin, cos)
-        derivs = (np.pi / 2.0) * np.stack([-factors[..., 1], factors[..., 0]], axis=-1)
-        patch_grad = np.empty((len(psi), n))
-        for i in range(n):
-            swapped = factors.copy()
-            swapped[:, i] = derivs[:, i]
-            patch_grad[:, i] = 2.0 * np.sum(_product_states(swapped) * weighted, axis=1)
-
-        pg = patch_grad.reshape(-1, rows, cols, k, k)
-        for a in range(k):
-            for b in range(k):
-                grad[group, a : a + s * rows : s, b : b + s * cols : s, 0] += pg[..., a, b]
+    for block in blocks:
+        phi = np.pi * images[block, ..., 0]
+        cos, sin = trig = np.cos(phi), np.sin(phi)
+        dtrig = -np.pi * sin, np.pi * cos
+        u, g = upstream[block], grad[block, ..., 0]
+        for q, coefficient, factors in cfg.terms:
+            weight = coefficient * u[..., q]
+            for i, t in factors:
+                partial = weight * dtrig[t][pixels[i]]
+                for j, tj in factors:
+                    if j != i:
+                        partial = partial * trig[tj][pixels[j]]
+                g[pixels[i]] += partial
     return grad
 
 

@@ -2,14 +2,14 @@
 
 Each check exercises a production code path against an independent
 reference: the batched statevector kernel against dense Kronecker-product
-matrices, quanvolution features (read from the compiled observables)
-against a dense simulation of the full encoding-plus-filter circuit,
-quanvolution input gradients against central finite differences and the
-parameter-shift rule, model input gradients against finite differences,
-and the attack implementations against their algebraic reduction
-identities and containment guarantees.  A corrupted gate, a wrong
-observable, a broken chain rule, or a mis-projected attack step fails
-loudly here before any experiment runs.
+matrices, quanvolution features (evaluated from the filter's compiled
+Fourier terms) against a dense simulation of the full encoding-plus-filter
+circuit, quanvolution input gradients against central finite differences
+and the parameter-shift rule, model input gradients against finite
+differences, and the attack implementations against their algebraic
+reduction identities and containment guarantees.  A corrupted gate, a
+wrong or lost Fourier coefficient, a broken chain rule, or a mis-projected
+attack step fails loudly here before any experiment runs.
 """
 from __future__ import annotations
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quanvbench import qsim
+from quanvbench import qsim, quanv
 from quanvbench.ansatz import (
     AnsatzKind,
     AnsatzParams,
@@ -167,9 +167,20 @@ def test_zz_star_zero_entanglers_matches_no_entanglement_z_pattern():
     star = build_zz_star(4, AnsatzParams(np.concatenate([rot_angles, np.zeros(3)]), 0))
     noent = build_no_entanglement(4, AnsatzParams(rot_angles, 0))
     # <0|U^dagger Z_q U|0> for every qubit q
-    z_star = QuanvConfig(circuit=star).observables[:, 0, 0]
-    z_noent = QuanvConfig(circuit=noent).observables[:, 0, 0]
+    z_star = quanv._compile_observables(star)[:, 0, 0]
+    z_noent = quanv._compile_observables(noent)[:, 0, 0]
     assert np.allclose(z_star, z_noent, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", [AnsatzKind.ZZ_FULL, AnsatzKind.ZZ_LINEAR, AnsatzKind.ZZ_STAR])
+def test_zz_entanglers_are_invisible_to_the_features(kind):
+    # diagonal ZZ gates after the rotations commute with every Z_q, so at the
+    # same seed (the same 12 rotation angles) the compiled terms are equal
+    for seed in range(50):
+        zz_terms = QuanvConfig(circuit=build_ansatz(kind, 4, seed)).terms
+        rot_terms = QuanvConfig(circuit=build_ansatz(AnsatzKind.NO_ENTANGLEMENT, 4, seed)).terms
+        assert [(q, f) for q, _, f in zz_terms] == [(q, f) for q, _, f in rot_terms]
+        assert max(abs(a[1] - b[1]) for a, b in zip(zz_terms, rot_terms)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

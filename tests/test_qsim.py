@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from quanvbench import qsim
-from quanvbench.quanv import QuanvConfig
+from quanvbench import qsim, quanv
 from quanvbench.qsim import Circuit, Gate, GateKind, cnot, h, rot, ry, rz, zz
 
 from conftest import random_circuit, random_state
@@ -102,12 +101,11 @@ def test_random_circuit_matches_dense_oracle(rng):
 
 
 # ---------------------------------------------------------------------------
-# <Z> read-out, compiled into QuanvConfig.observables = Re(U^dagger Z_q U)
+# <Z> read-out, compiled into the observables Re(U^dagger Z_q U)
 # ---------------------------------------------------------------------------
 
 def z_observable(circuit: Circuit) -> np.ndarray:
-    k = int(round(np.sqrt(circuit.n_qubits)))
-    return QuanvConfig(circuit=circuit, kernel_size=k).observables
+    return quanv._compile_observables(circuit)
 
 
 def test_expect_z_of_zero_state():

@@ -84,12 +84,54 @@ def test_features_are_2_periodic_in_every_pixel(kind, rng):
     )) <= 1e-12
 
 
-def test_observables_are_derived_from_the_circuit():
+PRODUCT_KINDS = [k for k in AnsatzKind if k is not AnsatzKind.RANDOM]
+
+
+@pytest.mark.parametrize("kind", PRODUCT_KINDS)
+def test_features_flip_sign_under_a_unit_shift(kind, rng):
+    # pi * (x + 1) negates (cos, sin)(pi x), and a product filter's channels
+    # are degree-1 in them: quanvolve(x + 1) == -quanvolve(x)
+    img = rng.uniform(0, 1, (6, 6, 1))
+    for seed in range(20):
+        cfg = ansatz_cfg(kind, seed=seed)
+        assert np.max(np.abs(
+            quanvolve_image(img + 1.0, cfg, validate=False) + quanvolve_image(img, cfg)
+        )) <= 1e-12
+
+
+def test_random_filter_breaks_the_unit_shift_law(rng):
+    # products of two pixels' factors keep their sign under x -> x + 1
+    img = rng.uniform(0, 1, (6, 6, 1))
+    worst = max(
+        np.max(np.abs(quanvolve_image(img + 1.0, cfg, validate=False) + quanvolve_image(img, cfg)))
+        for cfg in (ansatz_cfg(AnsatzKind.RANDOM, seed=seed) for seed in range(20))
+    )
+    assert worst > 0.5
+
+
+@pytest.mark.parametrize("kind", PRODUCT_KINDS)
+def test_product_filter_channels_are_sinusoids_of_their_own_pixel(kind):
+    own_pixel = [(q, ((q, t),)) for q in range(4) for t in (0, 1)]  # cos, then sin
+    for seed in range(20):
+        terms = ansatz_cfg(kind, seed=seed).terms
+        assert [(q, factors) for q, _, factors in terms] == own_pixel
+
+
+def test_terms_are_derived_from_the_circuit(rng):
     circuit = build_ansatz(AnsatzKind.ZZ_STAR, 4, seed=3)
     a, b = QuanvConfig(circuit=circuit), QuanvConfig(circuit=circuit)
-    assert a.observables.shape == (4, 16, 16)
-    assert "observables" not in repr(a)
+    assert "terms" not in repr(a)
     assert a == b and hash(a) == hash(b)
+    # the terms reproduce psi^T M_q psi of the compiled observables
+    patch = rng.uniform(0, 1, 4)
+    psi = np.ones(1)
+    for x in patch:
+        psi = np.kron(psi, [np.cos(np.pi * x / 2), np.sin(np.pi * x / 2)])
+    for kind in AnsatzKind:
+        cfg = ansatz_cfg(kind)
+        observables = quanv._compile_observables(cfg.circuit)
+        assert np.allclose(quanvolve_image(patch_image(patch), cfg)[0, 0],
+                           [psi @ m @ psi for m in observables], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +221,12 @@ def test_dataset_empty():
 
 
 def test_dataset_order_preserved(rng):
-    imgs = rng.uniform(0, 1, (5, 6, 6, 1))
-    cfg = ansatz_cfg(AnsatzKind.ZZ_LINEAR)
+    # the images span two internal blocks, the last one partial
+    count = quanv._BLOCK + 3
+    imgs = rng.uniform(0, 1, (count, 6, 6, 1))
+    cfg = ansatz_cfg(AnsatzKind.RANDOM)
     batch = quanvolve_dataset(imgs, cfg)
-    assert batch.shape == (5, 3, 3, 4)
+    assert batch.shape == (count, 3, 3, 4)
     for i, img in enumerate(imgs):
         assert np.array_equal(batch[i], quanvolve_image(img, cfg))
 
@@ -255,11 +299,12 @@ def test_gradient_overlapping_patches_matches_finite_differences(k, s, rng):
 
 @pytest.mark.parametrize("k,s", [(2, 2), (2, 1)])
 def test_batched_gradient_rows_match_one_image_batches(k, s, rng):
-    # 19 images span several internal image groups, the last one partial
+    # the images span two internal blocks, the last one partial
     cfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.RANDOM, k * k, seed=5),
                       kernel_size=k, stride=s)
-    imgs = rng.uniform(-0.5, 1.5, (19, 8, 8, 1))
-    upstream = rng.normal(size=(19, *quanvolve_image(imgs[0], cfg, validate=False).shape))
+    count = quanv._BLOCK + 3
+    imgs = rng.uniform(-0.5, 1.5, (count, 8, 8, 1))
+    upstream = rng.normal(size=(count, *quanvolve_image(imgs[0], cfg, validate=False).shape))
     batched = input_gradient(imgs, cfg, upstream, validate=False)
     for i in range(len(imgs)):
         single = input_gradient(imgs[i : i + 1], cfg, upstream[i : i + 1], validate=False)[0]

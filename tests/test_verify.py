@@ -50,3 +50,17 @@ def test_flipped_z_sign_in_observables_fails_feature_oracle(monkeypatch):
     passed, detail = verify.check_feature_oracle()
     assert not passed
     assert "feature error" in detail
+
+
+def test_zeroed_term_coefficient_fails_feature_oracle(monkeypatch):
+    # mutation check: one compiled Fourier coefficient lost
+    real = quanv._compile_terms
+
+    def corrupted(circuit):
+        (q, _, factors), *rest = real(circuit)
+        return ((q, 0.0, factors), *rest)
+
+    monkeypatch.setattr(quanv, "_compile_terms", corrupted)
+    passed, detail = verify.check_feature_oracle()
+    assert not passed
+    assert "feature error" in detail
