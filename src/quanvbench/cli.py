@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    quanvbench quanvolve ...   transform a dataset subset into a QNVF cache
+    quanvbench quanvolve ...   quanvolve a dataset subset into a QNVF file
     quanvbench sweep ...       run a full robustness sweep from a config file
     quanvbench verify          run the oracle suites (release gate)
 
@@ -26,8 +26,7 @@ Recognized keys, with defaults in brackets:
     base_seed      master seed                             [0]
     mode           surrogate | end_to_end                  [surrogate]
     clamp          true to clip adversarial pixels to [0,1]  [false]
-    cache          true to keep QNVF caches in the out dir [true]
-    train.epochs / train.batch_size / train.lr / train.optimizer   [30 / 4 / 0.001 / adam]
+    train.epochs / train.batch_size / train.lr             [30 / 4 / 0.001]  (Adam)
     random.depth / random.two_qubit_prob                   [2 / 0.3]
 
 All randomness flows from seeds named above; nothing is seeded from the
@@ -86,11 +85,9 @@ _CONFIG_DEFAULTS = {
     "base_seed": "0",
     "mode": "surrogate",
     "clamp": "false",
-    "cache": "true",
     "train.epochs": "30",
     "train.batch_size": "4",
     "train.lr": "0.001",
-    "train.optimizer": "adam",
     "random.depth": "2",
     "random.two_qubit_prob": "0.3",
 }
@@ -120,8 +117,28 @@ def _parse_bool(key: str, value: str) -> bool:
     raise ConfigError(f"{key}: expected true/false, got {value!r}")
 
 
+def _parse_number(key: str, value: str, kind):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"{key}: expected {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}")
+
+
+def _int(cfg: dict[str, str], key: str) -> int:
+    return _parse_number(key, cfg[key], int)
+
+
+def _float(cfg: dict[str, str], key: str) -> float:
+    return _parse_number(key, cfg[key], float)
+
+
 def _parse_list(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
+
+
+def _float_list(cfg: dict[str, str], key: str) -> tuple[float, ...]:
+    return tuple(_parse_number(key, item, float) for item in _parse_list(cfg[key]))
 
 
 def _parse_enum_list(key, value, enum_cls):
@@ -142,11 +159,11 @@ def load_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
     name = cfg["dataset"].lower()
     if name not in ("mnist", "fmnist"):
         raise ConfigError(f"dataset: expected mnist or fmnist, got {cfg['dataset']!r}")
-    n_train, n_test = int(cfg["n_train"]), int(cfg["n_test"])
-    seed = int(cfg["subset_seed"])
+    n_train, n_test = _int(cfg, "n_train"), _int(cfg, "n_test")
+    seed = _int(cfg, "subset_seed")
 
     if cfg["source"] == "synthetic":
-        pool = synthdata.synthetic_dataset(name, int(cfg["synth_count"]), int(cfg["synth_seed"]))
+        pool = synthdata.synthetic_dataset(name, _int(cfg, "synth_count"), _int(cfg, "synth_seed"))
         return data.subset(pool, n_train, n_test, seed)
     if cfg["source"] != "idx":
         raise ConfigError(f"source: expected idx or synthetic, got {cfg['source']!r}")
@@ -169,37 +186,30 @@ def load_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def build_sweep_config(cfg: dict[str, str], out_dir: str | None) -> harness.SweepConfig:
-    train, test = load_dataset_pair(cfg)
-    epsilons = tuple(float(e) for e in _parse_list(cfg["epsilons"]))
-    extra = tuple(float(e) for e in _parse_list(cfg["epsilons_fgsm_extra"]))
-    cache_dir = None
-    if _parse_bool("cache", cfg["cache"]) and out_dir is not None:
-        cache_dir = os.path.join(out_dir, "cache")
+def build_sweep_config(cfg: dict[str, str]) -> harness.SweepConfig:
     try:
+        train, test = load_dataset_pair(cfg)
         return harness.SweepConfig(
             train_data=train,
             test_data=test,
             architectures=_parse_enum_list("architectures", cfg["architectures"], Architecture),
             ansatz_kinds=_parse_enum_list("ansatz_list", cfg["ansatz_list"], AnsatzKind),
             attacks=_parse_enum_list("attack_list", cfg["attack_list"], AttackKind),
-            epsilons=epsilons,
-            fgsm_extra_epsilons=extra,
-            trials=int(cfg["trials"]),
-            base_seed=int(cfg["base_seed"]),
+            epsilons=_float_list(cfg, "epsilons"),
+            fgsm_extra_epsilons=_float_list(cfg, "epsilons_fgsm_extra"),
+            trials=_int(cfg, "trials"),
+            base_seed=_int(cfg, "base_seed"),
             mode=cfg["mode"],
             clamp=(0.0, 1.0) if _parse_bool("clamp", cfg["clamp"]) else None,
             train_cfg=nn.TrainConfig(
-                batch_size=int(cfg["train.batch_size"]),
-                epochs=int(cfg["train.epochs"]),
-                learning_rate=float(cfg["train.lr"]),
-                optimizer=cfg["train.optimizer"],
+                batch_size=_int(cfg, "train.batch_size"),
+                epochs=_int(cfg, "train.epochs"),
+                learning_rate=_float(cfg, "train.lr"),
             ),
             random_spec=RandomCircuitSpec(
-                depth=int(cfg["random.depth"]),
-                two_qubit_prob=float(cfg["random.two_qubit_prob"]),
+                depth=_int(cfg, "random.depth"),
+                two_qubit_prob=_float(cfg, "random.two_qubit_prob"),
             ),
-            cache_dir=cache_dir,
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -263,7 +273,7 @@ def cmd_sweep(args) -> int:
     if args.seed is not None:
         cfg["base_seed"] = str(args.seed)
     os.makedirs(args.out, exist_ok=True)
-    sweep_cfg = build_sweep_config(cfg, args.out)
+    sweep_cfg = build_sweep_config(cfg)
     csv_path = os.path.join(args.out, "results.csv")
 
     records = []
@@ -312,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("quanvolve", help="write a quanvolved QNVF cache")
+    q = sub.add_parser("quanvolve", help="write quanvolved feature maps as a QNVF file")
     q.add_argument("--dataset", default="mnist", choices=("mnist", "fmnist"))
     q.add_argument("--dataset-dir", help="directory with the IDX files")
     q.add_argument("--synthetic", action="store_true",

@@ -113,6 +113,8 @@ def _class_quotas(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def subset(ds: Dataset, n_train: int, n_test: int, seed: int) -> tuple[Dataset, Dataset]:
     """Stratified, disjoint, seed-deterministic train/test subsets."""
+    if n_train < 0 or n_test < 0:
+        raise ValueError(f"subset sizes must be >= 0, got {n_train} and {n_test}")
     if n_train + n_test > len(ds):
         raise ValueError(
             f"requested {n_train}+{n_test} examples from a {len(ds)}-image dataset"

@@ -7,30 +7,33 @@ running `trials` independently seeded repetitions of the four-step protocol:
     1. quanvolve the train/test subsets with the trial's freshly seeded
        filter circuit (classical architectures skip this),
     2. train the model (batch 4, 30 epochs by default),
-    3. build adversarial test sets for every epsilon,
+    3. build adversarial test sets for every attack and epsilon,
     4. evaluate and record accuracy.
+
+Every model is trained once per trial and then faces every attack.  The
+pool's task unit is one (architecture, trial): it trains the architecture's
+models -- one head per ansatz for qunn -- and runs `run_trial`, steps 3 and
+4 of one (cell, trial), for each of them and each attack.  The sweep yields
+the records one (cell, trial) at a time.
 
 Attacks on the quantum model use the configured gradient mode: "surrogate"
 builds adversarial images against a classical CNN trained on the raw pixels
 (the quantum layer then transforms them), "end_to_end" differentiates
-through the quanvolution itself.  Classical architectures are always
-attacked with their own gradients.
+through the quanvolution itself.  The surrogate depends only on the trial,
+so the qunn task trains it once and builds its adversarial sets once per
+attack and epsilon, shared by every head.  Classical architectures are
+always attacked with their own gradients.
 
 Determinism: every random draw is derived from base_seed via stable hashes
-of the cell coordinates, so any (architecture, ansatz, attack, trial) cell
-can be recomputed in isolation and a rerun of the whole sweep -- at any
-worker count -- reproduces the output CSV byte for byte.  Quanvolved
-feature maps are rounded to float32 so cached and freshly computed values
-are bit-identical; caches live in QNVF files when a cache directory is
-configured and in per-process memory either way.
+of the cell coordinates other than the attack, so any (architecture, ansatz,
+trial) model can be recomputed in isolation and a rerun of the whole sweep
+-- at any worker count -- reproduces the output CSV byte for byte.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -66,9 +69,11 @@ class SweepConfig:
     attack_steps: int = 10
     attack_decay: float = 1.0
     random_spec: RandomCircuitSpec = field(default_factory=RandomCircuitSpec)
-    cache_dir: str | None = None
 
     def __post_init__(self):
+        if len(self.train_data) == 0 or len(self.test_data) == 0:
+            raise ValueError(f"train and test sets must not be empty, got "
+                             f"{len(self.train_data)} and {len(self.test_data)} images")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.mode not in ("surrogate", "end_to_end"):
@@ -99,7 +104,6 @@ class SweepRecord:
     accuracy: float
     clean_accuracy: float
     train_accuracy: float
-    wall_time: float
 
     def sort_key(self):
         return (self.dataset, self.architecture, self.ansatz, self.attack,
@@ -119,70 +123,79 @@ class AggregateRecord:
     n_trials: int
 
 
+@dataclass(frozen=True)
+class TrainedModel:
+    """One (architecture, ansatz, trial)'s model after steps 1 and 2.
+
+    ``qcfg`` is the filter that quanvolves its inputs (None for classical
+    models); the accuracies are measured on the training and clean test sets.
+    """
+
+    model: nn.Model
+    qcfg: QuanvConfig | None
+    train_accuracy: float
+    clean_accuracy: float
+
+    def own_source(self):
+        """The model's own gradients: through the quanvolution for a head."""
+        if self.qcfg is None:
+            return SurrogateSource(self.model)
+        return EndToEndSource(self.qcfg, self.model)
+
+
 def stable_seed(*parts) -> int:
     """64-bit seed from a blake2 hash of the stringified parts."""
     digest = hashlib.blake2b("\x1f".join(str(p) for p in parts).encode(), digest_size=8)
     return int.from_bytes(digest.digest(), "little")
 
 
-def _subset_fingerprint(ds: Dataset) -> str:
-    digest = hashlib.blake2b(digest_size=8)
-    digest.update(ds.name.encode())
-    digest.update(np.ascontiguousarray(ds.images, dtype="<f8").tobytes())
-    digest.update(np.ascontiguousarray(ds.labels, dtype="<i8").tobytes())
-    return digest.hexdigest()
-
-
-# Per-process caches; keyed so results are independent of hit/miss patterns.
-_QUANV_MEMO: dict = {}
-_SURROGATE_MEMO: dict = {}
-
-
 def _quanvolve32(images: np.ndarray, qcfg: QuanvConfig) -> np.ndarray:
-    """Quanvolve and round to float32, the precision of the QNVF cache.
-
-    Rounding both the cached and the freshly computed path keeps sweep
-    output identical whether or not a cache file was hit.
-    """
+    """Quanvolve and round to float32, the precision every head is trained
+    and evaluated at (and the one `quanvbench quanvolve` writes); results.csv
+    depends on this rounding."""
     return quanv.quanvolve_dataset(images, qcfg, validate=False).astype(np.float32)
 
 
-def _cached_quanvolve(images, qcfg, cache_key: str, cache_dir: str | None) -> np.ndarray:
-    if cache_key in _QUANV_MEMO:
-        return _QUANV_MEMO[cache_key]
-    path = None
-    if cache_dir is not None:
-        path = os.path.join(cache_dir, f"quanv_{cache_key}.qnvf")
-        if os.path.exists(path):
-            maps, _ = quanv.read_qnvf(path)
-            _QUANV_MEMO[cache_key] = maps
-            return maps
-    maps = _quanvolve32(images, qcfg)
-    if path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        quanv.write_qnvf(tmp, maps, meta_hash=int(cache_key[:16], 16))
-        os.replace(tmp, path)  # atomic; concurrent writers produce identical bytes
-    _QUANV_MEMO[cache_key] = maps
-    return maps
+def _train_model(cfg: SweepConfig, architecture: Architecture,
+                 ansatz_kind: AnsatzKind | None, trial: int) -> TrainedModel:
+    """Steps 1 and 2 for one (architecture, ansatz, trial)."""
+    dataset = cfg.train_data.name
+    ansatz_label = ansatz_kind.value if ansatz_kind is not None else "-"
+    cell_seed = stable_seed(cfg.base_seed, dataset, architecture.value, ansatz_label, trial)
+
+    if architecture is Architecture.QUNN:
+        if ansatz_kind is None:
+            raise ValueError("quantum architecture needs an ansatz kind")
+        circuit = build_ansatz(ansatz_kind, 4, seed=cell_seed, random_spec=cfg.random_spec)
+        qcfg = QuanvConfig(circuit=circuit)
+        train_x = _quanvolve32(cfg.train_data.images, qcfg)
+        test_x = _quanvolve32(cfg.test_data.images, qcfg)
+    else:
+        qcfg = None
+        train_x, test_x = cfg.train_data.images, cfg.test_data.images
+
+    model = nn.build_model(architecture, dataset, cell_seed)
+    nn.train(model, train_x, cfg.train_data.labels, replace(cfg.train_cfg, seed=cell_seed))
+    return TrainedModel(model, qcfg,
+                        train_accuracy=nn.evaluate(model, train_x, cfg.train_data.labels),
+                        clean_accuracy=nn.evaluate(model, test_x, cfg.test_data.labels))
 
 
-def _surrogate_model(cfg: SweepConfig, trial: int) -> nn.Model:
+def _train_surrogate(cfg: SweepConfig, trial: int) -> nn.Model:
     """Classical CNN trained on the raw trial data; the attack surrogate."""
-    key = (_subset_fingerprint(cfg.train_data), cfg.base_seed, trial)
-    if key in _SURROGATE_MEMO:
-        return _SURROGATE_MEMO[key]
     seed = stable_seed(cfg.base_seed, "surrogate", cfg.train_data.name, trial)
     model = nn.build_model(Architecture.CLASSICAL_CNN, cfg.train_data.name, seed)
-    nn.train(model, cfg.train_data.images, cfg.train_data.labels,
-             replace(cfg.train_cfg, seed=seed))
-    _SURROGATE_MEMO[key] = model
-    return model
+    return nn.train(model, cfg.train_data.images, cfg.train_data.labels,
+                    replace(cfg.train_cfg, seed=seed))
 
 
-def _attack_config(cfg: SweepConfig, kind: AttackKind, epsilon: float) -> AttackConfig:
-    return AttackConfig(kind, epsilon, steps=cfg.attack_steps,
-                        decay=cfg.attack_decay, clamp=cfg.clamp)
+def _adversarial_sets(cfg: SweepConfig, source, attack: AttackKind):
+    """The attack's adversarial test sets against ``source``, one per epsilon
+    of its grid, built as they are iterated."""
+    for epsilon in cfg.epsilons_for(attack):
+        yield attack_batch(source, cfg.test_data.images, cfg.test_data.labels,
+                           AttackConfig(attack, epsilon, steps=cfg.attack_steps,
+                                        decay=cfg.attack_decay, clamp=cfg.clamp))
 
 
 def run_trial(
@@ -191,92 +204,68 @@ def run_trial(
     ansatz_kind: AnsatzKind | None,
     attack: AttackKind,
     trial: int,
+    trained: TrainedModel,
+    adversarial,
 ) -> list[SweepRecord]:
-    """Run the four-step protocol for one cell and one trial."""
-    t0 = time.perf_counter()
-    dataset = cfg.train_data.name
-    arch_label = architecture.value
+    """Steps 3 and 4 for one cell and one trial: evaluate ``trained`` on
+    ``adversarial``, the attack's test sets in the order of its epsilon grid
+    (an iterator of `_adversarial_sets` builds each one as it is evaluated)."""
     ansatz_label = ansatz_kind.value if ansatz_kind is not None else "-"
-    cell_seed = stable_seed(cfg.base_seed, dataset, arch_label, ansatz_label, trial)
-
-    if architecture is Architecture.QUNN:
-        if ansatz_kind is None:
-            raise ValueError("quantum architecture needs an ansatz kind")
-        circuit = build_ansatz(ansatz_kind, 4, seed=cell_seed, random_spec=cfg.random_spec)
-        qcfg = QuanvConfig(circuit=circuit)
-        fingerprint = _subset_fingerprint(cfg.train_data), _subset_fingerprint(cfg.test_data)
-        train_key = f"{fingerprint[0]}_{ansatz_label}_{cell_seed:016x}_train"
-        test_key = f"{fingerprint[1]}_{ansatz_label}_{cell_seed:016x}_test"
-        train_x = _cached_quanvolve(cfg.train_data.images, qcfg, train_key, cfg.cache_dir)
-        test_x = _cached_quanvolve(cfg.test_data.images, qcfg, test_key, cfg.cache_dir)
-    else:
-        qcfg = None
-        train_x, test_x = cfg.train_data.images, cfg.test_data.images
-
-    model = nn.build_model(architecture, dataset, cell_seed)
-    nn.train(model, train_x, cfg.train_data.labels, replace(cfg.train_cfg, seed=cell_seed))
-    train_acc = nn.evaluate(model, train_x, cfg.train_data.labels)
-    clean_acc = nn.evaluate(model, test_x, cfg.test_data.labels)
-
-    if architecture is Architecture.QUNN:
-        if cfg.mode == "surrogate":
-            source = SurrogateSource(_surrogate_model(cfg, trial))
-        else:
-            source = EndToEndSource(qcfg, model)
-    else:
-        source = SurrogateSource(model)  # classical models attacked directly
-
     records = []
-    for epsilon in cfg.epsilons_for(attack):
-        adv = attack_batch(source, cfg.test_data.images, cfg.test_data.labels,
-                           _attack_config(cfg, attack, epsilon))
-        if architecture is Architecture.QUNN:
-            adv = _quanvolve32(adv, qcfg)
-        accuracy = nn.evaluate(model, adv, cfg.test_data.labels)
+    for epsilon, adv in zip(cfg.epsilons_for(attack), adversarial, strict=True):
+        if trained.qcfg is not None:
+            adv = _quanvolve32(adv, trained.qcfg)
         records.append(SweepRecord(
-            dataset=dataset, architecture=arch_label, ansatz=ansatz_label,
+            dataset=cfg.train_data.name, architecture=architecture.value, ansatz=ansatz_label,
             attack=attack.value, mode=cfg.mode, epsilon=float(epsilon), trial=trial,
-            accuracy=accuracy, clean_accuracy=clean_acc, train_accuracy=train_acc,
-            wall_time=time.perf_counter() - t0,
+            accuracy=nn.evaluate(trained.model, adv, cfg.test_data.labels),
+            clean_accuracy=trained.clean_accuracy, train_accuracy=trained.train_accuracy,
         ))
     return records
 
 
-def _cells(cfg: SweepConfig):
-    for architecture in cfg.architectures:
-        kinds = cfg.ansatz_kinds if architecture is Architecture.QUNN else (None,)
-        for ansatz_kind in kinds:
-            for attack in cfg.attacks:
-                yield architecture, ansatz_kind, attack
+def _task_records(cfg: SweepConfig, architecture: Architecture, trial: int):
+    """Yield the record lists of one (architecture, trial), one per cell:
+    each model is trained once, then attacked with every attack."""
+    kinds = cfg.ansatz_kinds if architecture is Architecture.QUNN else (None,)
+    models = [(kind, _train_model(cfg, architecture, kind, trial)) for kind in kinds]
+    surrogate = None
+    if architecture is Architecture.QUNN and cfg.mode == "surrogate":
+        surrogate = SurrogateSource(_train_surrogate(cfg, trial))
+    for attack in cfg.attacks:
+        shared = None if surrogate is None else list(_adversarial_sets(cfg, surrogate, attack))
+        for kind, trained in models:
+            adversarial = shared or _adversarial_sets(cfg, trained.own_source(), attack)
+            yield run_trial(cfg, architecture, kind, attack, trial, trained, adversarial)
 
 
-def _run_cell_trial(args):
-    cfg, architecture, ansatz_kind, attack, trial = args
-    return run_trial(cfg, architecture, ansatz_kind, attack, trial)
+def _run_task(task) -> list[list[SweepRecord]]:
+    return list(_task_records(*task))
+
+
+def _record_lists(cfg: SweepConfig, threads: int):
+    tasks = [(cfg, architecture, trial)
+             for architecture in cfg.architectures for trial in range(cfg.trials)]
+    if threads <= 1:
+        for task in tasks:
+            yield from _task_records(*task)
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            for lists in pool.map(_run_task, tasks, chunksize=1):
+                yield from lists
 
 
 def iter_sweep(cfg: SweepConfig, threads: int = 1, progress=None):
     """Yield one (cell, trial)'s records at a time; lets callers keep
-    partial results if a later cell fails."""
-    tasks = [
-        (cfg, architecture, ansatz_kind, attack, trial)
-        for architecture, ansatz_kind, attack in _cells(cfg)
-        for trial in range(cfg.trials)
-    ]
+    partial results if a later task fails."""
+    total = cfg.trials * len(cfg.attacks) * sum(
+        len(cfg.ansatz_kinds) if a is Architecture.QUNN else 1 for a in cfg.architectures)
     if progress is None:
         progress = lambda msg: print(msg, file=sys.stderr)
-
-    if threads <= 1:
-        for i, task in enumerate(tasks):
-            out = _run_cell_trial(task)
-            progress(f"[{i + 1}/{len(tasks)}] {task[1].value}/{task[2].value if task[2] else '-'}"
-                     f"/{task[3].value} trial {task[4]}")
-            yield out
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for i, out in enumerate(pool.map(_run_cell_trial, tasks, chunksize=1)):
-                progress(f"[{i + 1}/{len(tasks)}] done")
-                yield out
+    for i, records in enumerate(_record_lists(cfg, threads), 1):
+        r = records[0]
+        progress(f"[{i}/{total}] {r.architecture}/{r.ansatz}/{r.attack} trial {r.trial}")
+        yield records
 
 
 def run_sweep(cfg: SweepConfig, threads: int = 1, progress=None) -> list[SweepRecord]:
@@ -332,22 +321,6 @@ def emit_csv(records: list[SweepRecord], path) -> None:
         lines.append(",".join(_format_value(getattr(r, col)) for col in CSV_COLUMNS))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def parse_csv(path) -> list[SweepRecord]:
-    """Re-parse an emitted CSV; the timing/diagnostic fields are not stored."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
-        raise ValueError(f"{path}: unexpected CSV header")
-    records = []
-    for line in lines[1:]:
-        ds, arch, ansatz_label, attack, mode, eps, trial, acc = line.split(",")
-        records.append(SweepRecord(ds, arch, ansatz_label, attack, mode,
-                                   float(eps), int(trial), float(acc),
-                                   clean_accuracy=float("nan"),
-                                   train_accuracy=float("nan"), wall_time=0.0))
-    return records
 
 
 # ---------------------------------------------------------------------------

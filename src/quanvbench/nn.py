@@ -19,14 +19,11 @@ frozen model are safe to run concurrently; only train() mutates parameters.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-QNNM_MAGIC = b"QNNM"
-QNNM_VERSION = 1
 N_CLASSES = 10
 
 
@@ -309,7 +306,6 @@ class TrainConfig:
     batch_size: int = 4
     epochs: int = 30
     learning_rate: float = 1e-3
-    optimizer: str = "adam"  # "adam" | "sgd"
     seed: int = 0
 
     def __post_init__(self):
@@ -321,8 +317,6 @@ class TrainConfig:
             raise ValueError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"
             )
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 class _Adam:
@@ -345,15 +339,6 @@ class _Adam:
             param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-class _SGD:
-    def __init__(self, lr):
-        self.lr = lr
-
-    def step(self, entries):
-        for _key, param, grad in entries:
-            param -= self.lr * grad
-
-
 def train(model: Model, inputs, labels, cfg: TrainConfig):
     """Minimize softmax cross-entropy; returns the model.
 
@@ -370,7 +355,7 @@ def train(model: Model, inputs, labels, cfg: TrainConfig):
         raise ValueError("labels must lie in [0, 10)")
 
     rng = np.random.default_rng(cfg.seed)
-    opt = _Adam(cfg.learning_rate) if cfg.optimizer == "adam" else _SGD(cfg.learning_rate)
+    opt = _Adam(cfg.learning_rate)
     n = len(inputs)
     for _epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -389,47 +374,3 @@ def train(model: Model, inputs, labels, cfg: TrainConfig):
             opt.step(entries)
     return model
 
-
-# ---------------------------------------------------------------------------
-# Checkpoints: QNNM container, little-endian.  Header (magic, version u32,
-# entry count u32); per entry ndim u32, dims u32 each, row-major float32.
-# ---------------------------------------------------------------------------
-
-
-def save_model(model: Model, path) -> None:
-    entries = list(model.param_entries())
-    with open(path, "wb") as fh:
-        fh.write(QNNM_MAGIC)
-        fh.write(struct.pack("<II", QNNM_VERSION, len(entries)))
-        for _li, _name, arr in entries:
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def load_model(model: Model, path) -> Model:
-    """Fill an architecturally identical model with checkpointed weights."""
-    entries = list(model.param_entries())
-    with open(path, "rb") as fh:
-        if fh.read(4) != QNNM_MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != QNNM_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        if count != len(entries):
-            raise ValueError(
-                f"{path}: checkpoint has {count} tensors, model has {len(entries)}"
-            )
-        for _li, name, arr in entries:
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            if shape != arr.shape:
-                raise ValueError(
-                    f"{path}: shape mismatch for {name}: {shape} vs {arr.shape}"
-                )
-            n_bytes = int(np.prod(shape)) * 4
-            buf = fh.read(n_bytes)
-            if len(buf) != n_bytes:
-                raise ValueError(f"{path}: truncated checkpoint")
-            arr[...] = np.frombuffer(buf, dtype="<f4").reshape(shape)
-    return model

@@ -25,9 +25,9 @@ check).  Adversarially perturbed images may leave that interval when attack
 clamping is disabled; callers quanvolving such data pass ``validate=False``
 (the encoding itself is defined for any real value).
 
-Feature maps can be cached on disk in the QNVF container: little-endian
-header (magic "QNVF", version u32, count u32, H u32, W u32, C u32, metadata
-hash u64) followed by the maps as row-major float32.
+`quanvbench quanvolve` writes its feature maps in the QNVF container:
+little-endian header (magic "QNVF", version u32, count u32, H u32, W u32,
+C u32, metadata hash u64) followed by the maps as row-major float32.
 """
 from __future__ import annotations
 

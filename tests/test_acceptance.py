@@ -9,13 +9,15 @@ QUANVBENCH_DATA_DIR points at a directory with real IDX files
 Known honest failure: criterion 5's epsilon=15 clause.  With the default
 pipeline (angle encoding phi = pi * x, exact expectations, unclamped
 attacks), perturbing any pixel by an exact even integer leaves the encoded
-state unchanged up to global phase, and by an odd integer applies one fixed
-feature involution.  FGSM accuracy at eps in {2, 10} therefore equals clean
-accuracy exactly (their difference, the criterion's first clause, is
-exactly 0), while eps = 15 falls on the involution and collapses accuracy,
-so |acc(2) - acc(15)| far exceeds the 0.15 tolerance.  The clause is
-asserted as specified and reports the measured numbers rather than a
-weakened threshold.
+state unchanged up to global phase, and an odd integer shift negates
+(cos, sin)(pi x): every channel of the four rotation-filter ansatze is a
+sinusoid of its own pixel, so quanvolve(x + 1) == -quanvolve(x) for them
+(the random filter flips the sign of only some terms).  FGSM accuracy at
+eps in {2, 10} therefore equals clean accuracy exactly (their difference,
+the criterion's first clause, is exactly 0), while eps = 15 negates the
+features and collapses accuracy, so |acc(2) - acc(15)| far exceeds the
+0.15 tolerance.  The clause is asserted as specified and reports the
+measured numbers rather than a weakened threshold.
 """
 import os
 import time

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ epsilons = 0, 0.1, 1
 epsilons_fgsm_extra =
 trials = 2
 train.epochs = 6
-cache = false
 """
 
 
@@ -158,6 +158,23 @@ def test_cmd_sweep_nan_epsilon_exit_2(tmp_path, capsys):
     rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
     assert rc == EXIT_USAGE
     assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("n_train = abc", "n_train"),
+    ("synth_count = x", "synth_count"),
+    ("epsilons = 0, abc", "epsilons"),
+    ("n_train = -5", ">= 0"),
+    ("n_test = 0", "empty"),
+])
+def test_cmd_sweep_bad_value_exit_2(tmp_path, capsys, line, message):
+    key = line.split(" = ")[0]
+    config = tmp_path / "bad.cfg"
+    config.write_text(re.sub(rf"^{key} = .*$", line, TINY_SWEEP, flags=re.M))
+    rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_USAGE
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o" / "results.csv").exists()
 
 

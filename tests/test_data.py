@@ -147,3 +147,9 @@ def test_subset_too_large(sample_dataset):
 def test_subset_empty_test_split(sample_dataset):
     train, test = subset(sample_dataset, 30, 0, seed=0)
     assert len(train) == 30 and len(test) == 0
+
+
+@pytest.mark.parametrize("n_train, n_test", [(-5, 20), (20, -1)])
+def test_subset_rejects_negative_sizes(sample_dataset, n_train, n_test):
+    with pytest.raises(ValueError, match=">= 0"):
+        subset(sample_dataset, n_train, n_test, seed=0)

@@ -3,9 +3,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from quanvbench import harness
+from quanvbench import harness, nn
 from quanvbench.ansatz import AnsatzKind
-from quanvbench.attacks import AttackKind
+from quanvbench.attacks import AttackKind, SurrogateSource
 from quanvbench.data import Dataset
 from quanvbench.harness import (
     AggregateRecord,
@@ -14,7 +14,6 @@ from quanvbench.harness import (
     aggregate,
     emit_csv,
     emit_plot,
-    parse_csv,
     run_sweep,
     run_trial,
     stable_seed,
@@ -47,7 +46,7 @@ def tiny_config(**overrides) -> SweepConfig:
 def fake_record(eps, trial, acc, **kw):
     base = dict(dataset="mnist", architecture="qunn", ansatz="zz_full",
                 attack="fgsm", mode="surrogate", epsilon=eps, trial=trial,
-                accuracy=acc, clean_accuracy=0.9, train_accuracy=1.0, wall_time=1.0)
+                accuracy=acc, clean_accuracy=0.9, train_accuracy=1.0)
     base.update(kw)
     return SweepRecord(**base)
 
@@ -56,10 +55,20 @@ def fake_record(eps, trial, acc, **kw):
 # run_trial
 # ---------------------------------------------------------------------------
 
+def fresh_trial(cfg, architecture, ansatz_kind, attack, trial):
+    """run_trial on a freshly trained model, attacked as the sweep attacks it."""
+    trained = harness._train_model(cfg, architecture, ansatz_kind, trial)
+    source = trained.own_source()
+    if architecture is Architecture.QUNN and cfg.mode == "surrogate":
+        source = SurrogateSource(harness._train_surrogate(cfg, trial))
+    return run_trial(cfg, architecture, ansatz_kind, attack, trial, trained,
+                     harness._adversarial_sets(cfg, source, attack))
+
+
 @pytest.fixture(scope="module")
 def trial_records():
     cfg = tiny_config()
-    return cfg, run_trial(cfg, Architecture.QUNN, AnsatzKind.ZZ_FULL, AttackKind.FGSM, trial=0)
+    return cfg, fresh_trial(cfg, Architecture.QUNN, AnsatzKind.ZZ_FULL, AttackKind.FGSM, 0)
 
 
 def test_trial_epsilon_zero_equals_clean_accuracy(trial_records):
@@ -76,21 +85,22 @@ def test_trial_record_count_matches_grid(trial_records):
 
 def test_trial_deterministic(trial_records):
     cfg, records = trial_records
-    again = run_trial(cfg, Architecture.QUNN, AnsatzKind.ZZ_FULL, AttackKind.FGSM, trial=0)
+    again = fresh_trial(cfg, Architecture.QUNN, AnsatzKind.ZZ_FULL, AttackKind.FGSM, 0)
     assert [r.accuracy for r in again] == [r.accuracy for r in records]
 
 
 def test_trials_differ(trial_records):
     cfg, records = trial_records
-    other = run_trial(cfg, Architecture.QUNN, AnsatzKind.ZZ_FULL, AttackKind.FGSM, trial=1)
+    other = fresh_trial(cfg, Architecture.QUNN, AnsatzKind.ZZ_FULL, AttackKind.FGSM, 1)
     assert [r.accuracy for r in other] != [r.accuracy for r in records] or (
         other[0].clean_accuracy != records[0].clean_accuracy
     )
 
 
-def test_classical_trial_skips_quanvolution(trial_records):
+def test_classical_trial_skips_quanvolution(trial_records, monkeypatch):
     cfg, _ = trial_records
-    records = run_trial(cfg, Architecture.CLASSICAL_CNN, None, AttackKind.FGSM, trial=0)
+    monkeypatch.setattr(harness.quanv, "quanvolve_dataset", None)  # any call fails
+    records = fresh_trial(cfg, Architecture.CLASSICAL_CNN, None, AttackKind.FGSM, 0)
     assert records[0].ansatz == "-"
     assert records[0].accuracy == records[0].clean_accuracy
 
@@ -123,19 +133,55 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert strip_timing(serial) == strip_timing(parallel)
 
 
-def test_sweep_disk_cache_does_not_change_results(tmp_path):
-    quiet = lambda msg: None
-    cfg_nocache = tiny_config()
-    cfg_cache = tiny_config(cache_dir=str(tmp_path / "cache"))
-    baseline = run_sweep(cfg_nocache, threads=1, progress=quiet)
-    harness._QUANV_MEMO.clear()
-    first = run_sweep(cfg_cache, threads=1, progress=quiet)  # writes QNVF files
-    assert any((tmp_path / "cache").iterdir())
-    harness._QUANV_MEMO.clear()
-    cached = run_sweep(cfg_cache, threads=1, progress=quiet)  # reads QNVF files
-    strip = lambda rs: [(r.sort_key(), r.accuracy) for r in rs]
-    assert strip(first) == strip(baseline)
-    assert strip(cached) == strip(baseline)
+def count_calls(monkeypatch, module, name, keep=lambda *args: True):
+    """Wrap module.name; returns the list of the kept calls' arguments."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        if keep(*args):
+            calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def two_attack_config(**overrides) -> SweepConfig:
+    return tiny_config(**{**dict(
+        architectures=tuple(Architecture),
+        ansatz_kinds=(AnsatzKind.ZZ_FULL, AnsatzKind.RANDOM),
+        attacks=(AttackKind.FGSM, AttackKind.PGD),
+        epsilons=(0.0, 0.1),
+        train_cfg=TrainConfig(epochs=1, seed=0),
+        attack_steps=2,
+    ), **overrides})
+
+
+@pytest.mark.parametrize("mode, surrogates", [("surrogate", 1), ("end_to_end", 0)])
+def test_each_model_is_trained_once_per_trial(monkeypatch, mode, surrogates):
+    cfg = two_attack_config(mode=mode)
+    trains = count_calls(monkeypatch, nn, "train")
+    records = run_sweep(cfg, progress=lambda msg: None)
+    assert len(records) == 4 * 2 * 2 * 2  # (cnn, fc, 2 heads) x attacks x trials x eps
+    classical = len(cfg.architectures) - 1
+    assert len(trains) == (classical + len(cfg.ansatz_kinds) + surrogates) * cfg.trials
+
+
+def test_surrogate_sets_are_built_once_per_attack_and_epsilon(monkeypatch):
+    cfg = two_attack_config(architectures=(Architecture.QUNN,))
+    surrogate_attacks = count_calls(monkeypatch, harness, "attack_batch",
+                                    lambda source, *_: isinstance(source, SurrogateSource))
+    run_sweep(cfg, progress=lambda msg: None)
+    per_trial = sum(len(cfg.epsilons_for(attack)) for attack in cfg.attacks)
+    assert len(surrogate_attacks) == cfg.trials * per_trial
+
+
+def test_sweep_config_rejects_empty_sets():
+    cfg = tiny_config()
+    empty = Dataset(cfg.test_data.images[:0], cfg.test_data.labels[:0], "mnist")
+    for split in ("train_data", "test_data"):
+        with pytest.raises(ValueError, match="empty"):
+            tiny_config(**{split: empty})
 
 
 def test_stable_seed_is_stable():
@@ -195,14 +241,6 @@ def test_csv_shape_and_header(tmp_path):
     assert lines[0] == "dataset,architecture,ansatz,attack,mode,epsilon,trial,accuracy"
     assert len(lines) == 1 + 14 + 1  # header + rows + trailing newline
     assert lines[-1] == ""
-
-
-def test_csv_round_trip(tmp_path):
-    records = [fake_record(e, t, (t + 1) / 30) for e in (0.0, 0.01, 1.0) for t in range(3)]
-    p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
-    emit_csv(records, p1)
-    emit_csv(parse_csv(p1), p2)
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -282,34 +282,3 @@ def test_uniform_predictor_scores_chance_on_balanced_labels():
     xs = np.zeros((50, 28, 28, 1))
     ys = np.repeat(np.arange(10), 5)
     assert evaluate(m, xs, ys) == pytest.approx(0.1)
-
-
-def test_sgd_optimizer_also_trains(rng):
-    xs, ys = random_dataset(rng, n=20)
-    m = build_model(Architecture.CLASSICAL_FC, "mnist", seed=3)
-    loss_before, accuracy_before = dataset_loss(m, xs, ys), evaluate(m, xs, ys)
-    train(m, xs, ys, TrainConfig(epochs=10, learning_rate=0.5, optimizer="sgd", seed=3))
-    assert dataset_loss(m, xs, ys) < loss_before
-    assert evaluate(m, xs, ys) > accuracy_before
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-def test_checkpoint_round_trip(tmp_path, rng):
-    m = build_model(Architecture.CLASSICAL_CNN, "fmnist", seed=13)
-    path = tmp_path / "model.qnnm"
-    nn.save_model(m, path)
-    other = build_model(Architecture.CLASSICAL_CNN, "fmnist", seed=99)
-    nn.load_model(other, path)
-    for (_, _, a), (_, _, b) in zip(m.param_entries(), other.param_entries()):
-        assert np.allclose(a, b, atol=1e-7)  # float32 storage
-
-
-def test_checkpoint_rejects_wrong_architecture(tmp_path):
-    m = build_model(Architecture.CLASSICAL_CNN, "mnist", seed=13)
-    path = tmp_path / "model.qnnm"
-    nn.save_model(m, path)
-    with pytest.raises(ValueError):
-        nn.load_model(build_model(Architecture.QUNN, "fmnist", seed=0), path)
