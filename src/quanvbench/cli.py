@@ -20,8 +20,8 @@ Recognized keys, with defaults in brackets:
     architectures  comma list                              [classical_cnn, classical_fc, qunn]
     ansatz_list    comma list                              [all five]
     attack_list    comma list                              [fgsm, pgd, mim]
-    epsilons       comma list, ascending, starts at 0      [0, 0.01, 0.05, 0.1, 0.3, 0.5, 1, 2, 5, 10]
-    epsilons_fgsm_extra  appended for FGSM only            [15]
+    epsilons       comma list, strictly ascending, from 0  [0, 0.01, 0.05, 0.1, 0.3, 0.5, 1, 2, 5, 10]
+    epsilons_fgsm_extra  appended for FGSM only, ascending [15]
     trials         repetitions per cell                    [7]
     base_seed      master seed                             [0]
     mode           surrogate | end_to_end                  [surrogate]
@@ -38,6 +38,7 @@ built-in procedural stand-in corpus instead.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -186,8 +187,17 @@ def load_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def build_sweep_config(cfg: dict[str, str]) -> harness.SweepConfig:
+@contextlib.contextmanager
+def _config_errors():
+    """Report a ValueError raised while resolving the inputs as a config error."""
     try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def build_sweep_config(cfg: dict[str, str]) -> harness.SweepConfig:
+    with _config_errors():
         train, test = load_dataset_pair(cfg)
         return harness.SweepConfig(
             train_data=train,
@@ -211,8 +221,6 @@ def build_sweep_config(cfg: dict[str, str]) -> harness.SweepConfig:
                 two_qubit_prob=_float(cfg, "random.two_qubit_prob"),
             ),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
 
 
 def config_hash(cfg: dict[str, str]) -> str:
@@ -250,9 +258,10 @@ def cmd_quanvolve(args) -> int:
         n_train=str(args.n_train),
         n_test=str(args.n_test),
     )
-    train, test = load_dataset_pair(cfg)
     kind = AnsatzKind(args.ansatz)
-    circuit = build_ansatz(kind, 4, seed=args.seed)
+    with _config_errors():
+        train, test = load_dataset_pair(cfg)
+        circuit = build_ansatz(kind, 4, seed=args.seed)
     qcfg = QuanvConfig(circuit=circuit)
     images = np.concatenate([train.images, test.images])
     maps = quanv.quanvolve_dataset(images, qcfg).astype(np.float32)
@@ -312,9 +321,22 @@ def cmd_verify(_args) -> int:
     return EXIT_OK if not failed else EXIT_FAILURE
 
 
+def _worker_count(text: str) -> int:
+    """A --threads value: a positive integer."""
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return threads
+
+
 def _default_threads() -> int:
-    env = os.environ.get("QUANVBENCH_THREADS")
-    return int(env) if env else 1
+    try:
+        return _worker_count(os.environ.get("QUANVBENCH_THREADS") or "1")
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"QUANVBENCH_THREADS: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="run a robustness sweep from a config file")
     s.add_argument("--config", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--threads", type=int, default=_default_threads())
+    s.add_argument("--threads", type=_worker_count, default=_default_threads())
     s.add_argument("--seed", type=int, help="override base_seed from the config")
     s.set_defaults(fn=cmd_sweep)
 
@@ -348,9 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ConfigError, FileNotFoundError, data.IdxParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -74,6 +74,10 @@ class SweepConfig:
         if len(self.train_data) == 0 or len(self.test_data) == 0:
             raise ValueError(f"train and test sets must not be empty, got "
                              f"{len(self.train_data)} and {len(self.test_data)} images")
+        for split in (self.train_data, self.test_data):
+            if split.images.shape[1:] != (28, 28, 1):
+                raise ValueError(f"images must be 28x28x1, the input every architecture "
+                                 f"is built for, got {split.images.shape[1:]}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.mode not in ("surrogate", "end_to_end"):
@@ -81,8 +85,8 @@ class SweepConfig:
         for grid in (self.epsilons, self.epsilons_for(AttackKind.FGSM)):
             if not all(math.isfinite(e) for e in grid):
                 raise ValueError(f"epsilon grid must be finite, got {grid}")
-            if list(grid) != sorted(grid):
-                raise ValueError("epsilon grid must be sorted ascending")
+            if any(b <= a for a, b in zip(grid, grid[1:])):
+                raise ValueError(f"epsilon grid must be strictly ascending, got {grid}")
             if not grid or grid[0] != 0.0:
                 raise ValueError("epsilon grid must start at 0")
 
@@ -246,11 +250,12 @@ def _run_task(task) -> list[list[SweepRecord]]:
 def _record_lists(cfg: SweepConfig, threads: int):
     tasks = [(cfg, architecture, trial)
              for architecture in cfg.architectures for trial in range(cfg.trials)]
-    if threads <= 1:
+    workers = min(threads, len(tasks))  # the pool starts every worker up front
+    if workers <= 1:
         for task in tasks:
             yield from _task_records(*task)
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for lists in pool.map(_run_task, tasks, chunksize=1):
                 yield from lists
 

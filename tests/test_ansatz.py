@@ -1,22 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from quanvbench import qsim, quanv
-from quanvbench.ansatz import (
-    AnsatzKind,
-    AnsatzParams,
-    RandomCircuitSpec,
-    build_ansatz,
-    build_no_entanglement,
-    build_random,
-    build_zz_full,
-    build_zz_linear,
-    build_zz_star,
-    init_params,
-    parameter_count,
-)
+from quanvbench import qsim
+from quanvbench.ansatz import AnsatzKind, RandomCircuitSpec, build_ansatz
 from quanvbench.qsim import GateKind
 from quanvbench.quanv import QuanvConfig
+
+ROTATION_KINDS = [AnsatzKind.NO_ENTANGLEMENT, AnsatzKind.ZZ_LINEAR,
+                  AnsatzKind.ZZ_STAR, AnsatzKind.ZZ_FULL]
+ZZ_KINDS = [AnsatzKind.ZZ_FULL, AnsatzKind.ZZ_LINEAR, AnsatzKind.ZZ_STAR]
 
 
 def reduced_purity(amps: np.ndarray, qubit: int) -> float:
@@ -38,37 +32,58 @@ def run_on_zero(circuit: qsim.Circuit) -> np.ndarray:
     return qsim.apply_circuit_batch(zero_amps(circuit.n_qubits), circuit)
 
 
+def angles(circuit: qsim.Circuit) -> np.ndarray:
+    return np.array([p for g in circuit.gates for p in g.params])
+
+
+def zz_targets(circuit: qsim.Circuit) -> list[tuple[int, ...]]:
+    return [g.targets for g in circuit.gates if g.kind is GateKind.ZZ]
+
+
 # ---------------------------------------------------------------------------
-# Parameter counts
+# The seeding contract of the rotation-plus-ZZ kinds
 # ---------------------------------------------------------------------------
+
+PAIRS_AT_4 = {
+    AnsatzKind.NO_ENTANGLEMENT: [],
+    AnsatzKind.ZZ_LINEAR: [(0, 1), (1, 2), (2, 3)],
+    AnsatzKind.ZZ_STAR: [(0, 1), (0, 2), (0, 3)],
+    AnsatzKind.ZZ_FULL: [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ROTATION_KINDS)
+def test_angles_are_one_seeded_draw_in_gate_order(kind, n):
+    # one Rot per qubit in qubit order, then the ZZ pairs; their angles, in
+    # gate order, are a single uniform draw from the seed, bit for bit
+    for seed in (0, 5, 2**63 + 5):
+        c = build_ansatz(kind, n, seed)
+        rots, zzs = c.gates[:n], c.gates[n:]
+        assert [(g.kind, g.targets) for g in rots] == [(GateKind.ROT, (q,)) for q in range(n)]
+        assert all(g.kind is GateKind.ZZ for g in zzs)
+        draw = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 3 * n + len(zzs))
+        assert np.array_equal(angles(c), draw)
+    if n == 4:
+        assert zz_targets(c) == PAIRS_AT_4[kind]
+
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_parameter_count_table(n):
-    assert parameter_count(AnsatzKind.NO_ENTANGLEMENT, n) == 3 * n
-    assert parameter_count(AnsatzKind.ZZ_LINEAR, n) == 3 * n + (n - 1)
-    assert parameter_count(AnsatzKind.ZZ_STAR, n) == 3 * n + (n - 1)
-    assert parameter_count(AnsatzKind.ZZ_FULL, n) == 3 * n + n * (n - 1) // 2
+    def count(kind):
+        return len(angles(build_ansatz(kind, n, seed=9)))
+
+    assert count(AnsatzKind.NO_ENTANGLEMENT) == 3 * n
+    assert count(AnsatzKind.ZZ_LINEAR) == 3 * n + (n - 1)
+    assert count(AnsatzKind.ZZ_STAR) == 3 * n + (n - 1)
+    assert count(AnsatzKind.ZZ_FULL) == 3 * n + n * (n - 1) // 2
 
 
-def test_init_params_counts():
-    assert len(init_params(AnsatzKind.ZZ_FULL, 4, 9).thetas) == 18  # 12 + 6
-    assert len(init_params(AnsatzKind.NO_ENTANGLEMENT, 4, 9).thetas) == 12
-
-
-def test_init_params_deterministic_and_in_range():
-    a = init_params(AnsatzKind.ZZ_FULL, 4, 123)
-    b = init_params(AnsatzKind.ZZ_FULL, 4, 123)
-    assert np.array_equal(a.thetas, b.thetas)
-    assert np.all(a.thetas >= 0) and np.all(a.thetas < 2 * np.pi)
-    c = init_params(AnsatzKind.ZZ_FULL, 4, 124)
-    assert not np.array_equal(a.thetas, c.thetas)
-
-
-def test_wrong_param_count_rejected():
-    bad = AnsatzParams(np.zeros(5), seed=0)
-    for builder in (build_no_entanglement, build_zz_linear, build_zz_full, build_zz_star):
-        with pytest.raises(ValueError):
-            builder(4, bad)
+@pytest.mark.parametrize("kind", ZZ_KINDS)
+def test_zz_kinds_need_two_qubits(kind):
+    with pytest.raises(ValueError, match="at least 2 qubits"):
+        build_ansatz(kind, 1, seed=0)
+    assert len(build_ansatz(AnsatzKind.NO_ENTANGLEMENT, 1, seed=0).gates) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -76,68 +91,49 @@ def test_wrong_param_count_rejected():
 # ---------------------------------------------------------------------------
 
 def test_no_entanglement_structure():
-    c = build_no_entanglement(4, init_params(AnsatzKind.NO_ENTANGLEMENT, 4, 5))
+    c = build_ansatz(AnsatzKind.NO_ENTANGLEMENT, 4, seed=5)
     assert len(c.gates) == 4
     assert all(g.kind is GateKind.ROT for g in c.gates)
     assert [g.targets for g in c.gates] == [(0,), (1,), (2,), (3,)]
 
 
 def test_no_entanglement_output_is_product_state():
-    c = build_no_entanglement(4, init_params(AnsatzKind.NO_ENTANGLEMENT, 4, 77))
-    s = run_on_zero(c)
+    s = run_on_zero(build_ansatz(AnsatzKind.NO_ENTANGLEMENT, 4, seed=77))
     for q in range(4):
         assert abs(reduced_purity(s, q) - 1.0) < 1e-10
 
 
 def test_no_entanglement_zero_angles_is_identity():
-    c = build_no_entanglement(3, AnsatzParams(np.zeros(9), seed=0))
-    s = run_on_zero(c)
-    assert np.allclose(s, zero_amps(3), atol=1e-12)
+    c = build_ansatz(AnsatzKind.NO_ENTANGLEMENT, 3, seed=0)
+    zeroed = qsim.Circuit(3, tuple(replace(g, params=(0.0, 0.0, 0.0)) for g in c.gates))
+    assert np.allclose(run_on_zero(zeroed), zero_amps(3), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# ZZ linear
+# ZZ variants
 # ---------------------------------------------------------------------------
 
 def test_zz_linear_pairs():
-    c = build_zz_linear(4, init_params(AnsatzKind.ZZ_LINEAR, 4, 5))
-    zz_gates = [g for g in c.gates if g.kind is GateKind.ZZ]
-    assert [g.targets for g in zz_gates] == [(0, 1), (1, 2), (2, 3)]
+    assert zz_targets(build_ansatz(AnsatzKind.ZZ_LINEAR, 4, seed=5)) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_zz_linear_two_qubits():
-    c = build_zz_linear(2, init_params(AnsatzKind.ZZ_LINEAR, 2, 5))
-    assert sum(g.kind is GateKind.ZZ for g in c.gates) == 1
+    assert zz_targets(build_ansatz(AnsatzKind.ZZ_LINEAR, 2, seed=5)) == [(0, 1)]
 
-
-def test_zz_linear_zero_entanglers_reduces_to_no_entanglement():
-    rot_angles = np.random.default_rng(3).uniform(0, 2 * np.pi, 12)
-    lin = build_zz_linear(4, AnsatzParams(np.concatenate([rot_angles, np.zeros(3)]), 0))
-    noent = build_no_entanglement(4, AnsatzParams(rot_angles, 0))
-    assert np.allclose(run_on_zero(lin), run_on_zero(noent), atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# ZZ full
-# ---------------------------------------------------------------------------
 
 def test_zz_full_pair_count_and_order():
-    c = build_zz_full(4, init_params(AnsatzKind.ZZ_FULL, 4, 5))
-    zz_gates = [g for g in c.gates if g.kind is GateKind.ZZ]
-    assert len(zz_gates) == 6  # n(n-1)/2
-    assert [g.targets for g in zz_gates] == [
+    assert zz_targets(build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=5)) == [
         (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
     ]
 
 
 def test_zz_full_equals_linear_at_n2():
-    p = init_params(AnsatzKind.ZZ_FULL, 2, 5)
-    assert build_zz_full(2, p).gates == build_zz_linear(2, p).gates
+    assert (build_ansatz(AnsatzKind.ZZ_FULL, 2, seed=5).gates
+            == build_ansatz(AnsatzKind.ZZ_LINEAR, 2, seed=5).gates)
 
 
 def test_zz_full_entangling_block_order_invariant(rng):
-    p = init_params(AnsatzKind.ZZ_FULL, 4, 11)
-    c = build_zz_full(4, p)
+    c = build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=11)
     rots = [g for g in c.gates if g.kind is GateKind.ROT]
     zzs = [g for g in c.gates if g.kind is GateKind.ZZ]
     base = run_on_zero(c)
@@ -147,32 +143,16 @@ def test_zz_full_entangling_block_order_invariant(rng):
         assert np.max(np.abs(run_on_zero(shuffled) - base)) < 1e-12
 
 
-# ---------------------------------------------------------------------------
-# ZZ star
-# ---------------------------------------------------------------------------
-
 def test_zz_star_pairs():
-    c = build_zz_star(4, init_params(AnsatzKind.ZZ_STAR, 4, 5))
-    zz_gates = [g for g in c.gates if g.kind is GateKind.ZZ]
-    assert [g.targets for g in zz_gates] == [(0, 1), (0, 2), (0, 3)]
+    assert zz_targets(build_ansatz(AnsatzKind.ZZ_STAR, 4, seed=5)) == [(0, 1), (0, 2), (0, 3)]
 
 
 def test_zz_star_equals_linear_at_n2():
-    p = init_params(AnsatzKind.ZZ_STAR, 2, 5)
-    assert build_zz_star(2, p).gates == build_zz_linear(2, p).gates
+    assert (build_ansatz(AnsatzKind.ZZ_STAR, 2, seed=5).gates
+            == build_ansatz(AnsatzKind.ZZ_LINEAR, 2, seed=5).gates)
 
 
-def test_zz_star_zero_entanglers_matches_no_entanglement_z_pattern():
-    rot_angles = np.random.default_rng(8).uniform(0, 2 * np.pi, 12)
-    star = build_zz_star(4, AnsatzParams(np.concatenate([rot_angles, np.zeros(3)]), 0))
-    noent = build_no_entanglement(4, AnsatzParams(rot_angles, 0))
-    # <0|U^dagger Z_q U|0> for every qubit q
-    z_star = quanv._compile_observables(star)[:, 0, 0]
-    z_noent = quanv._compile_observables(noent)[:, 0, 0]
-    assert np.allclose(z_star, z_noent, atol=1e-12)
-
-
-@pytest.mark.parametrize("kind", [AnsatzKind.ZZ_FULL, AnsatzKind.ZZ_LINEAR, AnsatzKind.ZZ_STAR])
+@pytest.mark.parametrize("kind", ZZ_KINDS)
 def test_zz_entanglers_are_invisible_to_the_features(kind):
     # diagonal ZZ gates after the rotations commute with every Z_q, so at the
     # same seed (the same 12 rotation angles) the compiled terms are equal
@@ -188,19 +168,18 @@ def test_zz_entanglers_are_invisible_to_the_features(kind):
 # ---------------------------------------------------------------------------
 
 def test_random_builder_deterministic():
-    spec = RandomCircuitSpec(depth=3, two_qubit_prob=0.4, seed=999)
-    assert build_random(4, spec).gates == build_random(4, spec).gates
+    spec = RandomCircuitSpec(depth=3, two_qubit_prob=0.4)
+    assert (build_ansatz(AnsatzKind.RANDOM, 4, 999, spec).gates
+            == build_ansatz(AnsatzKind.RANDOM, 4, 999, spec).gates)
 
 
 def test_random_builder_no_cnots_at_zero_prob():
-    spec = RandomCircuitSpec(depth=4, two_qubit_prob=0.0, seed=1)
-    c = build_random(4, spec)
+    c = build_ansatz(AnsatzKind.RANDOM, 4, 1, RandomCircuitSpec(depth=4, two_qubit_prob=0.0))
     assert not any(g.kind is GateKind.CNOT for g in c.gates)
 
 
 def test_random_builder_count_and_norm():
-    spec = RandomCircuitSpec(depth=3, two_qubit_prob=0.3, seed=7)
-    c = build_random(4, spec)
+    c = build_ansatz(AnsatzKind.RANDOM, 4, 7, RandomCircuitSpec(depth=3, two_qubit_prob=0.3))
     assert 12 <= len(c.gates) <= 24
     assert abs(np.linalg.norm(run_on_zero(c)) - 1.0) < 1e-10
 
@@ -210,10 +189,6 @@ def test_random_spec_validation():
         RandomCircuitSpec(depth=0)
     with pytest.raises(ValueError):
         RandomCircuitSpec(two_qubit_prob=1.5)
-    with pytest.raises(ValueError):
-        RandomCircuitSpec(gate_pool=())
-    with pytest.raises(ValueError):
-        RandomCircuitSpec(gate_pool=(GateKind.CNOT,))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +205,19 @@ def test_build_ansatz_deterministic_per_seed(kind):
 
 
 def test_build_ansatz_random_uses_given_seed():
-    spec = RandomCircuitSpec(depth=2, two_qubit_prob=0.3, seed=0)
-    direct = build_random(4, RandomCircuitSpec(depth=2, two_qubit_prob=0.3, seed=55))
-    assert build_ansatz(AnsatzKind.RANDOM, 4, seed=55, random_spec=spec).gates == direct.gates
+    # replay the seed's draws: per position a CNOT coin, then a CNOT target
+    # or a single-qubit kind (RX, RY, RZ, H) and its angle
+    spec = RandomCircuitSpec(depth=2, two_qubit_prob=0.3)
+    gates = build_ansatz(AnsatzKind.RANDOM, 4, seed=55, random_spec=spec).gates
+    assert len(gates) == spec.depth * 4
+    rng = np.random.default_rng(55)
+    for i, g in enumerate(gates):
+        q = i % 4
+        if rng.random() < spec.two_qubit_prob:
+            target = int(rng.integers(3))
+            assert (g.kind, g.targets) == (GateKind.CNOT, (q, target + (target >= q)))
+        else:
+            kind = (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.H)[int(rng.integers(4))]
+            theta = float(rng.uniform(0.0, 2.0 * np.pi))
+            assert (g.kind, g.targets) == (kind, (q,))
+            assert g.params == (() if kind is GateKind.H else (theta,))

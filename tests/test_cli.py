@@ -6,7 +6,7 @@ import pytest
 
 from quanvbench import cli, quanv
 from quanvbench.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main, parse_config_text
-from quanvbench.data import save_idx, subset
+from quanvbench.data import Dataset, save_idx, subset
 from quanvbench.synthdata import synthetic_dataset
 
 
@@ -106,6 +106,21 @@ def test_cmd_quanvolve_rerun_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--n-train", "-5"],
+    ["--n-train", "700"],  # the synthetic pool holds 600 images
+    ["--seed", "-1"],
+], ids=["negative-subset", "subset-beyond-pool", "negative-seed"])
+def test_cmd_quanvolve_bad_value_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "maps.qnvf"
+    rc = main(["quanvolve", "--synthetic", "--out", str(out)] + flags)
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "internal error" not in err
+    assert not out.exists()
+
+
 def test_cmd_quanvolve_missing_file_exit_2(tmp_path, capsys):
     rc = main(["quanvolve", "--dataset-dir", str(tmp_path / "nowhere"),
                "--out", str(tmp_path / "x.qnvf")])
@@ -167,15 +182,60 @@ def test_cmd_sweep_nan_epsilon_exit_2(tmp_path, capsys):
     ("epsilons = 0, abc", "epsilons"),
     ("n_train = -5", ">= 0"),
     ("n_test = 0", "empty"),
+    ("epsilons = 0, 0.1, 0.1", "strictly ascending"),
+    ("epsilons_fgsm_extra = 1", "strictly ascending"),  # repeats the last epsilon
 ])
 def test_cmd_sweep_bad_value_exit_2(tmp_path, capsys, line, message):
     key = line.split(" = ")[0]
     config = tmp_path / "bad.cfg"
-    config.write_text(re.sub(rf"^{key} = .*$", line, TINY_SWEEP, flags=re.M))
+    config.write_text(re.sub(rf"^{key} =.*$", line, TINY_SWEEP, flags=re.M))
     rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
     assert rc == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o" / "results.csv").exists()
+
+
+def test_cmd_sweep_rejects_images_that_are_not_28x28(tmp_path, capsys):
+    root = tmp_path / "data"
+    root.mkdir()
+    pool = synthetic_dataset("mnist", 200, seed=5)
+    small = Dataset(pool.images[:, 4:24, 4:24], pool.labels, "mnist")
+    train, test = subset(small, 60, 40, seed=0)
+    save_idx(train, root / "train-images-idx3-ubyte", root / "train-labels-idx1-ubyte")
+    save_idx(test, root / "t10k-images-idx3-ubyte", root / "t10k-labels-idx1-ubyte")
+    config = tmp_path / "small.cfg"
+    config.write_text(TINY_SWEEP.replace("source = synthetic", f"dataset_dir = {root}"))
+    rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_USAGE
+    assert "28x28x1" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.csv").exists()
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flag, env", [
+    ("0", None), ("-2", None), ("two", None), (None, "abc"), (None, "0"),
+])
+def test_cmd_sweep_bad_thread_count_exit_2(tmp_path, monkeypatch, capsys, flag, env):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(TINY_SWEEP)
+    if env is not None:
+        monkeypatch.setenv("QUANVBENCH_THREADS", env)
+    argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "o")]
+    if flag is not None:
+        argv += ["--threads", flag]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse reports a bad flag value itself
+        rc = exc.code
+    assert rc == EXIT_USAGE
+    assert "positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_thread_env_is_a_usage_error_for_every_command(monkeypatch, capsys):
+    monkeypatch.setenv("QUANVBENCH_THREADS", "abc")
+    assert main(["verify"]) == EXIT_USAGE
+    assert "QUANVBENCH_THREADS" in capsys.readouterr().err
 
 
 def test_cmd_sweep_seed_override_changes_hash(tmp_path):

@@ -184,6 +184,40 @@ def test_sweep_config_rejects_empty_sets():
             tiny_config(**{split: empty})
 
 
+def test_sweep_config_rejects_images_that_are_not_28x28():
+    cfg = tiny_config()
+    small = Dataset(cfg.test_data.images[:, :20, :20], cfg.test_data.labels, "mnist")
+    for split in ("train_data", "test_data"):
+        with pytest.raises(ValueError, match="28x28x1"):
+            tiny_config(**{split: small})
+
+
+@pytest.mark.parametrize("threads, workers", [(64, [2]), (2, [2]), (1, [])])
+def test_pool_is_capped_at_the_task_count(monkeypatch, threads, workers):
+    # a stand-in pool that records its size and runs the tasks in-process
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    cfg = tiny_config(architectures=(Architecture.CLASSICAL_FC,),
+                      train_cfg=TrainConfig(epochs=1, seed=0))
+    records = run_sweep(cfg, threads=threads, progress=lambda msg: None)
+    assert started == workers  # 1 architecture x 2 trials = 2 tasks
+    assert len(records) == 2 * 3
+
+
 def test_stable_seed_is_stable():
     assert stable_seed(1, "a", 2) == stable_seed(1, "a", 2)
     assert stable_seed(1, "a", 2) != stable_seed(1, "a", 3)
