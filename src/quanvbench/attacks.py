@@ -17,6 +17,8 @@ Budgets and decays must be finite and >= 0, step sizes finite and > 0.
 
 Attacks run on (N, H, W, 1) batches with one gradient call per step; each
 image moves in its own epsilon ball along the gradient of its own loss.
+The first step's gradient, at the clean images, can be passed in as
+``gradient`` by a caller attacking one source at several budgets.
 """
 from __future__ import annotations
 
@@ -102,9 +104,8 @@ class EndToEndSource(GradientSource):
         self.head = head
 
     def gradient(self, images, labels):
-        features = quanv.quanvolve_dataset(images, self.quanv_cfg, validate=False)
-        upstream = nn.input_gradient(self.head, features, labels)
-        return quanv.input_gradient(images, self.quanv_cfg, upstream, validate=False)
+        features, pullback = quanv.quanvolve_with_pullback(images, self.quanv_cfg, validate=False)
+        return pullback(nn.input_gradient(self.head, features, labels))
 
 
 def _clamped(x: np.ndarray, clamp: tuple[float, float] | None) -> np.ndarray:
@@ -117,28 +118,24 @@ def fgsm(
     labels: np.ndarray,
     epsilon: float,
     clamp: tuple[float, float] | None = None,
+    gradient: np.ndarray | None = None,
 ) -> np.ndarray:
     """One signed-gradient step of size epsilon on every image."""
     _check_epsilon(epsilon)
     images = np.asarray(images, dtype=float)
-    step = epsilon * np.sign(source.gradient(images, labels))
+    step = epsilon * np.sign(source.gradient(images, labels) if gradient is None else gradient)
     return _clamped(images + step, clamp)
 
 
-def _iterative(
-    source: GradientSource,
-    images: np.ndarray,
-    labels: np.ndarray,
-    cfg: AttackConfig,
-    momentum: bool,
-) -> np.ndarray:
+def _iterative(source: GradientSource, images: np.ndarray, labels: np.ndarray,
+               cfg: AttackConfig, momentum: bool, gradient: np.ndarray | None) -> np.ndarray:
     images = np.asarray(images, dtype=float)
     eps, alpha = cfg.epsilon, cfg.resolved_step_size()
     delta = np.zeros_like(images)
     g_acc = np.zeros_like(images)
     adv = images
-    for _ in range(cfg.steps):
-        grad = source.gradient(adv, labels)
+    for step in range(cfg.steps):
+        grad = gradient if step == 0 and gradient is not None else source.gradient(adv, labels)
         if momentum:
             # L1 norm per image; an all-zero gradient is left as it is
             l1 = np.sum(np.abs(grad), axis=(1, 2, 3), keepdims=True)
@@ -154,23 +151,25 @@ def _iterative(
     return adv
 
 
-def pgd(source: GradientSource, images, labels, cfg: AttackConfig) -> np.ndarray:
+def pgd(source: GradientSource, images, labels, cfg: AttackConfig, gradient=None) -> np.ndarray:
     """Iterative signed-gradient ascent projected onto each image's epsilon ball."""
     if cfg.kind is not AttackKind.PGD:
         raise ValueError(f"expected PGD config, got {cfg.kind}")
-    return _iterative(source, images, labels, cfg, momentum=False)
+    return _iterative(source, images, labels, cfg, False, gradient)
 
 
-def mim(source: GradientSource, images, labels, cfg: AttackConfig) -> np.ndarray:
+def mim(source: GradientSource, images, labels, cfg: AttackConfig, gradient=None) -> np.ndarray:
     """PGD with a per-image L1-normalized momentum accumulator steering the sign."""
     if cfg.kind is not AttackKind.MIM:
         raise ValueError(f"expected MIM config, got {cfg.kind}")
-    return _iterative(source, images, labels, cfg, momentum=True)
+    return _iterative(source, images, labels, cfg, True, gradient)
 
 
-def attack_batch(source: GradientSource, images, labels, cfg: AttackConfig) -> np.ndarray:
+def attack_batch(source: GradientSource, images, labels, cfg: AttackConfig,
+                 gradient=None) -> np.ndarray:
     """Attack every image of an (N, H, W, 1) batch; order preserved, deterministic.
 
+    ``gradient``, if given, is ``source.gradient(images, labels)``, only read.
     At epsilon 0 every attack leaves the images where they are, so the
     (clamped) clean images come back without a gradient call.
     """
@@ -178,7 +177,7 @@ def attack_batch(source: GradientSource, images, labels, cfg: AttackConfig) -> n
     if len(images) == 0 or cfg.epsilon == 0:
         return _clamped(images, cfg.clamp)
     if cfg.kind is AttackKind.FGSM:
-        return fgsm(source, images, labels, cfg.epsilon, cfg.clamp)
+        return fgsm(source, images, labels, cfg.epsilon, cfg.clamp, gradient)
     if cfg.kind is AttackKind.PGD:
-        return pgd(source, images, labels, cfg)
-    return mim(source, images, labels, cfg)
+        return pgd(source, images, labels, cfg, gradient)
+    return mim(source, images, labels, cfg, gradient)

@@ -44,6 +44,7 @@ import json
 import os
 import sys
 import traceback
+import zlib
 
 import numpy as np
 
@@ -265,7 +266,9 @@ def cmd_quanvolve(args) -> int:
     qcfg = QuanvConfig(circuit=circuit)
     images = np.concatenate([train.images, test.images])
     maps = quanv.quanvolve_dataset(images, qcfg).astype(np.float32)
-    meta = harness.stable_seed(args.dataset, kind.value, args.seed)
+    # crc32, not blake2b: a few ms for thousands of images, and no copy
+    meta = harness.stable_seed(args.dataset, kind.value, args.seed, args.n_train, args.n_test,
+                               zlib.crc32(np.ascontiguousarray(images)))
     quanv.write_qnvf(args.out, maps, meta_hash=meta)
     print(
         f"wrote {args.out}: {maps.shape[0]} maps of "
@@ -281,8 +284,8 @@ def cmd_sweep(args) -> int:
         cfg = parse_config_text(fh.read())
     if args.seed is not None:
         cfg["base_seed"] = str(args.seed)
-    os.makedirs(args.out, exist_ok=True)
     sweep_cfg = build_sweep_config(cfg)
+    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "results.csv")
 
     records = []

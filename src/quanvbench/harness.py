@@ -22,7 +22,8 @@ builds adversarial images against a classical CNN trained on the raw pixels
 through the quanvolution itself.  The surrogate depends only on the trial,
 so the qunn task trains it once and builds its adversarial sets once per
 attack and epsilon, shared by every head.  Classical architectures are
-always attacked with their own gradients.
+always attacked with their own gradients.  All attacks of one source start
+from its gradient at the clean test images, which a task computes once.
 
 Determinism: every random draw is derived from base_seed via stable hashes
 of the cell coordinates other than the attack, so any (architecture, ansatz,
@@ -31,6 +32,7 @@ trial) model can be recomputed in isolation and a rerun of the whole sweep
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import sys
@@ -78,6 +80,10 @@ class SweepConfig:
             if split.images.shape[1:] != (28, 28, 1):
                 raise ValueError(f"images must be 28x28x1, the input every architecture "
                                  f"is built for, got {split.images.shape[1:]}")
+            labels = split.labels
+            if labels.dtype.kind not in "iu" or not 0 <= labels.min() <= labels.max() < nn.N_CLASSES:
+                raise ValueError(f"labels must be integers in [0, {nn.N_CLASSES}), got "
+                                 f"{labels.dtype} labels from {labels.min()} to {labels.max()}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.mode not in ("surrogate", "end_to_end"):
@@ -193,13 +199,20 @@ def _train_surrogate(cfg: SweepConfig, trial: int) -> nn.Model:
                     replace(cfg.train_cfg, seed=seed))
 
 
-def _adversarial_sets(cfg: SweepConfig, source, attack: AttackKind):
-    """The attack's adversarial test sets against ``source``, one per epsilon
-    of its grid, built as they are iterated."""
-    for epsilon in cfg.epsilons_for(attack):
-        yield attack_batch(source, cfg.test_data.images, cfg.test_data.labels,
-                           AttackConfig(attack, epsilon, steps=cfg.attack_steps,
-                                        decay=cfg.attack_decay, clamp=cfg.clamp))
+def _attacker(cfg: SweepConfig, source):
+    """attack -> its adversarial test sets against ``source``, one per epsilon,
+    built as they are iterated; all share one clean-image gradient."""
+    images, labels = cfg.test_data.images, cfg.test_data.labels
+    clean_gradient = functools.cache(functools.partial(source.gradient, images, labels))
+
+    def adversarial_sets(attack: AttackKind):
+        for epsilon in cfg.epsilons_for(attack):
+            yield attack_batch(source, images, labels,
+                               AttackConfig(attack, epsilon, steps=cfg.attack_steps,
+                                            decay=cfg.attack_decay, clamp=cfg.clamp),
+                               gradient=clean_gradient() if epsilon else None)
+
+    return adversarial_sets
 
 
 def run_trial(
@@ -213,7 +226,7 @@ def run_trial(
 ) -> list[SweepRecord]:
     """Steps 3 and 4 for one cell and one trial: evaluate ``trained`` on
     ``adversarial``, the attack's test sets in the order of its epsilon grid
-    (an iterator of `_adversarial_sets` builds each one as it is evaluated)."""
+    (an iterator from `_attacker` builds each one as it is evaluated)."""
     ansatz_label = ansatz_kind.value if ansatz_kind is not None else "-"
     records = []
     for epsilon, adv in zip(cfg.epsilons_for(attack), adversarial, strict=True):
@@ -235,11 +248,12 @@ def _task_records(cfg: SweepConfig, architecture: Architecture, trial: int):
     models = [(kind, _train_model(cfg, architecture, kind, trial)) for kind in kinds]
     surrogate = None
     if architecture is Architecture.QUNN and cfg.mode == "surrogate":
-        surrogate = SurrogateSource(_train_surrogate(cfg, trial))
+        surrogate = _attacker(cfg, SurrogateSource(_train_surrogate(cfg, trial)))
+    own = [_attacker(cfg, trained.own_source()) for _, trained in models]
     for attack in cfg.attacks:
-        shared = None if surrogate is None else list(_adversarial_sets(cfg, surrogate, attack))
-        for kind, trained in models:
-            adversarial = shared or _adversarial_sets(cfg, trained.own_source(), attack)
+        shared = None if surrogate is None else list(surrogate(attack))
+        for (kind, trained), attacker in zip(models, own):
+            adversarial = shared or attacker(attack)
             yield run_trial(cfg, architecture, kind, attack, trial, trained, adversarial)
 
 

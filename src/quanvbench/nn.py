@@ -15,6 +15,8 @@ Tensors are row-major numpy arrays; images are (H, W, C) and internal layer
 code works on (N, ...) batches.  Layer forward/backward are functional
 (caches are passed, not stored), so inference and input gradients on a
 frozen model are safe to run concurrently; only train() mutates parameters.
+Backward computes only what is read, and Adam updates in one pass the flat
+vector that every parameter is a view of.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ class Architecture(Enum):
 
 # ---------------------------------------------------------------------------
 # Layers.  forward(x, training, rng) -> (y, cache); backward(dout, cache) ->
-# (dx, param_grads).  Layers without parameters return empty grad dicts.
+# dx; with param_names, param_grads(dout, cache) -> {name: gradient}.
 # ---------------------------------------------------------------------------
 
 
@@ -44,7 +46,13 @@ def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=shape)
 
 
-class Conv2D:
+class Layer:
+    param_names: tuple[str, ...] = ()
+
+
+class Conv2D(Layer):
+    param_names = ("weights", "bias")
+
     def __init__(self, kernel_size, stride, in_channels, out_channels, rng):
         self.kernel_size = kernel_size
         self.stride = stride
@@ -55,78 +63,67 @@ class Conv2D:
         )
         self.bias = np.zeros(out_channels)
 
-    def params(self):
-        return {"weights": self.weights, "bias": self.bias}
-
-    def out_hw(self, h, w):
+    def _taps(self, oh, ow):
+        """(i, j, index of the inputs that tap (i, j) reads) for every tap."""
         k, s = self.kernel_size, self.stride
-        return (h - k) // s + 1, (w - k) // s + 1
+        return [(i, j, (slice(None), slice(i, i + oh * s, s), slice(j, j + ow * s, s)))
+                for i in range(k) for j in range(k)]
 
     def forward(self, x, training=False, rng=None):
         n, h, w, _ = x.shape
         k, s = self.kernel_size, self.stride
-        oh, ow = self.out_hw(h, w)
+        oh, ow = (h - k) // s + 1, (w - k) // s + 1
         out = np.broadcast_to(self.bias, (n, oh, ow, self.bias.shape[0])).copy()
-        for i in range(k):
-            for j in range(k):
-                patch = x[:, i : i + oh * s : s, j : j + ow * s : s, :]
-                out += np.einsum("nhwc,cf->nhwf", patch, self.weights[i, j])
+        for i, j, patch in self._taps(oh, ow):
+            out += np.einsum("nhwc,cf->nhwf", x[patch], self.weights[i, j])
         return out, x
 
     def backward(self, dout, cache):
-        x = cache
-        k, s = self.kernel_size, self.stride
-        oh, ow = dout.shape[1], dout.shape[2]
+        dx = np.zeros_like(cache)
+        for i, j, patch in self._taps(*dout.shape[1:3]):
+            dx[patch] += np.einsum("nhwf,cf->nhwc", dout, self.weights[i, j])
+        return dx
+
+    def param_grads(self, dout, cache):
         dw = np.zeros_like(self.weights)
-        dx = np.zeros_like(x)
-        for i in range(k):
-            for j in range(k):
-                patch = x[:, i : i + oh * s : s, j : j + ow * s : s, :]
-                dw[i, j] = np.einsum("nhwc,nhwf->cf", patch, dout)
-                dx[:, i : i + oh * s : s, j : j + ow * s : s, :] += np.einsum(
-                    "nhwf,cf->nhwc", dout, self.weights[i, j]
-                )
-        return dx, {"weights": dw, "bias": dout.sum(axis=(0, 1, 2))}
+        for i, j, patch in self._taps(*dout.shape[1:3]):
+            dw[i, j] = np.einsum("nhwc,nhwf->cf", cache[patch], dout)
+        return {"weights": dw, "bias": dout.sum(axis=(0, 1, 2))}
 
 
-class Dense:
+class Dense(Layer):
+    param_names = ("weights", "bias")
+
     def __init__(self, in_features, out_features, rng):
         self.weights = _glorot(rng, (in_features, out_features), in_features, out_features)
         self.bias = np.zeros(out_features)
-
-    def params(self):
-        return {"weights": self.weights, "bias": self.bias}
 
     def forward(self, x, training=False, rng=None):
         return x @ self.weights + self.bias, x
 
     def backward(self, dout, cache):
-        dx = dout @ self.weights.T
-        return dx, {"weights": cache.T @ dout, "bias": dout.sum(axis=0)}
+        return dout @ self.weights.T
+
+    def param_grads(self, dout, cache):
+        return {"weights": cache.T @ dout, "bias": dout.sum(axis=0)}
 
 
-class ReLU:
-    def params(self):
-        return {}
-
+class ReLU(Layer):
     def forward(self, x, training=False, rng=None):
         mask = x > 0
         return x * mask, mask
 
     def backward(self, dout, cache):
-        return dout * cache, {}
+        return dout * cache
 
 
-class Dropout:
+class Dropout(Layer):
     """Inverted dropout: scaled mask at train time, identity at eval."""
 
     def __init__(self, drop_prob):
         if not 0.0 <= drop_prob < 1.0:
             raise ValueError(f"drop_prob must be in [0, 1), got {drop_prob}")
         self.drop_prob = drop_prob
-
-    def params(self):
-        return {}
 
     def forward(self, x, training=False, rng=None):
         if not training or self.drop_prob == 0.0:
@@ -137,24 +134,18 @@ class Dropout:
         return x * mask, mask
 
     def backward(self, dout, cache):
-        return dout if cache is None else dout * cache, {}
+        return dout if cache is None else dout * cache
 
 
-class Flatten:
-    def params(self):
-        return {}
-
+class Flatten(Layer):
     def forward(self, x, training=False, rng=None):
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, dout, cache):
-        return dout.reshape(cache), {}
+        return dout.reshape(cache)
 
 
-class Softmax:
-    def params(self):
-        return {}
-
+class Softmax(Layer):
     def forward(self, x, training=False, rng=None):
         shifted = x - x.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
@@ -163,11 +154,12 @@ class Softmax:
 
     def backward(self, dout, cache):
         p = cache
-        return p * (dout - np.sum(dout * p, axis=-1, keepdims=True)), {}
+        return p * (dout - np.sum(dout * p, axis=-1, keepdims=True))
 
 
 class Model:
-    """Layer stack ending in Softmax, plus the seed it was built from."""
+    """Layer stack ending in Softmax, plus the seed it was built from; every
+    parameter is a view of ``flat``, which holds them all in layer order."""
 
     def __init__(self, layers, input_shape, arch, dataset, rng_seed):
         self.layers = layers
@@ -175,15 +167,21 @@ class Model:
         self.arch = arch
         self.dataset = dataset
         self.rng_seed = rng_seed
+        entries = list(self.param_entries())
+        self.flat = np.concatenate([arr.ravel() for _, _, arr in entries])
+        offset = 0
+        for li, name, arr in entries:
+            setattr(layers[li], name, self.flat[offset : offset + arr.size].reshape(arr.shape))
+            offset += arr.size
 
     def param_entries(self):
         """(layer_index, name, array) for every parameter, in layer order."""
         for li, layer in enumerate(self.layers):
-            for name, arr in layer.params().items():
-                yield li, name, arr
+            for name in layer.param_names:
+                yield li, name, getattr(layer, name)
 
     def parameter_count(self):
-        return sum(arr.size for _, _, arr in self.param_entries())
+        return self.flat.size
 
 
 def build_model(arch: Architecture, dataset: str, seed: int) -> Model:
@@ -254,16 +252,21 @@ def loss(model: Model, x: np.ndarray, label: int) -> float:
     return cross_entropy(forward(model, x), np.array([label]))
 
 
-def _backward_from_logits(model: Model, dlogits: np.ndarray, caches):
-    """Backpropagate from the pre-softmax gradient; returns (dx, grads list)."""
+def _backward_from_logits(model: Model, dlogits: np.ndarray, caches, params=False):
+    """Backpropagate from the pre-softmax gradient to the input gradient or,
+    with ``params``, to the parameter gradients as one vector laid out like
+    ``model.flat``, stopping below the first layer that has parameters."""
     if not isinstance(model.layers[-1], Softmax):
         raise ValueError("model must end in Softmax")
-    grads: list = [None] * len(model.layers)
-    dout = dlogits
+    dout, grads = dlogits, {}
     for li in range(len(model.layers) - 2, -1, -1):
-        dout, g = model.layers[li].backward(dout, caches[li])
-        grads[li] = g
-    return dout, grads
+        layer = model.layers[li]
+        if params and layer.param_names:
+            grads.update(((li, name), g) for name, g in layer.param_grads(dout, caches[li]).items())
+        if params and not any(below.param_names for below in model.layers[:li]):
+            return np.concatenate([grads[i, name].ravel() for i, name, _ in model.param_entries()])
+        dout = layer.backward(dout, caches[li])
+    return dout
 
 
 def input_gradient(model: Model, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -282,8 +285,7 @@ def input_gradient(model: Model, x: np.ndarray, labels: np.ndarray) -> np.ndarra
     probs, caches = _forward_batch(model, x, training=False)
     dlogits = probs.copy()
     dlogits[np.arange(len(x)), labels] -= 1.0
-    dx, _ = _backward_from_logits(model, dlogits, caches)
-    return dx
+    return _backward_from_logits(model, dlogits, caches)
 
 
 def evaluate(model: Model, inputs: np.ndarray, labels: np.ndarray) -> float:
@@ -320,23 +322,21 @@ class TrainConfig:
 
 
 class _Adam:
-    def __init__(self, lr):
+    """Adam on one flat parameter vector: every step is one elementwise pass."""
+
+    def __init__(self, lr, size):
         self.lr = lr
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
-        self.m: dict = {}
-        self.v: dict = {}
+        self.m, self.v = np.zeros(size), np.zeros(size)
         self.t = 0
 
-    def step(self, entries):
+    def step(self, param, grad):
         self.t += 1
-        for key, param, grad in entries:
-            m = self.m.setdefault(key, np.zeros_like(param))
-            v = self.v.setdefault(key, np.zeros_like(param))
-            m += (1 - self.beta1) * (grad - m)
-            v += (1 - self.beta2) * (grad * grad - v)
-            m_hat = m / (1 - self.beta1**self.t)
-            v_hat = v / (1 - self.beta2**self.t)
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m += (1 - self.beta1) * (grad - self.m)
+        self.v += (1 - self.beta2) * (grad * grad - self.v)
+        m_hat = self.m / (1 - self.beta1**self.t)
+        v_hat = self.v / (1 - self.beta2**self.t)
+        param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def train(model: Model, inputs, labels, cfg: TrainConfig):
@@ -355,7 +355,7 @@ def train(model: Model, inputs, labels, cfg: TrainConfig):
         raise ValueError("labels must lie in [0, 10)")
 
     rng = np.random.default_rng(cfg.seed)
-    opt = _Adam(cfg.learning_rate)
+    opt = _Adam(cfg.learning_rate, model.flat.size)
     n = len(inputs)
     for _epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -366,11 +366,6 @@ def train(model: Model, inputs, labels, cfg: TrainConfig):
             dlogits = probs.copy()
             dlogits[np.arange(len(yb)), yb] -= 1.0
             dlogits /= len(yb)
-            _, grads = _backward_from_logits(model, dlogits, caches)
-            entries = [
-                ((li, name), arr, grads[li][name])
-                for li, name, arr in model.param_entries()
-            ]
-            opt.step(entries)
+            opt.step(model.flat, _backward_from_logits(model, dlogits, caches, params=True))
     return model
 

@@ -18,7 +18,8 @@ after them, channel q has exactly two: the cos and the sin of pixel q.
 Feature maps take values in [-1, 1] and have kernel_size^2 channels; they
 are 2-periodic in every pixel, and exact input gradients are the same terms
 with one factor differentiated.  Both are evaluated on blocks of images,
-every term reading pixel i of all patches through one strided view.
+every term reading pixel i of all patches through one strided view;
+`quanvolve_with_pullback` evaluates a block's cos and sin once for both.
 
 Raw inputs live in [0, 1] and are range-checked by default (NaN fails the
 check).  Adversarially perturbed images may leave that interval when attack
@@ -31,6 +32,7 @@ C u32, metadata hash u64) followed by the maps as row-major float32.
 """
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -123,10 +125,9 @@ def output_shape(height: int, width: int, cfg: QuanvConfig) -> tuple[int, int, i
 
 
 def _blocked(images: np.ndarray, validate: bool, cfg: QuanvConfig):
-    """Checked (N, H, W, 1) images, feature maps shape, blocks, patch pixels.
-
-    ``pixels[i]`` indexes pixel i of every patch in an (N, H, W) array.
-    """
+    """Checked (N, H, W, 1) images, feature maps shape, ``pixels[i]`` indexing
+    pixel i of every patch in an (N, H, W) array, and each block's slice with
+    its (cos, sin)(pi x), computed as it is iterated."""
     images = np.asarray(images, dtype=float)
     if images.ndim != 4 or images.shape[-1] != 1:
         raise ValueError(f"expected single-channel (N, H, W, 1) images, got {images.shape}")
@@ -136,8 +137,47 @@ def _blocked(images: np.ndarray, validate: bool, cfg: QuanvConfig):
     k, s = cfg.kernel_size, cfg.stride
     pixels = [(slice(None), slice(a, a + s * rows, s), slice(b, b + s * cols, s))
               for a in range(k) for b in range(k)]
-    blocks = [slice(start, start + _BLOCK) for start in range(0, len(images), _BLOCK)]
-    return images, (len(images), rows, cols, n), blocks, pixels
+    blocks = (slice(start, start + _BLOCK) for start in range(0, len(images), _BLOCK))
+    phis = ((block, np.pi * images[block, ..., 0]) for block in blocks)
+    return images, (len(images), rows, cols, n), pixels, (
+        (block, (np.cos(phi), np.sin(phi))) for block, phi in phis)
+
+
+def _features(cfg: QuanvConfig, shape, pixels, blocks) -> np.ndarray:
+    """Feature maps of ``shape``, every term evaluated on each block's (cos, sin)."""
+    features = np.zeros(shape)
+    for block, trig in blocks:
+        out = features[block]
+        for q, coefficient, factors in cfg.terms:
+            term = coefficient
+            for i, t in factors:
+                term = term * trig[t][pixels[i]]
+            out[..., q] += term
+    return features
+
+
+def _pullback(cfg: QuanvConfig, images, shape, pixels, blocks, upstream) -> np.ndarray:
+    """d(sum(upstream[j] * features[j]))/d(images[j]).  Each pixel of a term
+    of channel q gets upstream_q times the term with that pixel's factor
+    differentiated, added through the view that read it."""
+    upstream = np.asarray(upstream, dtype=float)
+    if upstream.shape != shape:
+        raise ValueError(
+            f"upstream shape {upstream.shape} does not match feature maps shape {shape}"
+        )
+    grad = np.zeros_like(images)
+    for block, (cos, sin) in blocks:
+        trig, dtrig = (cos, sin), (-np.pi * sin, np.pi * cos)
+        u, g = upstream[block], grad[block, ..., 0]
+        for q, coefficient, factors in cfg.terms:
+            weight = coefficient * u[..., q]
+            for i, t in factors:
+                partial = weight * dtrig[t][pixels[i]]
+                for j, tj in factors:
+                    if j != i:
+                        partial = partial * trig[tj][pixels[j]]
+                g[pixels[i]] += partial
+    return grad
 
 
 def quanvolve_image(
@@ -151,18 +191,8 @@ def quanvolve_dataset(
     images: np.ndarray, cfg: QuanvConfig, validate: bool = True
 ) -> np.ndarray:
     """Feature maps (N, rows, cols, k^2) of (N, H, W, 1) images; order preserved."""
-    images, shape, blocks, pixels = _blocked(images, validate, cfg)
-    features = np.zeros(shape)
-    for block in blocks:
-        phi = np.pi * images[block, ..., 0]
-        trig = np.cos(phi), np.sin(phi)
-        out = features[block]
-        for q, coefficient, factors in cfg.terms:
-            term = coefficient
-            for i, t in factors:
-                term = term * trig[t][pixels[i]]
-            out[..., q] += term
-    return features
+    _images, shape, pixels, blocks = _blocked(images, validate, cfg)
+    return _features(cfg, shape, pixels, blocks)
 
 
 def input_gradient(
@@ -171,35 +201,19 @@ def input_gradient(
     upstream: np.ndarray,
     validate: bool = True,
 ) -> np.ndarray:
-    """Exact d(sum(upstream[j] * features[j]))/d(images[j]) for every image j.
+    """Exact d(sum(upstream[j] * features[j]))/d(images[j]) for every image j,
+    from (N, H, W, 1) images and (N, rows, cols, n) upstream weights; pixels
+    outside every patch get 0."""
+    return _pullback(cfg, *_blocked(images, validate, cfg), upstream)
 
-    Takes (N, H, W, 1) images and (N, rows, cols, n) upstream weights.  Each
-    pixel of a term of channel q gets upstream_q times the term with that
-    pixel's factor differentiated, added into the pixel through the view
-    that read it; pixels outside every patch get 0.
-    """
-    images, shape, blocks, pixels = _blocked(images, validate, cfg)
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != shape:
-        raise ValueError(
-            f"upstream shape {upstream.shape} does not match feature maps shape {shape}"
-        )
 
-    grad = np.zeros_like(images)
-    for block in blocks:
-        phi = np.pi * images[block, ..., 0]
-        cos, sin = trig = np.cos(phi), np.sin(phi)
-        dtrig = -np.pi * sin, np.pi * cos
-        u, g = upstream[block], grad[block, ..., 0]
-        for q, coefficient, factors in cfg.terms:
-            weight = coefficient * u[..., q]
-            for i, t in factors:
-                partial = weight * dtrig[t][pixels[i]]
-                for j, tj in factors:
-                    if j != i:
-                        partial = partial * trig[tj][pixels[j]]
-                g[pixels[i]] += partial
-    return grad
+def quanvolve_with_pullback(images: np.ndarray, cfg: QuanvConfig, validate: bool = True):
+    """``quanvolve_dataset(images, cfg)`` and the function taking upstream to
+    ``input_gradient(images, cfg, upstream)``, from one cos and sin per block."""
+    images, shape, pixels, blocks = _blocked(images, validate, cfg)
+    blocks = list(blocks)
+    return (_features(cfg, shape, pixels, blocks),
+            functools.partial(_pullback, cfg, images, shape, pixels, blocks))
 
 
 def write_qnvf(path, maps: np.ndarray, meta_hash: int = 0) -> None:

@@ -188,6 +188,47 @@ def test_criterion_4_robustness_gap(mnist_sweep, report):
 
 
 # ---------------------------------------------------------------------------
+# Report-only: qunn under end_to_end attacks next to the surrogate numbers
+# ---------------------------------------------------------------------------
+
+REPORT_EPSILONS = (0.05, 0.1)
+
+
+@pytest.fixture(scope="module")
+def mnist_end_to_end_sweep():
+    """The MNIST sweep's qunn heads attacked through the quanvolution.  The
+    grid stops at the reported budgets: the heads do not depend on the grid,
+    and each epsilon's attack is independent of the others, so these are the
+    full grid's numbers."""
+    train, test = load_benchmark_data("mnist")
+    cfg = SweepConfig(train_data=train, test_data=test, base_seed=0,
+                      architectures=(Architecture.QUNN,), mode="end_to_end",
+                      epsilons=(0.0,) + REPORT_EPSILONS, fgsm_extra_epsilons=())
+    t0 = time.perf_counter()
+    records = run_sweep(cfg, threads=THREADS, progress=lambda m: None)
+    return records, time.perf_counter() - t0
+
+
+def test_report_end_to_end_next_to_surrogate(mnist_sweep, mnist_end_to_end_sweep, capsys):
+    """Report-only, no gate: whether the surrogate robustness of the heads
+    survives their own exact gradients."""
+    _cfg, surrogate, _ = mnist_sweep
+    end_to_end, elapsed = mnist_end_to_end_sweep
+    lines = [f"    (report-only) mnist qunn accuracy, surrogate/end_to_end "
+             f"({elapsed:.1f}s for the end_to_end sweep):"]
+    for ans in ANSATZ_NAMES:
+        cells = []
+        for attack in ("fgsm", "pgd", "mim"):
+            for eps in REPORT_EPSILONS:
+                cell = dict(architecture="qunn", ansatz=ans, attack=attack, epsilon=eps)
+                cells.append(f"{attack}@{eps:g} {mean_acc(surrogate, **cell):.3f}/"
+                             f"{mean_acc(end_to_end, **cell):.3f}")
+        lines.append(f"      {ans}: " + "  ".join(cells))
+    with capsys.disabled():
+        print("\n".join(lines), flush=True)
+
+
+# ---------------------------------------------------------------------------
 # Criterion 5: plateau between eps=2 and eps=10/15 under FGSM
 # ---------------------------------------------------------------------------
 

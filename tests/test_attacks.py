@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quanvbench import nn
+from quanvbench import nn, quanv
 from quanvbench.attacks import (
     AttackConfig,
     AttackKind,
@@ -328,3 +328,51 @@ def test_end_to_end_source_attacks_through_quanv(toy_end_to_end, rng):
     adv = fgsm(source, img, [label], 0.25)
     assert np.max(np.abs(adv - img)) <= 0.25 + 1e-12
     assert loss(adv, label) > base
+
+
+def test_end_to_end_gradient_equals_the_separate_quanv_path(toy_end_to_end, rng):
+    # one trig pass for features and pullback: the same bits as quanvolving,
+    # backpropagating through the head and pulling back in separate calls
+    source = toy_end_to_end
+    images, labels = rng.uniform(-1, 2, (70, 6, 6, 1)), rng.integers(0, 10, 70)
+    features = quanvolve_dataset(images, source.quanv_cfg, validate=False)
+    upstream = nn.input_gradient(source.head, features, labels)
+    expected = quanv.input_gradient(images, source.quanv_cfg, upstream, validate=False)
+    assert np.array_equal(source.gradient(images, labels), expected)
+
+
+# ---------------------------------------------------------------------------
+# A supplied clean-image gradient
+# ---------------------------------------------------------------------------
+
+class CountingSource:
+    """Forwards to a real source and counts the gradient calls."""
+
+    def __init__(self, source):
+        self.source, self.mode, self.calls = source, source.mode, 0
+
+    def gradient(self, images, labels):
+        self.calls += 1
+        return self.source.gradient(images, labels)
+
+
+@pytest.mark.parametrize("kind", list(AttackKind))
+@pytest.mark.parametrize("clamp", [None, (0.0, 1.0)])
+@pytest.mark.parametrize("source_kind", ["surrogate", "end_to_end"])
+def test_supplied_clean_gradient_gives_the_same_images(kind, clamp, source_kind, trained_toy,
+                                                        toy_end_to_end, rng):
+    if source_kind == "surrogate":
+        model, xs, ys = trained_toy
+        source, images, labels = SurrogateSource(model), xs[:10], ys[:10]
+    else:
+        source = toy_end_to_end
+        images, labels = rng.uniform(0, 1, (10, 6, 6, 1)), rng.integers(0, 10, 10)
+    cfg = AttackConfig(kind, 0.3, steps=4, clamp=clamp)
+    plain, supplied = CountingSource(source), CountingSource(source)
+    expected = attack_batch(plain, images, labels, cfg)
+    clean = source.gradient(images, labels)
+    kept = clean.copy()
+    adv = attack_batch(supplied, images, labels, cfg, gradient=clean)
+    assert adv.tobytes() == expected.tobytes()
+    assert supplied.calls == plain.calls - 1  # FGSM: none at all
+    assert np.array_equal(clean, kept)  # only read: callers share it across attacks

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from quanvbench import cli, quanv
+from quanvbench import cli, nn, quanv
 from quanvbench.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main, parse_config_text
 from quanvbench.data import Dataset, save_idx, subset
 from quanvbench.synthdata import synthetic_dataset
@@ -106,6 +106,20 @@ def test_cmd_quanvolve_rerun_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_qnvf_meta_hash_covers_the_subset(idx_dir, tmp_path):
+    def meta_hash(name, *flags):
+        out = tmp_path / name
+        assert main(["quanvolve", "--seed", "1", "--out", str(out), *flags]) == EXIT_OK
+        return out.read_bytes()[:quanv._QNVF_HEADER.size], quanv.read_qnvf(out)[1]
+
+    header, ten = meta_hash("a.qnvf", "--synthetic", "--n-train", "10")
+    assert meta_hash("b.qnvf", "--synthetic", "--n-train", "10") == (header, ten)
+    others = {meta_hash("c.qnvf", "--synthetic", "--n-train", "20")[1],
+              meta_hash("d.qnvf", "--synthetic", "--n-train", "10", "--n-test", "20")[1],
+              meta_hash("e.qnvf", "--dataset-dir", str(idx_dir), "--n-train", "10")[1]}
+    assert len(others) == 3 and ten not in others
+
+
 @pytest.mark.parametrize("flags", [
     ["--n-train", "-5"],
     ["--n-train", "700"],  # the synthetic pool holds 600 images
@@ -173,7 +187,7 @@ def test_cmd_sweep_nan_epsilon_exit_2(tmp_path, capsys):
     rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
     assert rc == EXIT_USAGE
     assert "finite" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "results.csv").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("line, message", [
@@ -192,7 +206,7 @@ def test_cmd_sweep_bad_value_exit_2(tmp_path, capsys, line, message):
     rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
     assert rc == EXIT_USAGE
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "o" / "results.csv").exists()
+    assert not (tmp_path / "o").exists()  # validated before the directory is made
 
 
 def test_cmd_sweep_rejects_images_that_are_not_28x28(tmp_path, capsys):
@@ -208,8 +222,21 @@ def test_cmd_sweep_rejects_images_that_are_not_28x28(tmp_path, capsys):
     rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
     assert rc == EXIT_USAGE
     assert "28x28x1" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "results.csv").exists()
-    assert not (tmp_path / "o" / "manifest.json").exists()
+    assert not (tmp_path / "o").exists()
+
+
+def test_cmd_sweep_rejects_idx_labels_outside_the_classes(idx_dir, tmp_path, capsys, monkeypatch):
+    labels = idx_dir / "mnist" / "train-labels-idx1-ubyte"
+    raw = bytearray(labels.read_bytes())
+    raw[8] = 10  # the first label, after the 8-byte header
+    labels.write_bytes(bytes(raw))
+    monkeypatch.setattr(nn, "train", None)  # any training fails
+    config = tmp_path / "sweep.cfg"
+    config.write_text(TINY_SWEEP.replace("source = synthetic", f"dataset_dir = {idx_dir}"))
+    rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_USAGE
+    assert "labels must" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flag, env", [

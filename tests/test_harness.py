@@ -5,7 +5,7 @@ import pytest
 
 from quanvbench import harness, nn
 from quanvbench.ansatz import AnsatzKind
-from quanvbench.attacks import AttackKind, SurrogateSource
+from quanvbench.attacks import AttackKind, EndToEndSource, SurrogateSource
 from quanvbench.data import Dataset
 from quanvbench.harness import (
     AggregateRecord,
@@ -62,7 +62,7 @@ def fresh_trial(cfg, architecture, ansatz_kind, attack, trial):
     if architecture is Architecture.QUNN and cfg.mode == "surrogate":
         source = SurrogateSource(harness._train_surrogate(cfg, trial))
     return run_trial(cfg, architecture, ansatz_kind, attack, trial, trained,
-                     harness._adversarial_sets(cfg, source, attack))
+                     harness._attacker(cfg, source)(attack))
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +174,35 @@ def test_surrogate_sets_are_built_once_per_attack_and_epsilon(monkeypatch):
     run_sweep(cfg, progress=lambda msg: None)
     per_trial = sum(len(cfg.epsilons_for(attack)) for attack in cfg.attacks)
     assert len(surrogate_attacks) == cfg.trials * per_trial
+
+
+@pytest.mark.parametrize("mode, own_heads", [("surrogate", 0), ("end_to_end", 2)])
+def test_each_source_evaluates_its_clean_gradient_once_per_trial(monkeypatch, mode, own_heads):
+    cfg = two_attack_config(mode=mode, attacks=tuple(AttackKind))
+    clean = []
+    for cls in (SurrogateSource, EndToEndSource):
+        def counting(self, images, labels, real=cls.gradient):
+            if np.array_equal(images, cfg.test_data.images):
+                clean.append(self)  # kept alive, so every id is a distinct source
+            return real(self, images, labels)
+
+        monkeypatch.setattr(cls, "gradient", counting)
+    run_sweep(cfg, progress=lambda msg: None)
+    # classical_cnn, classical_fc, and the surrogate or each head's own source
+    sources = 2 + (own_heads or 1)
+    assert len(clean) == sources * cfg.trials
+    assert len({id(source) for source in clean}) == len(clean)
+
+
+def test_sweep_config_rejects_labels_outside_the_classes():
+    cfg = tiny_config()
+    changed = Dataset(cfg.test_data.images, cfg.test_data.labels.copy(), "mnist")
+    changed.labels[0] = 10  # after the Dataset checked them
+    fractional = Dataset(cfg.test_data.images, cfg.test_data.labels + 0.5, "mnist")
+    for split in ("train_data", "test_data"):
+        for bad in (changed, fractional):
+            with pytest.raises(ValueError, match="labels must be integers"):
+                tiny_config(**{split: bad})
 
 
 def test_sweep_config_rejects_empty_sets():

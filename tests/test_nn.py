@@ -115,7 +115,7 @@ def test_softmax_backward_matches_numerical_jacobian(rng):
     x = rng.normal(size=(1, 6))
     dout = rng.normal(size=(1, 6))
     p, cache = layer.forward(x)
-    dx, _ = layer.backward(dout, cache)
+    dx = layer.backward(dout, cache)
     h = 1e-6
     for j in range(6):
         xp, xm = x.copy(), x.copy()
@@ -232,7 +232,7 @@ def test_train_memorizes_small_dataset(rng):
 
 
 def test_parameters_change_only_through_optimizer_step(rng, monkeypatch):
-    monkeypatch.setattr(nn._Adam, "step", lambda self, entries: None)
+    monkeypatch.setattr(nn._Adam, "step", lambda self, param, grad: None)
     xs, ys = random_dataset(rng, n=8)
     m = build_model(Architecture.CLASSICAL_FC, "mnist", seed=2)
     before = [arr.copy() for _, _, arr in m.param_entries()]
@@ -282,3 +282,85 @@ def test_uniform_predictor_scores_chance_on_balanced_labels():
     xs = np.zeros((50, 28, 28, 1))
     ys = np.repeat(np.arange(10), 5)
     assert evaluate(m, xs, ys) == pytest.approx(0.1)
+
+
+# ---------------------------------------------------------------------------
+# flat-vector Adam and a backward that computes only what is read
+# ---------------------------------------------------------------------------
+
+def reference_train(model, inputs, labels, cfg):
+    """Adam with one moment pair and one update per parameter array, after
+    a full backward pass down to the input."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    moments, t = {}, 0
+    rng = np.random.default_rng(cfg.seed)
+    for _epoch in range(cfg.epochs):
+        order = rng.permutation(len(inputs))
+        for start in range(0, len(inputs), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            xb, yb = inputs[idx], labels[idx]
+            probs, caches = nn._forward_batch(model, xb, training=True, rng=rng)
+            dout = probs.copy()
+            dout[np.arange(len(yb)), yb] -= 1.0
+            dout /= len(yb)
+            grads = {}
+            for li in range(len(model.layers) - 2, -1, -1):
+                layer = model.layers[li]
+                if layer.param_names:
+                    grads.update({(li, name): g
+                                  for name, g in layer.param_grads(dout, caches[li]).items()})
+                dout = layer.backward(dout, caches[li])
+            t += 1
+            for li, name, param in model.param_entries():
+                grad = grads[(li, name)]
+                m, v = moments.setdefault((li, name), (np.zeros_like(param), np.zeros_like(param)))
+                m += (1 - beta1) * (grad - m)
+                v += (1 - beta2) * (grad * grad - v)
+                m_hat = m / (1 - beta1**t)
+                v_hat = v / (1 - beta2**t)
+                param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return model
+
+
+@pytest.mark.parametrize("dataset", ["mnist", "fmnist"])
+@pytest.mark.parametrize("arch", list(Architecture))
+def test_flat_adam_equals_per_parameter_adam_bit_for_bit(arch, dataset, rng):
+    model = build_model(arch, dataset, seed=3)
+    xs, ys = random_dataset(rng, n=10, shape=model.input_shape)
+    cfg = TrainConfig(epochs=3, seed=3)
+    train(model, xs, ys, cfg)
+    reference = reference_train(build_model(arch, dataset, seed=3), xs, ys, cfg)
+    for (_, name, a), (_, _, b) in zip(model.param_entries(), reference.param_entries()):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_parameters_are_views_of_one_flat_vector():
+    m = build_model(Architecture.CLASSICAL_CNN, "fmnist", seed=1)
+    entries = list(m.param_entries())
+    assert m.flat.size == m.parameter_count() == sum(arr.size for _, _, arr in entries)
+    assert all(np.shares_memory(arr, m.flat) for _, _, arr in entries)
+    assert np.array_equal(m.flat, np.concatenate([arr.ravel() for _, _, arr in entries]))
+
+
+def forbid(monkeypatch, cls, name):
+    def raising(*args, **kwargs):
+        raise AssertionError(f"{cls.__name__}.{name} must not be called")
+
+    monkeypatch.setattr(cls, name, raising)
+
+
+@pytest.mark.parametrize("arch", [Architecture.CLASSICAL_CNN, Architecture.CLASSICAL_FC])
+def test_training_stops_below_the_first_layer_with_parameters(arch, rng, monkeypatch):
+    model = build_model(arch, "mnist", seed=2)
+    forbid(monkeypatch, type(model.layers[0] if arch is Architecture.CLASSICAL_CNN
+                             else model.layers[1]), "backward")
+    xs, ys = random_dataset(rng, n=8)
+    train(model, xs, ys, TrainConfig(epochs=1, seed=2))
+
+
+def test_input_gradient_computes_no_parameter_gradients(rng, monkeypatch):
+    forbid(monkeypatch, Conv2D, "param_grads")
+    forbid(monkeypatch, Dense, "param_grads")
+    model = build_model(Architecture.CLASSICAL_CNN, "fmnist", seed=2)
+    xs, ys = random_dataset(rng, n=3)
+    assert input_gradient(model, xs, ys).shape == xs.shape
