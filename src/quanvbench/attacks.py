@@ -104,7 +104,7 @@ class EndToEndSource(GradientSource):
         self.head = head
 
     def gradient(self, images, labels):
-        features, pullback = quanv.quanvolve_with_pullback(images, self.quanv_cfg, validate=False)
+        features, pullback = quanv.quanvolve_with_pullback(images, self.quanv_cfg)
         return pullback(nn.input_gradient(self.head, features, labels))
 
 

@@ -49,8 +49,9 @@ class Dataset:
             raise IdxCountMismatchError(
                 f"{len(self.images)} images vs {len(self.labels)} labels"
             )
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= N_CLASSES):
-            raise ValueError("labels must lie in [0, 10)")
+        labels = self.labels
+        if labels.dtype.kind not in "iu" or len(labels) and not 0 <= labels.min() <= labels.max() < N_CLASSES:
+            raise ValueError(f"labels must be integers in [0, {N_CLASSES}), got {labels.dtype}")
 
     def __len__(self):
         return len(self.images)

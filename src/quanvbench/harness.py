@@ -80,10 +80,6 @@ class SweepConfig:
             if split.images.shape[1:] != (28, 28, 1):
                 raise ValueError(f"images must be 28x28x1, the input every architecture "
                                  f"is built for, got {split.images.shape[1:]}")
-            labels = split.labels
-            if labels.dtype.kind not in "iu" or not 0 <= labels.min() <= labels.max() < nn.N_CLASSES:
-                raise ValueError(f"labels must be integers in [0, {nn.N_CLASSES}), got "
-                                 f"{labels.dtype} labels from {labels.min()} to {labels.max()}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.mode not in ("surrogate", "end_to_end"):
@@ -249,12 +245,15 @@ def _task_records(cfg: SweepConfig, architecture: Architecture, trial: int):
     surrogate = None
     if architecture is Architecture.QUNN and cfg.mode == "surrogate":
         surrogate = _attacker(cfg, SurrogateSource(_train_surrogate(cfg, trial)))
-    own = [_attacker(cfg, trained.own_source()) for _, trained in models]
+    else:
+        own = [_attacker(cfg, trained.own_source()) for _, trained in models]
     for attack in cfg.attacks:
-        shared = None if surrogate is None else list(surrogate(attack))
-        for (kind, trained), attacker in zip(models, own):
-            adversarial = shared or attacker(attack)
-            yield run_trial(cfg, architecture, kind, attack, trial, trained, adversarial)
+        if surrogate is None:
+            adversarial = [attacker(attack) for attacker in own]
+        else:
+            adversarial = [list(surrogate(attack))] * len(models)
+        for (kind, trained), sets in zip(models, adversarial, strict=True):
+            yield run_trial(cfg, architecture, kind, attack, trial, trained, sets)
 
 
 def _run_task(task) -> list[list[SweepRecord]]:

@@ -167,6 +167,8 @@ class Model:
         self.arch = arch
         self.dataset = dataset
         self.rng_seed = rng_seed
+        if not isinstance(layers[-1], Softmax):
+            raise ValueError("model must end in Softmax")
         entries = list(self.param_entries())
         self.flat = np.concatenate([arr.ravel() for _, _, arr in entries])
         offset = 0
@@ -252,21 +254,17 @@ def loss(model: Model, x: np.ndarray, label: int) -> float:
     return cross_entropy(forward(model, x), np.array([label]))
 
 
-def _backward_from_logits(model: Model, dlogits: np.ndarray, caches, params=False):
-    """Backpropagate from the pre-softmax gradient to the input gradient or,
-    with ``params``, to the parameter gradients as one vector laid out like
-    ``model.flat``, stopping below the first layer that has parameters."""
-    if not isinstance(model.layers[-1], Softmax):
-        raise ValueError("model must end in Softmax")
-    dout, grads = dlogits, {}
+def _parameter_gradient(model: Model, dlogits: np.ndarray, caches) -> np.ndarray:
+    """Gradient laid out like ``model.flat``; backward stops at the first layer with parameters."""
+    entries = list(model.param_entries())
+    stop, dout, grads = entries[0][0], dlogits, {}
     for li in range(len(model.layers) - 2, -1, -1):
         layer = model.layers[li]
-        if params and layer.param_names:
+        if layer.param_names:
             grads.update(((li, name), g) for name, g in layer.param_grads(dout, caches[li]).items())
-        if params and not any(below.param_names for below in model.layers[:li]):
-            return np.concatenate([grads[i, name].ravel() for i, name, _ in model.param_entries()])
+        if li == stop:
+            return np.concatenate([grads[i, name].ravel() for i, name, _ in entries])
         dout = layer.backward(dout, caches[li])
-    return dout
 
 
 def input_gradient(model: Model, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -283,9 +281,11 @@ def input_gradient(model: Model, x: np.ndarray, labels: np.ndarray) -> np.ndarra
             f"model input {model.input_shape}"
         )
     probs, caches = _forward_batch(model, x, training=False)
-    dlogits = probs.copy()
-    dlogits[np.arange(len(x)), labels] -= 1.0
-    return _backward_from_logits(model, dlogits, caches)
+    dout = probs.copy()  # the pre-softmax gradient, then each layer's input gradient
+    dout[np.arange(len(x)), labels] -= 1.0
+    for li in range(len(model.layers) - 2, -1, -1):
+        dout = model.layers[li].backward(dout, caches[li])
+    return dout
 
 
 def evaluate(model: Model, inputs: np.ndarray, labels: np.ndarray) -> float:
@@ -366,6 +366,6 @@ def train(model: Model, inputs, labels, cfg: TrainConfig):
             dlogits = probs.copy()
             dlogits[np.arange(len(yb)), yb] -= 1.0
             dlogits /= len(yb)
-            opt.step(model.flat, _backward_from_logits(model, dlogits, caches, params=True))
+            opt.step(model.flat, _parameter_gradient(model, dlogits, caches))
     return model
 

@@ -207,10 +207,10 @@ def input_gradient(
     return _pullback(cfg, *_blocked(images, validate, cfg), upstream)
 
 
-def quanvolve_with_pullback(images: np.ndarray, cfg: QuanvConfig, validate: bool = True):
-    """``quanvolve_dataset(images, cfg)`` and the function taking upstream to
-    ``input_gradient(images, cfg, upstream)``, from one cos and sin per block."""
-    images, shape, pixels, blocks = _blocked(images, validate, cfg)
+def quanvolve_with_pullback(images: np.ndarray, cfg: QuanvConfig):
+    """``quanvolve_dataset`` without the [0, 1] check (attack images may leave it) and the
+    function taking upstream to ``input_gradient`` of the same images, from one cos/sin per block."""
+    images, shape, pixels, blocks = _blocked(images, False, cfg)
     blocks = list(blocks)
     return (_features(cfg, shape, pixels, blocks),
             functools.partial(_pullback, cfg, images, shape, pixels, blocks))

@@ -53,6 +53,12 @@ def test_pixel_255_maps_to_exactly_one(tmp_path):
     assert np.all(loaded.images == 1.0)
 
 
+@pytest.mark.parametrize("labels", [[0, 10], [-1, 0], [0.0, 1.0], [0.5, 1.0]])
+def test_dataset_rejects_labels_that_are_not_classes(labels):
+    with pytest.raises(ValueError, match="labels must be integers"):
+        Dataset(np.zeros((2, 28, 28, 1)), np.array(labels), "mnist")
+
+
 def test_pixels_normalized_to_unit_interval(idx_files):
     ds = load_idx(*idx_files)
     assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
