@@ -211,7 +211,7 @@ def build_sweep_config(cfg: dict[str, str]) -> harness.SweepConfig:
             trials=_int(cfg, "trials"),
             base_seed=_int(cfg, "base_seed"),
             mode=cfg["mode"],
-            clamp=(0.0, 1.0) if _parse_bool("clamp", cfg["clamp"]) else None,
+            clamp=_parse_bool("clamp", cfg["clamp"]),
             train_cfg=nn.TrainConfig(
                 batch_size=_int(cfg, "train.batch_size"),
                 epochs=_int(cfg, "train.epochs"),
@@ -262,6 +262,8 @@ def cmd_quanvolve(args) -> int:
     kind = AnsatzKind(args.ansatz)
     with _config_errors():
         train, test = load_dataset_pair(cfg)
+        if len(train) + len(test) == 0:
+            raise ValueError("n_train and n_test are both 0: nothing to quanvolve")
         circuit = build_ansatz(kind, 4, seed=args.seed)
     qcfg = QuanvConfig(circuit=circuit)
     images = np.concatenate([train.images, test.images])

@@ -10,6 +10,7 @@ keeps the splits disjoint and reproducible per seed.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -38,7 +39,8 @@ class IdxCountMismatchError(IdxParseError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Images (N, H, W, 1) in [0, 1] with integer labels below 10."""
+    """Images (N, H, W, 1) with integer labels below 10.  Every pixel must be
+    finite and in [0, 1]: this is the program's one check of input pixels."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -52,16 +54,20 @@ class Dataset:
         labels = self.labels
         if labels.dtype.kind not in "iu" or len(labels) and not 0 <= labels.min() <= labels.max() < N_CLASSES:
             raise ValueError(f"labels must be integers in [0, {N_CLASSES}), got {labels.dtype}")
+        images = self.images
+        # min and max are NaN if any pixel is, which fails both comparisons
+        if len(images) and not 0.0 <= images.min() <= images.max() <= 1.0:
+            raise ValueError("pixels must be finite and in [0, 1]")
 
     def __len__(self):
         return len(self.images)
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
+    """The next n bytes of fh; more than the file holds fails before reading."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise IdxTruncatedError(f"{path}: truncated while reading {what}")
-    return buf
+    return fh.read(n)
 
 
 def load_idx(images_path, labels_path, name: str = "mnist") -> Dataset:

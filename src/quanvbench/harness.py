@@ -7,8 +7,10 @@ running `trials` independently seeded repetitions of the four-step protocol:
     1. quanvolve the train/test subsets with the trial's freshly seeded
        filter circuit (classical architectures skip this),
     2. train the model (batch 4, 30 epochs by default),
-    3. build adversarial test sets for every attack and epsilon,
-    4. evaluate and record accuracy.
+    3. build adversarial test sets for every attack and nonzero epsilon,
+    4. evaluate and record accuracy; at epsilon 0 the set is the clean test
+       set (pixels lie in [0, 1], so clamping keeps them), and its row is
+       the clean accuracy measured after step 2.
 
 Every model is trained once per trial and then faces every attack.  The
 pool's task unit is one (architecture, trial): it trains the architecture's
@@ -21,9 +23,10 @@ builds adversarial images against a classical CNN trained on the raw pixels
 (the quantum layer then transforms them), "end_to_end" differentiates
 through the quanvolution itself.  The surrogate depends only on the trial,
 so the qunn task trains it once and builds its adversarial sets once per
-attack and epsilon, shared by every head.  Classical architectures are
-always attacked with their own gradients.  All attacks of one source start
-from its gradient at the clean test images, which a task computes once.
+attack and nonzero epsilon, shared by every head.  Classical architectures
+are always attacked with their own gradients.  All attacks of one source
+start from its gradient at the clean test images, which a task computes
+once.
 
 Determinism: every random draw is derived from base_seed via stable hashes
 of the cell coordinates other than the attack, so any (architecture, ansatz,
@@ -66,10 +69,9 @@ class SweepConfig:
     trials: int = 7
     base_seed: int = 0
     mode: str = "surrogate"  # "surrogate" | "end_to_end"
-    clamp: tuple[float, float] | None = None
+    clamp: bool = False  # clip adversarial pixels to [0, 1]
     train_cfg: nn.TrainConfig = field(default_factory=nn.TrainConfig)
     attack_steps: int = 10
-    attack_decay: float = 1.0
     random_spec: RandomCircuitSpec = field(default_factory=RandomCircuitSpec)
 
     def __post_init__(self):
@@ -84,6 +86,8 @@ class SweepConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.mode not in ("surrogate", "end_to_end"):
             raise ValueError(f"unknown gradient mode {self.mode!r}")
+        if not isinstance(self.clamp, bool):
+            raise ValueError(f"clamp must be True or False, got {self.clamp!r}")
         for grid in (self.epsilons, self.epsilons_for(AttackKind.FGSM)):
             if not all(math.isfinite(e) for e in grid):
                 raise ValueError(f"epsilon grid must be finite, got {grid}")
@@ -159,7 +163,7 @@ def _quanvolve32(images: np.ndarray, qcfg: QuanvConfig) -> np.ndarray:
     """Quanvolve and round to float32, the precision every head is trained
     and evaluated at (and the one `quanvbench quanvolve` writes); results.csv
     depends on this rounding."""
-    return quanv.quanvolve_dataset(images, qcfg, validate=False).astype(np.float32)
+    return quanv.quanvolve_dataset(images, qcfg).astype(np.float32)
 
 
 def _train_model(cfg: SweepConfig, architecture: Architecture,
@@ -196,17 +200,18 @@ def _train_surrogate(cfg: SweepConfig, trial: int) -> nn.Model:
 
 
 def _attacker(cfg: SweepConfig, source):
-    """attack -> its adversarial test sets against ``source``, one per epsilon,
-    built as they are iterated; all share one clean-image gradient."""
+    """attack -> its adversarial test sets against ``source``, one per nonzero
+    epsilon of its grid, built as they are iterated; all share one clean-image
+    gradient."""
     images, labels = cfg.test_data.images, cfg.test_data.labels
     clean_gradient = functools.cache(functools.partial(source.gradient, images, labels))
+    clamp = (0.0, 1.0) if cfg.clamp else None
 
     def adversarial_sets(attack: AttackKind):
-        for epsilon in cfg.epsilons_for(attack):
+        for epsilon in cfg.epsilons_for(attack)[1:]:
             yield attack_batch(source, images, labels,
-                               AttackConfig(attack, epsilon, steps=cfg.attack_steps,
-                                            decay=cfg.attack_decay, clamp=cfg.clamp),
-                               gradient=clean_gradient() if epsilon else None)
+                               AttackConfig(attack, epsilon, steps=cfg.attack_steps, clamp=clamp),
+                               gradient=clean_gradient())
 
     return adversarial_sets
 
@@ -221,20 +226,21 @@ def run_trial(
     adversarial,
 ) -> list[SweepRecord]:
     """Steps 3 and 4 for one cell and one trial: evaluate ``trained`` on
-    ``adversarial``, the attack's test sets in the order of its epsilon grid
-    (an iterator from `_attacker` builds each one as it is evaluated)."""
+    ``adversarial``, the attack's test sets for the nonzero epsilons of its
+    grid in order (an iterator from `_attacker` builds each one as it is
+    evaluated).  The grid starts at 0, whose row is the clean accuracy."""
     ansatz_label = ansatz_kind.value if ansatz_kind is not None else "-"
-    records = []
-    for epsilon, adv in zip(cfg.epsilons_for(attack), adversarial, strict=True):
+    accuracies = [trained.clean_accuracy]
+    for adv in adversarial:
         if trained.qcfg is not None:
             adv = _quanvolve32(adv, trained.qcfg)
-        records.append(SweepRecord(
-            dataset=cfg.train_data.name, architecture=architecture.value, ansatz=ansatz_label,
-            attack=attack.value, mode=cfg.mode, epsilon=float(epsilon), trial=trial,
-            accuracy=nn.evaluate(trained.model, adv, cfg.test_data.labels),
-            clean_accuracy=trained.clean_accuracy, train_accuracy=trained.train_accuracy,
-        ))
-    return records
+        accuracies.append(nn.evaluate(trained.model, adv, cfg.test_data.labels))
+    return [SweepRecord(
+        dataset=cfg.train_data.name, architecture=architecture.value, ansatz=ansatz_label,
+        attack=attack.value, mode=cfg.mode, epsilon=float(epsilon), trial=trial,
+        accuracy=accuracy, clean_accuracy=trained.clean_accuracy,
+        train_accuracy=trained.train_accuracy,
+    ) for epsilon, accuracy in zip(cfg.epsilons_for(attack), accuracies, strict=True)]
 
 
 def _task_records(cfg: SweepConfig, architecture: Architecture, trial: int):
@@ -242,17 +248,14 @@ def _task_records(cfg: SweepConfig, architecture: Architecture, trial: int):
     each model is trained once, then attacked with every attack."""
     kinds = cfg.ansatz_kinds if architecture is Architecture.QUNN else (None,)
     models = [(kind, _train_model(cfg, architecture, kind, trial)) for kind in kinds]
-    surrogate = None
     if architecture is Architecture.QUNN and cfg.mode == "surrogate":
         surrogate = _attacker(cfg, SurrogateSource(_train_surrogate(cfg, trial)))
+        adversarial = lambda attack: [list(surrogate(attack))] * len(models)
     else:
         own = [_attacker(cfg, trained.own_source()) for _, trained in models]
+        adversarial = lambda attack: [attacker(attack) for attacker in own]
     for attack in cfg.attacks:
-        if surrogate is None:
-            adversarial = [attacker(attack) for attacker in own]
-        else:
-            adversarial = [list(surrogate(attack))] * len(models)
-        for (kind, trained), sets in zip(models, adversarial, strict=True):
+        for (kind, trained), sets in zip(models, adversarial(attack), strict=True):
             yield run_trial(cfg, architecture, kind, attack, trial, trained, sets)
 
 

@@ -21,10 +21,8 @@ with one factor differentiated.  Both are evaluated on blocks of images,
 every term reading pixel i of all patches through one strided view;
 `quanvolve_with_pullback` evaluates a block's cos and sin once for both.
 
-Raw inputs live in [0, 1] and are range-checked by default (NaN fails the
-check).  Adversarially perturbed images may leave that interval when attack
-clamping is disabled; callers quanvolving such data pass ``validate=False``
-(the encoding itself is defined for any real value).
+The encoding is defined for any real pixel, so unclamped adversarial images
+are quanvolved as they are; `data.Dataset` checks raw pixels lie in [0, 1].
 
 `quanvbench quanvolve` writes its feature maps in the QNVF container:
 little-endian header (magic "QNVF", version u32, count u32, H u32, W u32,
@@ -124,15 +122,13 @@ def output_shape(height: int, width: int, cfg: QuanvConfig) -> tuple[int, int, i
     return ((height - k) // s + 1, (width - k) // s + 1, k * k)
 
 
-def _blocked(images: np.ndarray, validate: bool, cfg: QuanvConfig):
-    """Checked (N, H, W, 1) images, feature maps shape, ``pixels[i]`` indexing
+def _blocked(images: np.ndarray, cfg: QuanvConfig):
+    """(N, H, W, 1) float images, feature maps shape, ``pixels[i]`` indexing
     pixel i of every patch in an (N, H, W) array, and each block's slice with
     its (cos, sin)(pi x), computed as it is iterated."""
     images = np.asarray(images, dtype=float)
     if images.ndim != 4 or images.shape[-1] != 1:
         raise ValueError(f"expected single-channel (N, H, W, 1) images, got {images.shape}")
-    if validate and not np.all((images >= 0.0) & (images <= 1.0)):
-        raise ValueError("image values must lie in [0, 1]")
     rows, cols, n = output_shape(images.shape[1], images.shape[2], cfg)
     k, s = cfg.kernel_size, cfg.stride
     pixels = [(slice(None), slice(a, a + s * rows, s), slice(b, b + s * cols, s))
@@ -180,37 +176,28 @@ def _pullback(cfg: QuanvConfig, images, shape, pixels, blocks, upstream) -> np.n
     return grad
 
 
-def quanvolve_image(
-    image: np.ndarray, cfg: QuanvConfig, validate: bool = True
-) -> np.ndarray:
+def quanvolve_image(image: np.ndarray, cfg: QuanvConfig) -> np.ndarray:
     """Feature map of shape ((H-k)//s+1, (W-k)//s+1, k^2) with <Z_q> channels."""
-    return quanvolve_dataset(np.asarray(image, dtype=float)[None], cfg, validate)[0]
+    return quanvolve_dataset(np.asarray(image, dtype=float)[None], cfg)[0]
 
 
-def quanvolve_dataset(
-    images: np.ndarray, cfg: QuanvConfig, validate: bool = True
-) -> np.ndarray:
+def quanvolve_dataset(images: np.ndarray, cfg: QuanvConfig) -> np.ndarray:
     """Feature maps (N, rows, cols, k^2) of (N, H, W, 1) images; order preserved."""
-    _images, shape, pixels, blocks = _blocked(images, validate, cfg)
+    _images, shape, pixels, blocks = _blocked(images, cfg)
     return _features(cfg, shape, pixels, blocks)
 
 
-def input_gradient(
-    images: np.ndarray,
-    cfg: QuanvConfig,
-    upstream: np.ndarray,
-    validate: bool = True,
-) -> np.ndarray:
+def input_gradient(images: np.ndarray, cfg: QuanvConfig, upstream: np.ndarray) -> np.ndarray:
     """Exact d(sum(upstream[j] * features[j]))/d(images[j]) for every image j,
     from (N, H, W, 1) images and (N, rows, cols, n) upstream weights; pixels
     outside every patch get 0."""
-    return _pullback(cfg, *_blocked(images, validate, cfg), upstream)
+    return _pullback(cfg, *_blocked(images, cfg), upstream)
 
 
 def quanvolve_with_pullback(images: np.ndarray, cfg: QuanvConfig):
-    """``quanvolve_dataset`` without the [0, 1] check (attack images may leave it) and the
-    function taking upstream to ``input_gradient`` of the same images, from one cos/sin per block."""
-    images, shape, pixels, blocks = _blocked(images, False, cfg)
+    """``quanvolve_dataset`` and the function taking upstream to ``input_gradient``
+    of the same images, from one cos/sin per block."""
+    images, shape, pixels, blocks = _blocked(images, cfg)
     blocks = list(blocks)
     return (_features(cfg, shape, pixels, blocks),
             functools.partial(_pullback, cfg, images, shape, pixels, blocks))

@@ -110,8 +110,8 @@ def _central_difference(img, idx, step, cfg, upstream) -> float:
     plus[idx] += step
     minus[idx] -= step
     return float(
-        np.sum(upstream * quanv.quanvolve_image(plus, cfg, validate=False))
-        - np.sum(upstream * quanv.quanvolve_image(minus, cfg, validate=False))
+        np.sum(upstream * quanv.quanvolve_image(plus, cfg))
+        - np.sum(upstream * quanv.quanvolve_image(minus, cfg))
     )
 
 

@@ -112,7 +112,7 @@ def test_unclamped_fgsm_at_even_epsilon_leaves_features_unchanged(trained_toy):
     qcfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=1))
     adv = fgsm(SurrogateSource(model), xs[:1], ys[:1], 2.0)[0]
     assert np.max(np.abs(adv - xs[0])) == 2.0
-    features = quanvolve_image(adv, qcfg, validate=False)
+    features = quanvolve_image(adv, qcfg)
     assert np.max(np.abs(features - quanvolve_image(xs[0], qcfg))) <= 1e-12
 
 
@@ -311,7 +311,7 @@ def test_end_to_end_source_attacks_through_quanv(toy_end_to_end, rng):
     source = toy_end_to_end
 
     def loss(images, label):
-        features = quanvolve_dataset(images, source.quanv_cfg, validate=False)
+        features = quanvolve_dataset(images, source.quanv_cfg)
         return nn.loss(source.head, features[0], label)
 
     img = rng.uniform(0, 1, (1, 6, 6, 1))
@@ -335,9 +335,9 @@ def test_end_to_end_gradient_equals_the_separate_quanv_path(toy_end_to_end, rng)
     # backpropagating through the head and pulling back in separate calls
     source = toy_end_to_end
     images, labels = rng.uniform(-1, 2, (70, 6, 6, 1)), rng.integers(0, 10, 70)
-    features = quanvolve_dataset(images, source.quanv_cfg, validate=False)
+    features = quanvolve_dataset(images, source.quanv_cfg)
     upstream = nn.input_gradient(source.head, features, labels)
-    expected = quanv.input_gradient(images, source.quanv_cfg, upstream, validate=False)
+    expected = quanv.input_gradient(images, source.quanv_cfg, upstream)
     assert np.array_equal(source.gradient(images, labels), expected)
 
 

@@ -124,7 +124,8 @@ def test_qnvf_meta_hash_covers_the_subset(idx_dir, tmp_path):
     ["--n-train", "-5"],
     ["--n-train", "700"],  # the synthetic pool holds 600 images
     ["--seed", "-1"],
-], ids=["negative-subset", "subset-beyond-pool", "negative-seed"])
+    ["--n-train", "0", "--n-test", "0"],
+], ids=["negative-subset", "subset-beyond-pool", "negative-seed", "empty-selection"])
 def test_cmd_quanvolve_bad_value_exit_2(tmp_path, capsys, flags):
     out = tmp_path / "maps.qnvf"
     rc = main(["quanvolve", "--synthetic", "--out", str(out)] + flags)
@@ -132,6 +133,18 @@ def test_cmd_quanvolve_bad_value_exit_2(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "internal error" not in err
+    assert not out.exists()
+
+
+def test_cmd_quanvolve_header_claiming_more_images_exit_2(idx_dir, tmp_path, capsys):
+    images = idx_dir / "mnist" / "train-images-idx3-ubyte"
+    raw = bytearray(images.read_bytes())
+    raw[4:8] = (2**32 - 1).to_bytes(4, "big")  # the image count, after the magic
+    images.write_bytes(bytes(raw))
+    out = tmp_path / "maps.qnvf"
+    rc = main(["quanvolve", "--dataset-dir", str(idx_dir), "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "truncated while reading pixel data" in capsys.readouterr().err
     assert not out.exists()
 
 

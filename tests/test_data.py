@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,21 @@ def test_dataset_rejects_labels_that_are_not_classes(labels):
         Dataset(np.zeros((2, 28, 28, 1)), np.array(labels), "mnist")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.01, 1.1])
+def test_dataset_rejects_pixels_outside_the_unit_interval(bad):
+    images = np.full((2, 28, 28, 1), 0.5)
+    images[1, 3, 4, 0] = bad
+    with pytest.raises(ValueError, match="pixels must be finite and in"):
+        Dataset(images, np.array([0, 1]), "mnist")
+
+
+def test_dataset_accepts_the_unit_interval_ends_and_no_images():
+    images = np.zeros((2, 28, 28, 1))
+    images[1] = 1.0
+    Dataset(images, np.array([0, 1]), "mnist")
+    Dataset(np.zeros((0, 28, 28, 1)), np.zeros(0, dtype=np.int64), "mnist")
+
+
 def test_pixels_normalized_to_unit_interval(idx_files):
     ds = load_idx(*idx_files)
     assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
@@ -90,6 +107,18 @@ def test_truncated_file(idx_files, tmp_path):
     trunc.write_bytes(ip.read_bytes()[:-100])
     with pytest.raises(IdxTruncatedError):
         load_idx(trunc, lp)
+
+
+@pytest.mark.parametrize("claimed, what", [(0, "pixel data"), (1, "label data")])
+def test_header_claiming_more_than_the_file_holds(idx_files, tmp_path, claimed, what):
+    # a count of 2^32 - 1: 28x28 images would be a 3.4 TB read, rejected before reading
+    paths = list(idx_files)
+    raw = bytearray(paths[claimed].read_bytes())
+    struct.pack_into(">I", raw, 4, 2**32 - 1)
+    paths[claimed] = tmp_path / "claims_more.idx"
+    paths[claimed].write_bytes(bytes(raw))
+    with pytest.raises(IdxTruncatedError, match=what):
+        load_idx(*paths)
 
 
 def test_count_mismatch(idx_files, tmp_path, sample_dataset):

@@ -172,8 +172,24 @@ def test_surrogate_sets_are_built_once_per_attack_and_epsilon(monkeypatch):
     surrogate_attacks = count_calls(monkeypatch, harness, "attack_batch",
                                     lambda source, *_: isinstance(source, SurrogateSource))
     run_sweep(cfg, progress=lambda msg: None)
-    per_trial = sum(len(cfg.epsilons_for(attack)) for attack in cfg.attacks)
+    per_trial = sum(len(cfg.epsilons_for(attack)) - 1 for attack in cfg.attacks)
     assert len(surrogate_attacks) == cfg.trials * per_trial
+
+
+@pytest.mark.parametrize("mode", ["surrogate", "end_to_end"])
+def test_epsilon_zero_row_is_the_clean_accuracy_without_recomputing_it(monkeypatch, mode):
+    # a grid of only epsilon 0: every call left is one that training makes
+    cfg = two_attack_config(mode=mode, epsilons=(0.0,), fgsm_extra_epsilons=())
+    attacks = count_calls(monkeypatch, harness, "attack_batch")
+    quanvolves = count_calls(monkeypatch, harness.quanv, "quanvolve_dataset")
+    evaluates = count_calls(monkeypatch, nn, "evaluate")
+    records = run_sweep(cfg, progress=lambda msg: None)
+    assert len(records) == 4 * 2 * 2  # (cnn, fc, 2 heads) x attacks x trials
+    assert all(r.epsilon == 0.0 and r.accuracy == r.clean_accuracy for r in records)
+    assert attacks == []
+    models = len(cfg.architectures) - 1 + len(cfg.ansatz_kinds)
+    assert len(quanvolves) == 2 * len(cfg.ansatz_kinds) * cfg.trials  # train and test sets
+    assert len(evaluates) == 2 * models * cfg.trials  # train and clean accuracy
 
 
 @pytest.mark.parametrize("mode, own_heads", [("surrogate", 0), ("end_to_end", 2)])
@@ -208,6 +224,12 @@ def test_sweep_config_rejects_images_that_are_not_28x28():
     for split in ("train_data", "test_data"):
         with pytest.raises(ValueError, match="28x28x1"):
             tiny_config(**{split: small})
+
+
+@pytest.mark.parametrize("clamp", [(0.0, 1.0), None, "true"])
+def test_sweep_config_rejects_a_clamp_that_is_not_a_bool(clamp):
+    with pytest.raises(ValueError, match="clamp must be True or False"):
+        tiny_config(clamp=clamp)
 
 
 @pytest.mark.parametrize("threads, workers", [(64, [2]), (2, [2]), (1, [])])
