@@ -1,12 +1,15 @@
 """MNIST/FMNIST ingestion from IDX files and deterministic subset selection.
 
 IDX is the classic big-endian container: images carry magic 0x00000803 and
-dims (count, rows, cols), labels carry magic 0x00000801 and a count.  Pixels
-are unsigned bytes normalized to [0, 1] by exact division by 255.
+dims (count, rows, cols), labels carry magic 0x00000801 and a count.
+`load_idx` keeps the pool as the file's unsigned bytes, byte b standing for
+pixel b / 255.
 
 The benchmark trains on tiny stratified subsets (50 train / 30 test by
 default), so `subset` balances classes to within one example per class and
-keeps the splits disjoint and reproducible per seed.
+keeps the splits disjoint and reproducible per seed.  It is the one place
+pixels are normalized: only the selected images are divided, exactly, by
+255, so a pool costs its file's bytes whatever its size.
 """
 from __future__ import annotations
 
@@ -39,8 +42,10 @@ class IdxCountMismatchError(IdxParseError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Images (N, H, W, 1) with integer labels below 10.  Every pixel must be
-    finite and in [0, 1]: this is the program's one check of input pixels."""
+    """Images (N, H, W, 1) with integer labels below 10.  Float pixels must
+    be finite and in [0, 1]: this is the program's one check of input pixels.
+    A uint8 pool holds raw IDX bytes, byte b meaning pixel b / 255, and is
+    normalized by `subset`."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -55,8 +60,10 @@ class Dataset:
         if labels.dtype.kind not in "iu" or len(labels) and not 0 <= labels.min() <= labels.max() < N_CLASSES:
             raise ValueError(f"labels must be integers in [0, {N_CLASSES}), got {labels.dtype}")
         images = self.images
-        # min and max are NaN if any pixel is, which fails both comparisons
-        if len(images) and not 0.0 <= images.min() <= images.max() <= 1.0:
+        # every byte is a pixel in [0, 1]; min and max of float pixels are
+        # NaN if any pixel is, which fails both comparisons
+        if images.dtype != np.uint8 and len(images) and not (
+                0.0 <= images.min() <= images.max() <= 1.0):
             raise ValueError("pixels must be finite and in [0, 1]")
 
     def __len__(self):
@@ -71,7 +78,7 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
 
 
 def load_idx(images_path, labels_path, name: str = "mnist") -> Dataset:
-    """Parse an IDX image/label file pair into a normalized Dataset."""
+    """Parse an IDX image/label file pair into a Dataset of its uint8 pixels."""
     with open(images_path, "rb") as fh:
         magic, count, rows, cols = struct.unpack(
             ">IIII", _read_exact(fh, 16, images_path, "image header")
@@ -94,14 +101,17 @@ def load_idx(images_path, labels_path, name: str = "mnist") -> Dataset:
         raise IdxCountMismatchError(
             f"{count} images in {images_path} vs {label_count} labels in {labels_path}"
         )
-    return Dataset(pixels.astype(float) / 255.0, labels, name)
+    return Dataset(pixels, labels, name)
 
 
 def save_idx(ds: Dataset, images_path, labels_path) -> None:
-    """Serialize back to IDX; exact inverse of load_idx's normalization."""
+    """Serialize to IDX: a uint8 pool as its bytes, float pixels rounded to
+    the nearest byte (the exact inverse of `subset`'s normalization)."""
     count = len(ds)
     rows, cols = ds.images.shape[1], ds.images.shape[2]
-    pixels = np.rint(ds.images * 255.0).astype(np.uint8)
+    pixels = ds.images
+    if pixels.dtype != np.uint8:
+        pixels = np.rint(pixels * 255.0).astype(np.uint8)
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))
         fh.write(pixels.tobytes())
@@ -119,7 +129,8 @@ def _class_quotas(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def subset(ds: Dataset, n_train: int, n_test: int, seed: int) -> tuple[Dataset, Dataset]:
-    """Stratified, disjoint, seed-deterministic train/test subsets."""
+    """Stratified, disjoint, seed-deterministic train/test subsets, with the
+    selected images of a uint8 pool normalized to float pixels."""
     if n_train < 0 or n_test < 0:
         raise ValueError(f"subset sizes must be >= 0, got {n_train} and {n_test}")
     if n_train + n_test > len(ds):
@@ -144,5 +155,12 @@ def subset(ds: Dataset, n_train: int, n_test: int, seed: int) -> tuple[Dataset, 
 
     train_idx = np.sort(np.asarray(train_idx, dtype=np.int64))
     test_idx = np.sort(np.asarray(test_idx, dtype=np.int64))
-    make = lambda idx: Dataset(ds.images[idx], ds.labels[idx], ds.name)
-    return make(train_idx), make(test_idx)
+    return _select(ds, train_idx), _select(ds, test_idx)
+
+
+def _select(ds: Dataset, idx: np.ndarray) -> Dataset:
+    """The examples at ``idx``; a uint8 pool's images become float pixels."""
+    images = ds.images[idx]
+    if images.dtype == np.uint8:
+        images = images / 255.0
+    return Dataset(images, ds.labels[idx], ds.name)

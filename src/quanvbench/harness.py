@@ -79,6 +79,9 @@ class SweepConfig:
             raise ValueError(f"train and test sets must not be empty, got "
                              f"{len(self.train_data)} and {len(self.test_data)} images")
         for split in (self.train_data, self.test_data):
+            if split.images.dtype.kind != "f":
+                raise ValueError(f"images must be float pixels, got {split.images.dtype}: "
+                                 f"subset a raw IDX pool first")
             if split.images.shape[1:] != (28, 28, 1):
                 raise ValueError(f"images must be 28x28x1, the input every architecture "
                                  f"is built for, got {split.images.shape[1:]}")
@@ -160,10 +163,11 @@ def stable_seed(*parts) -> int:
 
 
 def _quanvolve32(images: np.ndarray, qcfg: QuanvConfig) -> np.ndarray:
-    """Quanvolve and round to float32, the precision every head is trained
-    and evaluated at (and the one `quanvbench quanvolve` writes); results.csv
-    depends on this rounding."""
-    return quanv.quanvolve_dataset(images, qcfg).astype(np.float32)
+    """Quanvolve into float32, each float64 channel sum rounded as it is
+    stored: the precision every head is trained and evaluated at (and the one
+    `quanvbench quanvolve` writes); results.csv depends on this rounding."""
+    maps = np.empty((len(images), *quanv.output_shape(*images.shape[1:3], qcfg)), np.float32)
+    return quanv.quanvolve_dataset(images, qcfg, out=maps)
 
 
 def _train_model(cfg: SweepConfig, architecture: Architecture,

@@ -22,15 +22,20 @@ every term reading pixel i of all patches through one strided view;
 `quanvolve_with_pullback` evaluates a block's cos and sin once for both.
 
 The encoding is defined for any real pixel, so unclamped adversarial images
-are quanvolved as they are; `data.Dataset` checks raw pixels lie in [0, 1].
+are quanvolved as they are; `data.Dataset` checks float pixels lie in [0, 1].
 
-`quanvbench quanvolve` writes its feature maps in the QNVF container:
-little-endian header (magic "QNVF", version u32, count u32, H u32, W u32,
-C u32, metadata hash u64) followed by the maps as row-major float32.
+Features are summed in float64, per block and channel; given an ``out``
+array, `quanvolve_dataset` stores each sum into it, so float32 maps cost no
+float64 copy of the whole batch.  `quanvbench quanvolve` writes its feature
+maps in the QNVF container: little-endian header (magic "QNVF", version u32,
+count u32, H u32, W u32, C u32, metadata hash u64) followed by the maps as
+row-major float32.
 """
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -139,17 +144,27 @@ def _blocked(images: np.ndarray, cfg: QuanvConfig):
         (block, (np.cos(phi), np.sin(phi))) for block, phi in phis)
 
 
-def _features(cfg: QuanvConfig, shape, pixels, blocks) -> np.ndarray:
-    """Feature maps of ``shape``, every term evaluated on each block's (cos, sin)."""
-    features = np.zeros(shape)
+def _features(cfg: QuanvConfig, shape, pixels, blocks, out=None) -> np.ndarray:
+    """Feature maps of ``shape``, every term evaluated on each block's (cos, sin)
+    and summed per channel in float64.  Each sum is stored once, so a float32
+    ``out`` holds the same bits as the float64 maps cast as a whole."""
+    if out is None:
+        out = np.zeros(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out shape {out.shape} does not match feature maps shape {shape}")
+    else:
+        out[...] = 0  # a channel without terms stays 0
     for block, trig in blocks:
-        out = features[block]
-        for q, coefficient, factors in cfg.terms:
-            term = coefficient
-            for i, t in factors:
-                term = term * trig[t][pixels[i]]
-            out[..., q] += term
-    return features
+        maps = out[block]
+        for q, terms in itertools.groupby(cfg.terms, key=operator.itemgetter(0)):
+            channel = np.zeros(maps.shape[:-1])
+            for _q, coefficient, factors in terms:
+                term = coefficient
+                for i, t in factors:
+                    term = term * trig[t][pixels[i]]
+                channel += term
+            maps[..., q] = channel
+    return out
 
 
 def _pullback(cfg: QuanvConfig, images, shape, pixels, blocks, upstream) -> np.ndarray:
@@ -181,10 +196,12 @@ def quanvolve_image(image: np.ndarray, cfg: QuanvConfig) -> np.ndarray:
     return quanvolve_dataset(np.asarray(image, dtype=float)[None], cfg)[0]
 
 
-def quanvolve_dataset(images: np.ndarray, cfg: QuanvConfig) -> np.ndarray:
-    """Feature maps (N, rows, cols, k^2) of (N, H, W, 1) images; order preserved."""
+def quanvolve_dataset(images: np.ndarray, cfg: QuanvConfig, out=None) -> np.ndarray:
+    """Feature maps (N, rows, cols, k^2) of (N, H, W, 1) images; order preserved.
+    Computed in float64 and, given an ``out`` array of that shape, stored into
+    it (a float32 ``out`` rounds as ``.astype(np.float32)`` would) and returned."""
     _images, shape, pixels, blocks = _blocked(images, cfg)
-    return _features(cfg, shape, pixels, blocks)
+    return _features(cfg, shape, pixels, blocks, out)
 
 
 def input_gradient(images: np.ndarray, cfg: QuanvConfig, upstream: np.ndarray) -> np.ndarray:
@@ -215,7 +232,7 @@ def write_qnvf(path, maps: np.ndarray, meta_hash: int = 0) -> None:
     data = np.ascontiguousarray(maps, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(data.tobytes())
+        fh.write(data)  # the contiguous buffer itself, no bytes copy
 
 
 def read_qnvf(path) -> tuple[np.ndarray, int]:

@@ -1,12 +1,15 @@
 import json
 import re
+import zlib
 
 import numpy as np
 import pytest
 
-from quanvbench import cli, nn, quanv
+from quanvbench import cli, harness, nn, quanv
+from quanvbench.ansatz import AnsatzKind, build_ansatz
 from quanvbench.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main, parse_config_text
 from quanvbench.data import Dataset, save_idx, subset
+from quanvbench.quanv import QuanvConfig
 from quanvbench.synthdata import synthetic_dataset
 
 
@@ -146,6 +149,48 @@ def test_cmd_quanvolve_header_claiming_more_images_exit_2(idx_dir, tmp_path, cap
     assert rc == EXIT_USAGE
     assert "truncated while reading pixel data" in capsys.readouterr().err
     assert not out.exists()
+
+
+def write_idx_dir(root, train, test):
+    (root / "mnist").mkdir(parents=True)
+    save_idx(train, root / "mnist" / "train-images-idx3-ubyte",
+             root / "mnist" / "train-labels-idx1-ubyte")
+    save_idx(test, root / "mnist" / "t10k-images-idx3-ubyte",
+             root / "mnist" / "t10k-labels-idx1-ubyte")
+    return root
+
+
+@pytest.mark.parametrize("train_side, test_side", [(1, 1), (28, 20)],
+                         ids=["smaller-than-kernel", "train-test-differ"])
+def test_cmd_quanvolve_image_shape_exit_2(tmp_path, capsys, train_side, test_side):
+    labels = np.arange(20) % 10
+    root = write_idx_dir(tmp_path / "data",
+                         Dataset(np.zeros((20, train_side, train_side, 1)), labels, "mnist"),
+                         Dataset(np.zeros((20, test_side, test_side, 1)), labels, "mnist"))
+    out = tmp_path / "maps.qnvf"
+    rc = main(["quanvolve", "--dataset-dir", str(root), "--n-train", "10", "--n-test", "10",
+               "--out", str(out)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+    assert not out.exists()
+
+
+def test_cmd_quanvolve_writes_the_maps_of_the_concatenated_images(idx_dir, tmp_path):
+    # 70 train images span a full and a partial block, the test maps follow them
+    out = tmp_path / "maps.qnvf"
+    assert main(["quanvolve", "--dataset-dir", str(idx_dir), "--ansatz", "random",
+                 "--seed", "4", "--n-train", "70", "--n-test", "40",
+                 "--out", str(out)]) == EXIT_OK
+    cfg = dict(cli._CONFIG_DEFAULTS, dataset_dir=str(idx_dir), n_train="70", n_test="40")
+    train, test = cli.load_dataset_pair(cfg)
+    images = np.concatenate([train.images, test.images])
+    qcfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.RANDOM, 4, seed=4))
+    expected = tmp_path / "expected.qnvf"
+    quanv.write_qnvf(expected, quanv.quanvolve_dataset(images, qcfg).astype(np.float32),
+                     meta_hash=harness.stable_seed("mnist", "random", 4, 70, 40,
+                                                   zlib.crc32(images)))
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_cmd_quanvolve_missing_file_exit_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,8 +38,12 @@ def test_load_idx_round_trip(idx_files, sample_dataset, tmp_path):
     ds = load_idx(*idx_files)
     assert len(ds) == 120
     assert ds.images.shape == (120, 28, 28, 1)
+    assert ds.images.dtype == np.uint8
     assert np.array_equal(ds.labels, sample_dataset.labels)
-    assert np.array_equal(ds.images, sample_dataset.images)
+    # selecting every image, in order, gives the sample's float pixels
+    everything, _ = subset(ds, 120, 0, seed=0)
+    assert everything.images.dtype == np.float64
+    assert np.array_equal(everything.images, sample_dataset.images)
 
     # re-serializing yields identical bytes
     ip2, lp2 = tmp_path / "i2.idx", tmp_path / "l2.idx"
@@ -48,11 +53,13 @@ def test_load_idx_round_trip(idx_files, sample_dataset, tmp_path):
 
 
 def test_pixel_255_maps_to_exactly_one(tmp_path):
-    ds = Dataset(np.ones((1, 2, 2, 1)), np.array([0]), "mnist")
+    ds = Dataset(np.ones((10, 2, 2, 1)), np.arange(10), "mnist")
     ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
     save_idx(ds, ip, lp)
     loaded = load_idx(ip, lp)
-    assert np.all(loaded.images == 1.0)
+    assert np.all(loaded.images == 255)
+    selected, _ = subset(loaded, 10, 0, seed=0)
+    assert np.all(selected.images == 1.0)
 
 
 @pytest.mark.parametrize("labels", [[0, 10], [-1, 0], [0.0, 1.0], [0.5, 1.0]])
@@ -77,8 +84,39 @@ def test_dataset_accepts_the_unit_interval_ends_and_no_images():
 
 
 def test_pixels_normalized_to_unit_interval(idx_files):
-    ds = load_idx(*idx_files)
-    assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
+    for split in subset(load_idx(*idx_files), 50, 30, seed=0):
+        assert split.images.dtype == np.float64
+        assert split.images.min() >= 0.0 and split.images.max() <= 1.0
+
+
+def test_save_idx_writes_a_uint8_pool_unchanged(tmp_path, rng):
+    # bytes above 1 would wrap if they were read as pixels and scaled by 255
+    pixels = rng.integers(0, 256, (20, 3, 4, 1), dtype=np.uint8)
+    pixels[0, 0, 0, 0] = 255
+    ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+    save_idx(Dataset(pixels, np.arange(20) % 10, "mnist"), ip, lp)
+    assert ip.read_bytes() == struct.pack(">IIII", data.IDX_IMAGE_MAGIC, 20, 3, 4) + pixels.tobytes()
+    assert np.array_equal(load_idx(ip, lp).images, pixels)
+
+
+def test_only_the_selected_images_are_converted(tmp_path, rng):
+    count, side = 2000, 28
+    ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+    ip.write_bytes(struct.pack(">IIII", data.IDX_IMAGE_MAGIC, count, side, side)
+                   + rng.integers(0, 256, count * side * side, dtype=np.uint8).tobytes())
+    lp.write_bytes(struct.pack(">II", data.IDX_LABEL_MAGIC, count)
+                   + (np.arange(count) % 10).astype(np.uint8).tobytes())
+    tracemalloc.start()
+    try:
+        pool = load_idx(ip, lp)
+        train, test = subset(pool, 50, 30, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pool.images.dtype == np.uint8
+    assert (len(train), len(test)) == (50, 30)
+    # the float64 pool alone would be 8 bytes a pixel: 12.5 MB here
+    assert peak < count * side * side * 8
 
 
 def test_bad_image_magic(idx_files, tmp_path):

@@ -226,6 +226,16 @@ def test_sweep_config_rejects_images_that_are_not_28x28():
             tiny_config(**{split: small})
 
 
+def test_sweep_config_rejects_raw_idx_bytes():
+    # bytes 0-255 read as pixels would drive every layer far outside [0, 1]
+    cfg = tiny_config()
+    raw = Dataset(np.rint(cfg.test_data.images * 255.0).astype(np.uint8),
+                  cfg.test_data.labels, "mnist")
+    for split in ("train_data", "test_data"):
+        with pytest.raises(ValueError, match="subset a raw IDX pool first"):
+            tiny_config(**{split: raw})
+
+
 @pytest.mark.parametrize("clamp", [(0.0, 1.0), None, "true"])
 def test_sweep_config_rejects_a_clamp_that_is_not_a_bool(clamp):
     with pytest.raises(ValueError, match="clamp must be True or False"):

@@ -214,6 +214,54 @@ def test_dataset_order_preserved(rng):
         assert np.array_equal(batch[i], quanvolve_image(img, cfg))
 
 
+def summed_terms(images, cfg):
+    """Every compiled term of channel q added in order into one float64 array
+    of the whole batch, the evaluation quanvolve_dataset blocks."""
+    rows, cols, n = quanv.output_shape(images.shape[1], images.shape[2], cfg)
+    k, s = cfg.kernel_size, cfg.stride
+    trig = (np.cos(np.pi * images[..., 0]), np.sin(np.pi * images[..., 0]))
+    pixels = [(slice(None), slice(a, a + s * rows, s), slice(b, b + s * cols, s))
+              for a in range(k) for b in range(k)]
+    maps = np.zeros((len(images), rows, cols, n))
+    for q, coefficient, factors in cfg.terms:
+        term = coefficient
+        for i, t in factors:
+            term = term * trig[t][pixels[i]]
+        maps[..., q] += term
+    return maps
+
+
+@pytest.mark.parametrize("kind", list(AnsatzKind))
+def test_float32_out_holds_the_float64_maps_rounded(kind, rng):
+    # 130 images: two full blocks and a partial third
+    imgs = rng.uniform(0, 1, (2 * quanv._BLOCK + 2, 28, 28, 1))
+    cfg = ansatz_cfg(kind)
+    maps = quanvolve_dataset(imgs, cfg)
+    assert maps.dtype == np.float64
+    assert np.array_equal(maps.view(np.uint64), summed_terms(imgs, cfg).view(np.uint64))
+    out = np.full((len(imgs), 14, 14, 4), np.nan, dtype=np.float32)
+    assert quanvolve_dataset(imgs, cfg, out=out) is out
+    assert np.array_equal(out.view(np.uint32), maps.astype(np.float32).view(np.uint32))
+
+
+def test_out_must_have_the_maps_shape(rng):
+    imgs = rng.uniform(0, 1, (3, 6, 6, 1))
+    with pytest.raises(ValueError, match="out shape"):
+        quanvolve_dataset(imgs, identity_cfg(), out=np.empty((3, 3, 3, 3), np.float32))
+
+
+def test_a_channel_without_terms_is_zero(rng):
+    # R_x(pi/2) turns Z_0 into -Y_0, whose real part is 0: channel 0 has no terms
+    cfg = QuanvConfig(circuit=qsim.Circuit(4, (qsim.rx(0, np.pi / 2),)))
+    assert {q for q, _, _ in cfg.terms} == {1, 2, 3}
+    imgs = rng.uniform(0, 1, (3, 6, 6, 1))
+    out = np.full((3, 3, 3, 4), np.nan, dtype=np.float32)
+    quanvolve_dataset(imgs, cfg, out=out)
+    maps = quanvolve_dataset(imgs, cfg)
+    assert np.all(maps[..., 0] == 0) and np.all(out[..., 0] == 0)
+    assert np.array_equal(out, maps.astype(np.float32))
+
+
 # ---------------------------------------------------------------------------
 # input_gradient
 # ---------------------------------------------------------------------------
