@@ -6,6 +6,10 @@
 
 Exit codes: 0 success, 1 internal failure, 2 usage or config error.
 
+`quanvolve` streams: it keeps the selected IDX images as bytes, converts and
+quanvolves them one 64-image block at a time, and appends each block's
+float32 maps to the QNVF file, which appears at ``--out`` only once complete.
+
 Sweep configs are flat ``key = value`` text files ('#' comments allowed).
 Recognized keys, with defaults in brackets:
 
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -156,8 +161,9 @@ def _parse_enum_list(key, value, enum_cls):
     return tuple(out)
 
 
-def load_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
-    """Resolve config to stratified train/test subsets."""
+def _select_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
+    """Resolve config to stratified train/test subsets; an IDX source's
+    images stay bytes."""
     name = cfg["dataset"].lower()
     if name not in ("mnist", "fmnist"):
         raise ConfigError(f"dataset: expected mnist or fmnist, got {cfg['dataset']!r}")
@@ -175,17 +181,23 @@ def load_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
     root = os.path.join(cfg["dataset_dir"], name)
     if not os.path.isdir(root):
         root = cfg["dataset_dir"]
-    splits = {}
-    for split, (img_name, lbl_name) in _IDX_NAMES.items():
-        img_path, lbl_path = os.path.join(root, img_name), os.path.join(root, lbl_name)
-        for p in (img_path, lbl_path):
-            if not os.path.exists(p):
-                raise FileNotFoundError(f"missing dataset file: {p}")
-        splits[split] = data.load_idx(img_path, lbl_path, name)
-    train_pool, test_pool = splits["train"], splits["test"]
-    train, _ = data.subset(train_pool, n_train, 0, harness.stable_seed(seed, "train"))
-    test, _ = data.subset(test_pool, n_test, 0, harness.stable_seed(seed, "test"))
+    paths = {split: [os.path.join(root, file) for file in files]
+             for split, files in _IDX_NAMES.items()}
+    for path in paths["train"] + paths["test"]:
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"missing dataset file: {path}")
+    # each pool is freed as soon as its images are selected
+    train, _ = data.subset(data.load_idx(*paths["train"], name), n_train, 0,
+                           harness.stable_seed(seed, "train"))
+    test, _ = data.subset(data.load_idx(*paths["test"], name), n_test, 0,
+                          harness.stable_seed(seed, "test"))
     return train, test
+
+
+def load_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
+    """Resolve config to stratified train/test subsets of float pixels."""
+    return tuple(dataclasses.replace(split, images=data.pixels(split.images))
+                 for split in _select_dataset_pair(cfg))
 
 
 @contextlib.contextmanager
@@ -261,30 +273,40 @@ def cmd_quanvolve(args) -> int:
     )
     kind = AnsatzKind(args.ansatz)
     with _config_errors():
-        train, test = load_dataset_pair(cfg)
+        train, test = _select_dataset_pair(cfg)
         if len(train) + len(test) == 0:
             raise ValueError("n_train and n_test are both 0: nothing to quanvolve")
         if train.images.shape[1:] != test.images.shape[1:]:
             raise ValueError(f"train images {train.images.shape[1:]} and test images "
                              f"{test.images.shape[1:]} differ in shape")
         qcfg = QuanvConfig(circuit=build_ansatz(kind, 4, seed=args.seed))
-        maps = np.empty((len(train) + len(test),
-                         *quanv.output_shape(*train.images.shape[1:3], qcfg)), np.float32)
-    # one float32 array, filled with train's maps then test's
-    quanv.quanvolve_dataset(train.images, qcfg, out=maps[:len(train)])
-    quanv.quanvolve_dataset(test.images, qcfg, out=maps[len(train):])
-    # crc32, not blake2b: a few ms for thousands of images, and no copy;
-    # chained over train then test, it equals the crc32 of both concatenated
-    digest = zlib.crc32(np.ascontiguousarray(test.images),
-                        zlib.crc32(np.ascontiguousarray(train.images)))
+        shape = (len(train) + len(test),
+                 *quanv.output_shape(*train.images.shape[1:3], qcfg))
+    # train's images then test's, one block at a time, each converted to
+    # pixels only while it is read: no float copy of the selection, no map array
+    blocks = [images[start:start + quanv.BLOCK] for images in (train.images, test.images)
+              for start in range(0, len(images), quanv.BLOCK)]
+    # crc32, not blake2b: a few ms for thousands of images; chained over the
+    # blocks, it equals the crc32 of all the selected pixels, train then test
+    digest = 0
+    for block in blocks:
+        digest = zlib.crc32(data.pixels(block), digest)
     meta = harness.stable_seed(args.dataset, kind.value, args.seed, args.n_train, args.n_test,
                                digest)
-    quanv.write_qnvf(args.out, maps, meta_hash=meta)
+    low, high = np.inf, -np.inf
+
+    def maps():
+        nonlocal low, high
+        for block in blocks:
+            block_maps = np.empty((len(block), *shape[1:]), np.float32)
+            quanv.quanvolve_dataset(data.pixels(block), qcfg, out=block_maps)
+            low, high = min(low, block_maps.min()), max(high, block_maps.max())
+            yield block_maps
+
+    quanv.write_qnvf(args.out, maps(), meta_hash=meta, shape=shape)
     print(
-        f"wrote {args.out}: {maps.shape[0]} maps of "
-        f"{maps.shape[1]}x{maps.shape[2]}x{maps.shape[3]}, "
-        f"values in [{maps.min():.4f}, {maps.max():.4f}] "
-        f"({kind.value}, seed {args.seed})"
+        f"wrote {args.out}: {shape[0]} maps of {shape[1]}x{shape[2]}x{shape[3]}, "
+        f"values in [{low:.4f}, {high:.4f}] ({kind.value}, seed {args.seed})"
     )
     return EXIT_OK
 

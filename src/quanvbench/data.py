@@ -7,9 +7,10 @@ pixel b / 255.
 
 The benchmark trains on tiny stratified subsets (50 train / 30 test by
 default), so `subset` balances classes to within one example per class and
-keeps the splits disjoint and reproducible per seed.  It is the one place
-pixels are normalized: only the selected images are divided, exactly, by
-255, so a pool costs its file's bytes whatever its size.
+keeps the splits disjoint and reproducible per seed.  A selection from a
+byte pool stays bytes.  `pixels` is the one place a byte becomes a pixel,
+by exact division by 255, so a caller converts only what it reads: a sweep
+its whole selection, `quanvbench quanvolve` one block of images at a time.
 """
 from __future__ import annotations
 
@@ -44,8 +45,8 @@ class IdxCountMismatchError(IdxParseError):
 class Dataset:
     """Images (N, H, W, 1) with integer labels below 10.  Float pixels must
     be finite and in [0, 1]: this is the program's one check of input pixels.
-    A uint8 pool holds raw IDX bytes, byte b meaning pixel b / 255, and is
-    normalized by `subset`."""
+    A uint8 pool, or a selection from one, holds raw IDX bytes, byte b
+    meaning pixel b / 255, and is normalized by `pixels`."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -106,7 +107,7 @@ def load_idx(images_path, labels_path, name: str = "mnist") -> Dataset:
 
 def save_idx(ds: Dataset, images_path, labels_path) -> None:
     """Serialize to IDX: a uint8 pool as its bytes, float pixels rounded to
-    the nearest byte (the exact inverse of `subset`'s normalization)."""
+    the nearest byte (the exact inverse of `pixels`)."""
     count = len(ds)
     rows, cols = ds.images.shape[1], ds.images.shape[2]
     pixels = ds.images
@@ -128,9 +129,15 @@ def _class_quotas(n: int, rng: np.random.Generator) -> np.ndarray:
     return quotas
 
 
+def pixels(images: np.ndarray) -> np.ndarray:
+    """Float pixels of ``images``: each byte b of a uint8 array becomes
+    b / 255.0, in float64; float images are returned as they are."""
+    return images / 255.0 if images.dtype == np.uint8 else images
+
+
 def subset(ds: Dataset, n_train: int, n_test: int, seed: int) -> tuple[Dataset, Dataset]:
-    """Stratified, disjoint, seed-deterministic train/test subsets, with the
-    selected images of a uint8 pool normalized to float pixels."""
+    """Stratified, disjoint, seed-deterministic train/test subsets, holding
+    the pool's images as they are (a uint8 pool's as bytes)."""
     if n_train < 0 or n_test < 0:
         raise ValueError(f"subset sizes must be >= 0, got {n_train} and {n_test}")
     if n_train + n_test > len(ds):
@@ -155,12 +162,5 @@ def subset(ds: Dataset, n_train: int, n_test: int, seed: int) -> tuple[Dataset, 
 
     train_idx = np.sort(np.asarray(train_idx, dtype=np.int64))
     test_idx = np.sort(np.asarray(test_idx, dtype=np.int64))
-    return _select(ds, train_idx), _select(ds, test_idx)
-
-
-def _select(ds: Dataset, idx: np.ndarray) -> Dataset:
-    """The examples at ``idx``; a uint8 pool's images become float pixels."""
-    images = ds.images[idx]
-    if images.dtype == np.uint8:
-        images = images / 255.0
-    return Dataset(images, ds.labels[idx], ds.name)
+    return tuple(Dataset(ds.images[idx], ds.labels[idx], ds.name)
+                 for idx in (train_idx, test_idx))

@@ -81,7 +81,7 @@ class SweepConfig:
         for split in (self.train_data, self.test_data):
             if split.images.dtype.kind != "f":
                 raise ValueError(f"images must be float pixels, got {split.images.dtype}: "
-                                 f"subset a raw IDX pool first")
+                                 f"convert raw IDX bytes with data.pixels first")
             if split.images.shape[1:] != (28, 28, 1):
                 raise ValueError(f"images must be 28x28x1, the input every architecture "
                                  f"is built for, got {split.images.shape[1:]}")

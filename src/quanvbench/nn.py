@@ -182,9 +182,6 @@ class Model:
             for name in layer.param_names:
                 yield li, name, getattr(layer, name)
 
-    def parameter_count(self):
-        return self.flat.size
-
 
 def build_model(arch: Architecture, dataset: str, seed: int) -> Model:
     """Assemble one of the three architectures with seeded initialization."""

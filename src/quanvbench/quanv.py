@@ -29,13 +29,16 @@ array, `quanvolve_dataset` stores each sum into it, so float32 maps cost no
 float64 copy of the whole batch.  `quanvbench quanvolve` writes its feature
 maps in the QNVF container: little-endian header (magic "QNVF", version u32,
 count u32, H u32, W u32, C u32, metadata hash u64) followed by the maps as
-row-major float32.
+row-major float32.  `write_qnvf` takes the maps as an iterable of blocks,
+so they can be computed while the file is written and never all be held.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import operator
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -50,7 +53,7 @@ _QNVF_HEADER = struct.Struct("<4sIIIIIQ")
 # compiling goes through n * 4^n floats of observables: 9 qubits (3x3 kernels) is 19 MB
 MAX_QUBITS = 9
 # images per block of features and gradients: bounds the per-block temporaries
-_BLOCK = 64
+BLOCK = 64
 # psi_a psi_b of one qubit, (cos, sin)(phi / 2) products, in the basis (1, cos phi, sin phi)
 _HALF_ANGLE_PRODUCTS = 0.5 * np.array([[[1, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, -1, 0]]])
 # Exact zeros come out of the contraction as rounding noise: at most 3.1e-16
@@ -138,7 +141,7 @@ def _blocked(images: np.ndarray, cfg: QuanvConfig):
     k, s = cfg.kernel_size, cfg.stride
     pixels = [(slice(None), slice(a, a + s * rows, s), slice(b, b + s * cols, s))
               for a in range(k) for b in range(k)]
-    blocks = (slice(start, start + _BLOCK) for start in range(0, len(images), _BLOCK))
+    blocks = (slice(start, start + BLOCK) for start in range(0, len(images), BLOCK))
     phis = ((block, np.pi * images[block, ..., 0]) for block in blocks)
     return images, (len(images), rows, cols, n), pixels, (
         (block, (np.cos(phi), np.sin(phi))) for block, phi in phis)
@@ -220,19 +223,44 @@ def quanvolve_with_pullback(images: np.ndarray, cfg: QuanvConfig):
             functools.partial(_pullback, cfg, images, shape, pixels, blocks))
 
 
-def write_qnvf(path, maps: np.ndarray, meta_hash: int = 0) -> None:
-    """Serialize feature maps (N, H, W, C) as a QNVF container."""
-    maps = np.asarray(maps)
-    if maps.ndim != 4:
-        raise ValueError(f"expected (N, H, W, C) maps, got shape {maps.shape}")
-    count, height, width, channels = maps.shape
+def write_qnvf(path, maps, meta_hash: int = 0, shape=None) -> None:
+    """Serialize feature maps as a QNVF container at ``path``.
+
+    ``maps`` is an (N, H, W, C) array, which counts as one block, or an
+    iterable of (n, H, W, C) blocks, in order, together making up the maps
+    of ``shape``.  Each block is written as it comes, so the whole maps need
+    never exist.  The file is written under a temporary name in the same
+    directory and renamed to ``path`` once complete: if anything fails,
+    producing a block included, the temporary file is removed and a file
+    already at ``path`` keeps its bytes.
+    """
+    if isinstance(maps, np.ndarray):
+        shape, maps = maps.shape, (maps,)
+    if len(shape) != 4:
+        raise ValueError(f"expected (N, H, W, C) maps, got shape {shape}")
+    count, height, width, channels = shape
     header = _QNVF_HEADER.pack(
         QNVF_MAGIC, QNVF_VERSION, count, height, width, channels, meta_hash
     )
-    data = np.ascontiguousarray(maps, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(data)  # the contiguous buffer itself, no bytes copy
+    partial = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(header)
+            written = 0
+            for block in maps:
+                block = np.ascontiguousarray(block, dtype="<f4")
+                written += len(block)
+                if block.shape[1:] != (height, width, channels) or written > count:
+                    raise ValueError(f"block of shape {block.shape} does not fit maps of "
+                                     f"shape {shape}")
+                fh.write(block)  # the contiguous buffer itself, no bytes copy
+        if written != count:
+            raise ValueError(f"blocks hold {written} maps, the header declares {count}")
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
 
 
 def read_qnvf(path) -> tuple[np.ndarray, int]:

@@ -4,12 +4,13 @@ Each check exercises a production code path against an independent
 reference: the batched statevector kernel against dense Kronecker-product
 matrices, quanvolution features (evaluated from the filter's compiled
 Fourier terms) against a dense simulation of the full encoding-plus-filter
-circuit, quanvolution input gradients against central finite differences
-and the parameter-shift rule, model input gradients against finite
-differences, and the attack implementations against their algebraic
-reduction identities and containment guarantees.  A corrupted gate, a
-wrong or lost Fourier coefficient, a broken chain rule, or a mis-projected
-attack step fails loudly here before any experiment runs.
+circuit, quanvolution input gradients (through the pullback the end_to_end
+attack uses) against central finite differences and the parameter-shift
+rule, model input gradients against finite differences, and the attack
+implementations against their algebraic reduction identities and
+containment guarantees.  A corrupted gate, a wrong or lost Fourier
+coefficient, a broken chain rule, or a mis-projected attack step fails
+loudly here before any experiment runs.
 """
 from __future__ import annotations
 
@@ -116,20 +117,27 @@ def _central_difference(img, idx, step, cfg, upstream) -> float:
 
 
 def check_input_gradients() -> tuple[bool, str]:
-    """Quanvolution input gradients vs finite differences and parameter shift.
+    """Quanvolution input gradients, as every end_to_end attack gradient
+    computes them, vs finite differences and parameter shift.
 
-    Each feature is a degree-1 trigonometric polynomial in pi * x, so moving
-    a pixel by +-1/2 (a +-pi/2 shift of its angle) gives the exact
-    derivative pi/2 * (f(x + 1/2) - f(x - 1/2)).
+    The gradient comes from `quanvolve_with_pullback` on a batch of more than
+    one block, and the checked image is in the second block: the pullback
+    must reuse that block's cos and sin, and no other's.  Each feature is a
+    degree-1 trigonometric polynomial in pi * x, so moving a pixel by +-1/2
+    (a +-pi/2 shift of its angle) gives the exact derivative
+    pi/2 * (f(x + 1/2) - f(x - 1/2)).
     """
     rng = np.random.default_rng(202)
     h = 1e-5
     worst_fd = worst_ps = 0.0
+    checked = quanv.BLOCK + 5
     for kind in AnsatzKind:
         cfg = QuanvConfig(circuit=build_ansatz(kind, 4, seed=303))
-        img = rng.uniform(0.05, 0.95, (6, 6, 1))
-        upstream = rng.normal(size=(3, 3, 4))
-        exact = quanv.input_gradient(img[None], cfg, upstream[None])[0]
+        images = rng.uniform(0.05, 0.95, (quanv.BLOCK + 8, 6, 6, 1))
+        upstreams = rng.normal(size=(len(images), 3, 3, 4))
+        _features, pullback = quanv.quanvolve_with_pullback(images, cfg)
+        img, upstream = images[checked], upstreams[checked]
+        exact = pullback(upstreams)[checked]
         for flat in rng.choice(img.size, 20, replace=False):
             idx = np.unravel_index(flat, img.shape)
             fd = _central_difference(img, idx, h, cfg, upstream) / (2 * h)
@@ -141,9 +149,9 @@ def check_input_gradients() -> tuple[bool, str]:
             return False, (f"{kind.value}: relative error {worst_fd:.2e} vs finite "
                            f"differences (tolerance 1e-5), {worst_ps:.2e} vs parameter "
                            f"shift (tolerance 1e-10)")
-    return True, (f"all 5 ansatz kinds, max relative error {worst_fd:.2e} vs finite "
-                  f"differences (tolerance 1e-5), {worst_ps:.2e} vs parameter shift "
-                  f"(tolerance 1e-10)")
+    return True, (f"all 5 ansatz kinds, image {checked} of a {len(images)}-image batch, "
+                  f"max relative error {worst_fd:.2e} vs finite differences (tolerance "
+                  f"1e-5), {worst_ps:.2e} vs parameter shift (tolerance 1e-10)")
 
 
 def check_backprop_gradients() -> tuple[bool, str]:

@@ -66,7 +66,8 @@ def load_benchmark_data(name: str):
             test_pool = data.load_idx(t_img, t_lbl, name)
             train, _ = data.subset(train_pool, 50, 0, seed=0)
             test, _ = data.subset(test_pool, 30, 0, seed=1)
-            return train, test
+            return tuple(data.Dataset(data.pixels(split.images), split.labels, name)
+                         for split in (train, test))
     pool = synthetic_dataset(name, 600, seed=7)
     return data.subset(pool, 50, 30, seed=0)
 

@@ -1,11 +1,13 @@
 import json
 import re
+import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from quanvbench import cli, harness, nn, quanv
+from quanvbench import cli, data, harness, nn, quanv
 from quanvbench.ansatz import AnsatzKind, build_ansatz
 from quanvbench.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main, parse_config_text
 from quanvbench.data import Dataset, save_idx, subset
@@ -191,6 +193,56 @@ def test_cmd_quanvolve_writes_the_maps_of_the_concatenated_images(idx_dir, tmp_p
                      meta_hash=harness.stable_seed("mnist", "random", 4, 70, 40,
                                                    zlib.crc32(images)))
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_cmd_quanvolve_holds_neither_float_images_nor_all_maps(tmp_path, rng):
+    # 3,100 pool images of random bytes, 2,000 + 500 of them quanvolved
+    root = tmp_path / "data" / "mnist"
+    root.mkdir(parents=True)
+    for (images, labels), count in zip(cli._IDX_NAMES.values(), (2500, 600)):
+        (root / images).write_bytes(
+            struct.pack(">IIII", data.IDX_IMAGE_MAGIC, count, 28, 28)
+            + rng.integers(0, 256, count * 28 * 28, dtype=np.uint8).tobytes())
+        (root / labels).write_bytes(struct.pack(">II", data.IDX_LABEL_MAGIC, count)
+                                    + (np.arange(count) % 10).astype(np.uint8).tobytes())
+    out = tmp_path / "maps.qnvf"
+    tracemalloc.start()
+    try:
+        rc = main(["quanvolve", "--dataset-dir", str(tmp_path / "data"), "--n-train", "2000",
+                   "--n-test", "500", "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_OK
+    maps, _ = quanv.read_qnvf(out)
+    assert maps.shape == (2500, 14, 14, 4)
+    # the float32 maps of the selection: 7.8 MB; its float64 pixels would be 15.7 MB
+    assert peak < maps.nbytes
+
+
+@pytest.mark.parametrize("earlier", [None, b"an earlier file"], ids=["no-file", "earlier-file"])
+def test_cmd_quanvolve_failing_block_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, earlier):
+    real, calls = quanv.quanvolve_dataset, []
+
+    def fail_on_the_second_block(*args, **kwargs):
+        calls.append(len(args[0]))
+        if len(calls) == 2:
+            raise RuntimeError("second block failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quanv, "quanvolve_dataset", fail_on_the_second_block)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "maps.qnvf"
+    if earlier is not None:
+        out.write_bytes(earlier)
+    rc = main(["quanvolve", "--synthetic", "--n-train", "200", "--out", str(out)])
+    assert rc == EXIT_FAILURE
+    assert "second block failed" in capsys.readouterr().err
+    assert calls == [quanv.BLOCK, quanv.BLOCK]  # the first block was written
+    assert [p.name for p in out_dir.iterdir()] == ([] if earlier is None else ["maps.qnvf"])
+    if earlier is not None:
+        assert out.read_bytes() == earlier
 
 
 def test_cmd_quanvolve_missing_file_exit_2(tmp_path, capsys):

@@ -42,8 +42,9 @@ def test_load_idx_round_trip(idx_files, sample_dataset, tmp_path):
     assert np.array_equal(ds.labels, sample_dataset.labels)
     # selecting every image, in order, gives the sample's float pixels
     everything, _ = subset(ds, 120, 0, seed=0)
-    assert everything.images.dtype == np.float64
-    assert np.array_equal(everything.images, sample_dataset.images)
+    assert np.array_equal(everything.images, ds.images)
+    assert data.pixels(everything.images).dtype == np.float64
+    assert np.array_equal(data.pixels(everything.images), sample_dataset.images)
 
     # re-serializing yields identical bytes
     ip2, lp2 = tmp_path / "i2.idx", tmp_path / "l2.idx"
@@ -59,7 +60,7 @@ def test_pixel_255_maps_to_exactly_one(tmp_path):
     loaded = load_idx(ip, lp)
     assert np.all(loaded.images == 255)
     selected, _ = subset(loaded, 10, 0, seed=0)
-    assert np.all(selected.images == 1.0)
+    assert np.all(data.pixels(selected.images) == 1.0)
 
 
 @pytest.mark.parametrize("labels", [[0, 10], [-1, 0], [0.0, 1.0], [0.5, 1.0]])
@@ -85,8 +86,17 @@ def test_dataset_accepts_the_unit_interval_ends_and_no_images():
 
 def test_pixels_normalized_to_unit_interval(idx_files):
     for split in subset(load_idx(*idx_files), 50, 30, seed=0):
-        assert split.images.dtype == np.float64
-        assert split.images.min() >= 0.0 and split.images.max() <= 1.0
+        assert split.images.dtype == np.uint8  # a selection stays bytes
+        pixels = data.pixels(split.images)
+        assert pixels.dtype == np.float64
+        assert pixels.min() >= 0.0 and pixels.max() <= 1.0
+
+
+def test_pixels_divides_bytes_by_255_and_keeps_float_images(rng):
+    images = rng.integers(0, 256, (3, 4, 4, 1), dtype=np.uint8)
+    assert np.array_equal(data.pixels(images), images.astype(float) / 255.0)
+    floats = rng.uniform(0, 1, (3, 4, 4, 1))
+    assert data.pixels(floats) is floats
 
 
 def test_save_idx_writes_a_uint8_pool_unchanged(tmp_path, rng):
@@ -110,11 +120,13 @@ def test_only_the_selected_images_are_converted(tmp_path, rng):
     try:
         pool = load_idx(ip, lp)
         train, test = subset(pool, 50, 30, seed=0)
+        train_pixels, test_pixels = data.pixels(train.images), data.pixels(test.images)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert pool.images.dtype == np.uint8
-    assert (len(train), len(test)) == (50, 30)
+    assert pool.images.dtype == train.images.dtype == test.images.dtype == np.uint8
+    assert (len(train_pixels), len(test_pixels)) == (50, 30)
+    assert train_pixels.dtype == test_pixels.dtype == np.float64
     # the float64 pool alone would be 8 bytes a pixel: 12.5 MB here
     assert peak < count * side * side * 8
 

@@ -232,7 +232,7 @@ def test_sweep_config_rejects_raw_idx_bytes():
     raw = Dataset(np.rint(cfg.test_data.images * 255.0).astype(np.uint8),
                   cfg.test_data.labels, "mnist")
     for split in ("train_data", "test_data"):
-        with pytest.raises(ValueError, match="subset a raw IDX pool first"):
+        with pytest.raises(ValueError, match="convert raw IDX bytes with data.pixels first"):
             tiny_config(**{split: raw})
 
 

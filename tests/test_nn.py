@@ -41,7 +41,7 @@ def test_classical_cnn_forward_shape(rng):
 
 def test_qunn_head_parameter_count():
     m = build_model(Architecture.QUNN, "mnist", seed=1)
-    assert m.parameter_count() == 14 * 14 * 4 * 10 + 10  # 7850
+    assert m.flat.size == 14 * 14 * 4 * 10 + 10  # 7850
 
 
 def test_same_seed_same_weights():
@@ -337,7 +337,7 @@ def test_flat_adam_equals_per_parameter_adam_bit_for_bit(arch, dataset, rng):
 def test_parameters_are_views_of_one_flat_vector():
     m = build_model(Architecture.CLASSICAL_CNN, "fmnist", seed=1)
     entries = list(m.param_entries())
-    assert m.flat.size == m.parameter_count() == sum(arr.size for _, _, arr in entries)
+    assert m.flat.size == sum(arr.size for _, _, arr in entries)
     assert all(np.shares_memory(arr, m.flat) for _, _, arr in entries)
     assert np.array_equal(m.flat, np.concatenate([arr.ravel() for _, _, arr in entries]))
 

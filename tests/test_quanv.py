@@ -205,7 +205,7 @@ def test_dataset_empty():
 
 def test_dataset_order_preserved(rng):
     # the images span two internal blocks, the last one partial
-    count = quanv._BLOCK + 3
+    count = quanv.BLOCK + 3
     imgs = rng.uniform(0, 1, (count, 6, 6, 1))
     cfg = ansatz_cfg(AnsatzKind.RANDOM)
     batch = quanvolve_dataset(imgs, cfg)
@@ -234,7 +234,7 @@ def summed_terms(images, cfg):
 @pytest.mark.parametrize("kind", list(AnsatzKind))
 def test_float32_out_holds_the_float64_maps_rounded(kind, rng):
     # 130 images: two full blocks and a partial third
-    imgs = rng.uniform(0, 1, (2 * quanv._BLOCK + 2, 28, 28, 1))
+    imgs = rng.uniform(0, 1, (2 * quanv.BLOCK + 2, 28, 28, 1))
     cfg = ansatz_cfg(kind)
     maps = quanvolve_dataset(imgs, cfg)
     assert maps.dtype == np.float64
@@ -333,7 +333,7 @@ def test_batched_gradient_rows_match_one_image_batches(k, s, rng):
     # the images span two internal blocks, the last one partial
     cfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.RANDOM, k * k, seed=5),
                       kernel_size=k, stride=s)
-    count = quanv._BLOCK + 3
+    count = quanv.BLOCK + 3
     imgs = rng.uniform(-0.5, 1.5, (count, 8, 8, 1))
     upstream = rng.normal(size=(count, *quanvolve_image(imgs[0], cfg).shape))
     batched = input_gradient(imgs, cfg, upstream)
@@ -381,12 +381,33 @@ def test_qnvf_rejects_corruption(tmp_path, rng):
         quanv.read_qnvf(truncated)
 
 
+def test_qnvf_blocks_write_the_bytes_of_the_whole_array(tmp_path, rng):
+    maps = rng.uniform(-1, 1, (7, 3, 3, 4))
+    whole, blocks = tmp_path / "whole.qnvf", tmp_path / "blocks.qnvf"
+    quanv.write_qnvf(whole, maps, meta_hash=11)
+    quanv.write_qnvf(blocks, (maps[:3], maps[3:3], maps[3:]), meta_hash=11, shape=maps.shape)
+    assert blocks.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize("blocks", [
+    lambda maps: (maps[:3],),                 # fewer maps than the header declares
+    lambda maps: (maps, maps[:1]),            # more
+    lambda maps: (maps[:, :2],),              # a map of another shape
+], ids=["too-few", "too-many", "wrong-shape"])
+def test_qnvf_blocks_that_do_not_make_up_the_shape_leave_no_file(tmp_path, rng, blocks):
+    maps = rng.uniform(-1, 1, (7, 3, 3, 4))
+    path = tmp_path / "maps.qnvf"
+    with pytest.raises(ValueError):
+        quanv.write_qnvf(path, blocks(maps), shape=maps.shape)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("kind", list(AnsatzKind))
 def test_fused_features_and_pullback_equal_the_separate_paths(kind, rng):
     # 130 images: two full blocks and a partial third, each pulled back
     # through the cos and sin its features were computed from
     cfg = ansatz_cfg(kind)
-    count = 2 * quanv._BLOCK + 2
+    count = 2 * quanv.BLOCK + 2
     images = rng.uniform(-1.5, 2.5, (count, 28, 28, 1))
     upstream = rng.normal(size=(count, 14, 14, 4))
     features, pullback = quanv.quanvolve_with_pullback(images, cfg)

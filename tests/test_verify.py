@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,25 @@ def test_gradient_check_covers_every_ansatz_kind():
     assert passed
     assert "all 5 ansatz kinds" in detail
     assert "finite differences" in detail and "parameter shift" in detail
+
+
+@pytest.mark.parametrize("reuse", [
+    lambda blocks: blocks,           # the features use up the blocks' cos and sin
+    lambda blocks: list(blocks)[:1],  # only the first block's are kept
+], ids=["consumed", "first-block-only"])
+def test_pullback_that_loses_the_block_reuse_fails_gradient_check(monkeypatch, reuse):
+    # mutation check: the end_to_end gradient of an image in the second block
+    # must come from that block's cos and sin
+    def mutated(images, cfg):
+        images, shape, pixels, blocks = quanv._blocked(images, cfg)
+        blocks = reuse(blocks)
+        return (quanv._features(cfg, shape, pixels, blocks),
+                functools.partial(quanv._pullback, cfg, images, shape, pixels, blocks))
+
+    monkeypatch.setattr(quanv, "quanvolve_with_pullback", mutated)
+    passed, detail = verify.check_input_gradients()
+    assert not passed
+    assert "relative error" in detail
 
 
 def test_corrupted_zz_sign_fails_dense_oracle(monkeypatch):
