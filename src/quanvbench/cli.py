@@ -6,9 +6,10 @@
 
 Exit codes: 0 success, 1 internal failure, 2 usage or config error.
 
-`quanvolve` streams: it keeps the selected IDX images as bytes, converts and
-quanvolves them one 64-image block at a time, and appends each block's
-float32 maps to the QNVF file, which appears at ``--out`` only once complete.
+`quanvolve` streams: it keeps the selected IDX images as bytes, quanvolves
+them one 64-image block at a time, each block's bytes read as their pixels
+through a table, and appends each block's float32 maps to the QNVF file,
+which appears at ``--out`` only once complete.
 
 Sweep configs are flat ``key = value`` text files ('#' comments allowed).
 Recognized keys, with defaults in brackets:
@@ -282,8 +283,8 @@ def cmd_quanvolve(args) -> int:
         qcfg = QuanvConfig(circuit=build_ansatz(kind, 4, seed=args.seed))
         shape = (len(train) + len(test),
                  *quanv.output_shape(*train.images.shape[1:3], qcfg))
-    # train's images then test's, one block at a time, each converted to
-    # pixels only while it is read: no float copy of the selection, no map array
+    # train's images then test's, one block at a time: no float copy of the
+    # selection, no map array
     blocks = [images[start:start + quanv.BLOCK] for images in (train.images, test.images)
               for start in range(0, len(images), quanv.BLOCK)]
     # crc32, not blake2b: a few ms for thousands of images; chained over the
@@ -299,7 +300,7 @@ def cmd_quanvolve(args) -> int:
         nonlocal low, high
         for block in blocks:
             block_maps = np.empty((len(block), *shape[1:]), np.float32)
-            quanv.quanvolve_dataset(data.pixels(block), qcfg, out=block_maps)
+            quanv.quanvolve_dataset(block, qcfg, out=block_maps)
             low, high = min(low, block_maps.min()), max(high, block_maps.max())
             yield block_maps
 

@@ -10,7 +10,10 @@ default), so `subset` balances classes to within one example per class and
 keeps the splits disjoint and reproducible per seed.  A selection from a
 byte pool stays bytes.  `pixels` is the one place a byte becomes a pixel,
 by exact division by 255, so a caller converts only what it reads: a sweep
-its whole selection, `quanvbench quanvolve` one block of images at a time.
+its whole selection.  `quanvbench quanvolve` hands its selection to the
+quantum layer as bytes, one block of images at a time; that layer's cos/sin
+tables hold the 256 pixels `pixels` makes of the 256 bytes, so a byte
+still means what `pixels` says.
 """
 from __future__ import annotations
 
@@ -46,7 +49,8 @@ class Dataset:
     """Images (N, H, W, 1) with integer labels below 10.  Float pixels must
     be finite and in [0, 1]: this is the program's one check of input pixels.
     A uint8 pool, or a selection from one, holds raw IDX bytes, byte b
-    meaning pixel b / 255, and is normalized by `pixels`."""
+    meaning pixel b / 255: normalized by `pixels`, or quanvolved as bytes
+    through tables built with `pixels`."""
 
     images: np.ndarray
     labels: np.ndarray

@@ -1,12 +1,13 @@
 """Quanvolutional layer: the frozen filter compiled into its Fourier terms.
 
-Images are (H, W, C) float arrays, row-major.  A kernel_size x kernel_size
-patch is flattened row-major and pixel i drives qubit i through an angle
-encoding phi_i = pi * x_i applied as R_y(phi_i) to |0>.  That encoding is a
-real product state psi = (x)_i (cos, sin)(phi_i / 2).  Channel q of the
-output pixel is the exact expectation <Z_q> after the filter circuit U,
-psi^T M_q psi with M_q = Re(U^dagger Z_q U) (the imaginary part vanishes on
-real states).  Per qubit, cos^2, sin^2 and cos * sin of phi_i / 2 lie in
+Images are (H, W, C) arrays, row-major, of float pixels or of uint8 bytes
+(see below).  A kernel_size x kernel_size patch is flattened row-major and
+pixel i drives qubit i through an angle encoding phi_i = pi * x_i applied
+as R_y(phi_i) to |0>.  That encoding is a real product state
+psi = (x)_i (cos, sin)(phi_i / 2).  Channel q of the output pixel is the
+exact expectation <Z_q> after the filter circuit U, psi^T M_q psi with
+M_q = Re(U^dagger Z_q U) (the imaginary part vanishes on real states).  Per
+qubit, cos^2, sin^2 and cos * sin of phi_i / 2 lie in
 span{1, cos phi_i, sin phi_i}, so every channel is a short trigonometric
 polynomial (Schuld, Sweke & Meyer, arXiv:2008.08605):
 
@@ -23,6 +24,12 @@ every term reading pixel i of all patches through one strided view;
 
 The encoding is defined for any real pixel, so unclamped adversarial images
 are quanvolved as they are; `data.Dataset` checks float pixels lie in [0, 1].
+A uint8 image holds IDX bytes and means its pixels ``data.pixels(image)``,
+byte b standing for b / 255.  A block of bytes takes its (cos, sin)(pi x)
+from two 256-entry tables, built at import from ``data.pixels`` of every
+byte by the float path's own operations: its maps and gradients (float64)
+have the bits of its pixels', and no cosine or sine is evaluated per pixel.
+Any other integer or boolean image is rejected rather than read as angles.
 
 Features are summed in float64, per block and channel; given an ``out``
 array, `quanvolve_dataset` stores each sum into it, so float32 maps cost no
@@ -44,6 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data
 from .qsim import Circuit, apply_circuit_batch
 
 QNVF_MAGIC = b"QNVF"
@@ -130,11 +138,35 @@ def output_shape(height: int, width: int, cfg: QuanvConfig) -> tuple[int, int, i
     return ((height - k) // s + 1, (width - k) // s + 1, k * k)
 
 
+def _trig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin)(pi x) of float pixels x."""
+    phi = np.pi * x
+    return np.cos(phi), np.sin(phi)
+
+
+# (cos, sin)(pi x) of the 256 pixels a byte can stand for, by the same
+# operations as on float pixels, so byte images get the bits of their pixels
+_BYTE_TRIG = _trig(data.pixels(np.arange(256, dtype=np.uint8)))
+
+
+def _byte_trig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin)(pi x) of the pixels of bytes x, looked up in the tables."""
+    index = x.astype(np.intp)  # one index for both tables
+    return _BYTE_TRIG[0][index], _BYTE_TRIG[1][index]
+
+
 def _blocked(images: np.ndarray, cfg: QuanvConfig):
-    """(N, H, W, 1) float images, feature maps shape, ``pixels[i]`` indexing
-    pixel i of every patch in an (N, H, W) array, and each block's slice with
-    its (cos, sin)(pi x), computed as it is iterated."""
-    images = np.asarray(images, dtype=float)
+    """(N, H, W, 1) images, float64 or uint8, feature maps shape, ``pixels[i]``
+    indexing pixel i of every patch in an (N, H, W) array, and each block's
+    slice with its (cos, sin)(pi x), computed as it is iterated."""
+    images = np.asarray(images)
+    if images.dtype == np.uint8:
+        trig = _byte_trig
+    elif images.dtype.kind == "f":
+        images, trig = images.astype(float, copy=False), _trig
+    else:
+        raise ValueError(f"{images.dtype} images are neither float pixels nor uint8 bytes; "
+                         "data.pixels turns bytes into pixels")
     if images.ndim != 4 or images.shape[-1] != 1:
         raise ValueError(f"expected single-channel (N, H, W, 1) images, got {images.shape}")
     rows, cols, n = output_shape(images.shape[1], images.shape[2], cfg)
@@ -142,9 +174,8 @@ def _blocked(images: np.ndarray, cfg: QuanvConfig):
     pixels = [(slice(None), slice(a, a + s * rows, s), slice(b, b + s * cols, s))
               for a in range(k) for b in range(k)]
     blocks = (slice(start, start + BLOCK) for start in range(0, len(images), BLOCK))
-    phis = ((block, np.pi * images[block, ..., 0]) for block in blocks)
     return images, (len(images), rows, cols, n), pixels, (
-        (block, (np.cos(phi), np.sin(phi))) for block, phi in phis)
+        (block, trig(images[block, ..., 0])) for block in blocks)
 
 
 def _features(cfg: QuanvConfig, shape, pixels, blocks, out=None) -> np.ndarray:
@@ -179,7 +210,7 @@ def _pullback(cfg: QuanvConfig, images, shape, pixels, blocks, upstream) -> np.n
         raise ValueError(
             f"upstream shape {upstream.shape} does not match feature maps shape {shape}"
         )
-    grad = np.zeros_like(images)
+    grad = np.zeros(images.shape)  # float64 for byte images too
     for block, (cos, sin) in blocks:
         trig, dtrig = (cos, sin), (-np.pi * sin, np.pi * cos)
         u, g = upstream[block], grad[block, ..., 0]
@@ -195,14 +226,18 @@ def _pullback(cfg: QuanvConfig, images, shape, pixels, blocks, upstream) -> np.n
 
 
 def quanvolve_image(image: np.ndarray, cfg: QuanvConfig) -> np.ndarray:
-    """Feature map of shape ((H-k)//s+1, (W-k)//s+1, k^2) with <Z_q> channels."""
-    return quanvolve_dataset(np.asarray(image, dtype=float)[None], cfg)[0]
+    """Feature map of shape ((H-k)//s+1, (W-k)//s+1, k^2) with <Z_q> channels
+    of one (H, W, 1) image, float pixels or uint8 bytes as `quanvolve_dataset`
+    reads them."""
+    return quanvolve_dataset(np.asarray(image)[None], cfg)[0]
 
 
 def quanvolve_dataset(images: np.ndarray, cfg: QuanvConfig, out=None) -> np.ndarray:
     """Feature maps (N, rows, cols, k^2) of (N, H, W, 1) images; order preserved.
-    Computed in float64 and, given an ``out`` array of that shape, stored into
-    it (a float32 ``out`` rounds as ``.astype(np.float32)`` would) and returned."""
+    Float images are pixels; uint8 images are bytes and give, bit for bit, the
+    maps of ``data.pixels(images)``, through the (cos, sin) tables.  Computed
+    in float64 and, given an ``out`` array of that shape, stored into it (a
+    float32 ``out`` rounds as ``.astype(np.float32)`` would) and returned."""
     _images, shape, pixels, blocks = _blocked(images, cfg)
     return _features(cfg, shape, pixels, blocks, out)
 
@@ -210,7 +245,8 @@ def quanvolve_dataset(images: np.ndarray, cfg: QuanvConfig, out=None) -> np.ndar
 def input_gradient(images: np.ndarray, cfg: QuanvConfig, upstream: np.ndarray) -> np.ndarray:
     """Exact d(sum(upstream[j] * features[j]))/d(images[j]) for every image j,
     from (N, H, W, 1) images and (N, rows, cols, n) upstream weights; pixels
-    outside every patch get 0."""
+    outside every patch get 0.  Float64, for uint8 images too: the gradient
+    at their pixels ``data.pixels(images)``, bit for bit."""
     return _pullback(cfg, *_blocked(images, cfg), upstream)
 
 

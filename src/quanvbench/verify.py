@@ -6,14 +6,16 @@ matrices, quanvolution features (evaluated from the filter's compiled
 Fourier terms) against a dense simulation of the full encoding-plus-filter
 circuit, quanvolution input gradients (through the pullback the end_to_end
 attack uses) against central finite differences and the parameter-shift
-rule, model input gradients against finite differences, and the attack
-implementations against their algebraic reduction identities and
-containment guarantees.  A corrupted gate, a wrong or lost Fourier
-coefficient, a broken chain rule, or a mis-projected attack step fails
-loudly here before any experiment runs.
+rule, model input gradients against finite differences, end_to_end attack
+gradients against finite differences of the whole loss (quanvolution and
+head composed), and the attack implementations against their algebraic
+reduction identities and containment guarantees.  A corrupted gate, a wrong
+or lost Fourier coefficient, a broken chain rule, or a mis-projected attack
+step fails loudly here before any experiment runs.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -21,7 +23,8 @@ import numpy as np
 
 from . import nn, qsim, quanv
 from .ansatz import AnsatzKind, build_ansatz
-from .attacks import AttackConfig, AttackKind, SurrogateSource, attack_batch, fgsm, mim, pgd
+from .attacks import (AttackConfig, AttackKind, EndToEndSource, SurrogateSource, attack_batch,
+                      fgsm, mim, pgd)
 from .nn import Architecture
 from .quanv import QuanvConfig
 
@@ -177,6 +180,38 @@ def check_backprop_gradients() -> tuple[bool, str]:
     return True, f"conv and dense stacks, max relative error {worst:.2e} (tolerance 1e-4)"
 
 
+def check_end_to_end_gradients() -> tuple[bool, str]:
+    """End_to_end attack gradients vs central finite differences of each
+    image's whole loss, the quanvolution and the head composed.
+
+    The heads are untrained, one of each dataset's qunn architecture, so
+    both the linear head and the one with a hidden ReLU layer are checked.
+    """
+    rng = np.random.default_rng(1001)
+    h = 1e-5
+    worst = 0.0
+    for kind, dataset in zip(AnsatzKind, itertools.cycle(("mnist", "fmnist"))):
+        source = EndToEndSource(QuanvConfig(circuit=build_ansatz(kind, 4, seed=1002)),
+                                nn.build_model(Architecture.QUNN, dataset, seed=1003))
+        images = rng.uniform(0, 1, (3, 28, 28, 1))
+        labels = rng.integers(0, 10, len(images))
+        for img, label, grad in zip(images, labels, source.gradient(images, labels)):
+            def loss(x):
+                return nn.loss(source.head, quanv.quanvolve_image(x, source.quanv_cfg), label)
+
+            for flat in rng.choice(img.size, 10, replace=False):
+                idx = np.unravel_index(flat, img.shape)
+                plus, minus = img.copy(), img.copy()
+                plus[idx] += h
+                minus[idx] -= h
+                fd = (loss(plus) - loss(minus)) / (2 * h)
+                worst = max(worst, abs(grad[idx] - fd) / max(1.0, abs(fd)))
+        if worst >= 1e-6:
+            return False, f"{kind.value}: relative error {worst:.2e} (tolerance 1e-6)"
+    return True, (f"all 5 ansatz kinds, mnist and fmnist heads, max relative error "
+                  f"{worst:.2e} (tolerance 1e-6)")
+
+
 def _toy_source() -> SurrogateSource:
     rng = np.random.default_rng(606)
     model = nn.build_model(Architecture.CLASSICAL_CNN, "mnist", seed=606)
@@ -246,6 +281,7 @@ CHECKS = (
     ("features vs dense-matrix circuit oracle", check_feature_oracle),
     ("input gradients vs finite differences and parameter shift", check_input_gradients),
     ("backprop vs finite-difference gradients", check_backprop_gradients),
+    ("end_to_end gradients vs finite differences of the full loss", check_end_to_end_gradients),
     ("attack reduction identities", check_attack_reductions),
     ("epsilon-ball containment", check_epsilon_ball),
 )

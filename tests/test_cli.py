@@ -76,7 +76,7 @@ def test_config_comments_and_blanks_ignored():
 def test_cmd_verify_passes(capsys):
     assert main(["verify"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 6
+    assert out.count("[PASS]") == 7
     assert "[FAIL]" not in out
 
 
@@ -193,6 +193,19 @@ def test_cmd_quanvolve_writes_the_maps_of_the_concatenated_images(idx_dir, tmp_p
                      meta_hash=harness.stable_seed("mnist", "random", 4, 70, 40,
                                                    zlib.crc32(images)))
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_cmd_quanvolve_hands_the_idx_selection_over_as_bytes(idx_dir, tmp_path, monkeypatch):
+    real, calls = quanv.quanvolve_dataset, []
+
+    def spy(images, *args, **kwargs):
+        calls.append((images.dtype, len(images)))
+        return real(images, *args, **kwargs)
+
+    monkeypatch.setattr(quanv, "quanvolve_dataset", spy)
+    assert main(["quanvolve", "--dataset-dir", str(idx_dir), "--n-train", "70", "--n-test",
+                 "40", "--out", str(tmp_path / "maps.qnvf")]) == EXIT_OK
+    assert calls == [(np.uint8, quanv.BLOCK), (np.uint8, 70 - quanv.BLOCK), (np.uint8, 40)]
 
 
 def test_cmd_quanvolve_holds_neither_float_images_nor_all_maps(tmp_path, rng):

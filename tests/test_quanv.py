@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quanvbench import qsim, quanv
+from quanvbench import data, qsim, quanv
 from quanvbench.ansatz import AnsatzKind, build_ansatz
 from quanvbench.quanv import QuanvConfig, input_gradient, quanvolve_dataset, quanvolve_image
 
@@ -260,6 +260,82 @@ def test_a_channel_without_terms_is_zero(rng):
     maps = quanvolve_dataset(imgs, cfg)
     assert np.all(maps[..., 0] == 0) and np.all(out[..., 0] == 0)
     assert np.array_equal(out, maps.astype(np.float32))
+
+
+# ---------------------------------------------------------------------------
+# byte images: each byte read as its pixel data.pixels(b) through a table
+# ---------------------------------------------------------------------------
+
+BATCH_SIZES = [1, quanv.BLOCK - 1, quanv.BLOCK, quanv.BLOCK + 1, 2 * quanv.BLOCK + 2]
+
+
+def byte_images(count):
+    """(count, 32, 32, 1) uint8 images, each holding all 256 bytes at each of
+    the 4 positions of a 2x2 patch, arranged differently in every image."""
+    patch = np.arange(256).reshape(16, 16)  # one byte per patch of a 32x32 image
+    images = np.empty((count, 32, 32, 1), np.uint8)
+    for j in range(count):
+        for a in range(2):
+            for b in range(2):
+                images[j, a::2, b::2, 0] = (patch + 64 * (2 * a + b) + 37 * j) % 256
+    return images
+
+
+def test_byte_images_hold_every_byte_at_every_patch_position():
+    for image in byte_images(3)[..., 0]:
+        for a in range(2):
+            for b in range(2):
+                assert sorted(image[a::2, b::2].ravel()) == list(range(256))
+
+
+@pytest.mark.parametrize("out_dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("count", BATCH_SIZES)
+@pytest.mark.parametrize("kind", list(AnsatzKind))
+def test_byte_images_give_the_maps_of_their_pixels_bit_for_bit(kind, count, out_dtype):
+    cfg = ansatz_cfg(kind)
+    images = byte_images(count)
+    expected = quanvolve_dataset(data.pixels(images), cfg, out=np.empty((count, 16, 16, 4),
+                                                                        out_dtype))
+    out = np.full((count, 16, 16, 4), np.nan, out_dtype)
+    assert quanvolve_dataset(images, cfg, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+    if out_dtype is np.float64:
+        assert quanvolve_dataset(images, cfg).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, quanv.BLOCK + 1, 2 * quanv.BLOCK + 2])
+@pytest.mark.parametrize("kind", list(AnsatzKind))
+def test_byte_images_give_the_float64_gradients_of_their_pixels(kind, count, rng):
+    cfg = ansatz_cfg(kind)
+    images = byte_images(count)
+    upstream = rng.normal(size=(count, 16, 16, 4))
+    expected = input_gradient(data.pixels(images), cfg, upstream)
+    grad = input_gradient(images, cfg, upstream)
+    assert grad.dtype == np.float64 and grad.tobytes() == expected.tobytes()
+    features, pullback = quanv.quanvolve_with_pullback(images, cfg)
+    assert features.tobytes() == quanvolve_dataset(data.pixels(images), cfg).tobytes()
+    grad = pullback(upstream)
+    assert grad.dtype == np.float64 and grad.tobytes() == expected.tobytes()
+
+
+def test_quanvolve_image_reads_a_byte_image_as_its_pixels():
+    cfg = ansatz_cfg(AnsatzKind.ZZ_STAR)
+    image = byte_images(1)[0]
+    assert quanvolve_image(image, cfg).tobytes() == \
+        quanvolve_image(data.pixels(image), cfg).tobytes()
+    assert np.all(quanvolve_image(np.full((2, 2, 1), 255, np.uint8), identity_cfg()) == -1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint16, bool])
+def test_integer_images_that_are_not_bytes_are_rejected(dtype):
+    images = np.ones((2, 4, 4, 1), dtype)
+    cfg = identity_cfg()
+    calls = [lambda: quanvolve_dataset(images, cfg), lambda: quanvolve_image(images[0], cfg),
+             lambda: input_gradient(images, cfg, np.zeros((2, 2, 2, 4))),
+             lambda: quanv.quanvolve_with_pullback(images, cfg)]
+    for call in calls:
+        with pytest.raises(ValueError, match="data.pixels"):
+            call()
 
 
 # ---------------------------------------------------------------------------

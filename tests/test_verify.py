@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from quanvbench import qsim, quanv, verify
+from quanvbench import attacks, nn, qsim, quanv, verify
 
 
 def test_all_checks_pass_quickly():
@@ -14,7 +14,7 @@ def test_all_checks_pass_quickly():
     elapsed = time.perf_counter() - t0
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
     assert elapsed < 60.0
-    assert len(results) == 6
+    assert len(results) == 7
 
 
 def test_gradient_check_covers_every_ansatz_kind():
@@ -39,6 +39,44 @@ def test_pullback_that_loses_the_block_reuse_fails_gradient_check(monkeypatch, r
 
     monkeypatch.setattr(quanv, "quanvolve_with_pullback", mutated)
     passed, detail = verify.check_input_gradients()
+    assert not passed
+    assert "relative error" in detail
+
+
+def test_end_to_end_gradient_check_covers_every_ansatz_kind_and_both_heads():
+    passed, detail = verify.check_end_to_end_gradients()
+    assert passed
+    assert "all 5 ansatz kinds, mnist and fmnist heads" in detail
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda pullback, upstream: -pullback(upstream),                       # sign flipped
+    lambda pullback, upstream: pullback(np.roll(upstream, 1, axis=0)),    # neighbour's upstream
+    lambda pullback, upstream: pullback(upstream * np.array([0.0, 1, 1, 1])),  # channel 0 lost
+], ids=["negated", "neighbour-upstream", "channel-dropped"])
+def test_mutated_pullback_fails_end_to_end_gradient_check(monkeypatch, mutate):
+    # mutation check: an end_to_end gradient that is not the derivative of
+    # the loss of quanvolution and head composed must be caught
+    real = quanv._pullback
+
+    def mutated(cfg, images, shape, pixels, blocks, upstream):
+        return mutate(functools.partial(real, cfg, images, shape, pixels, blocks), upstream)
+
+    monkeypatch.setattr(quanv, "_pullback", mutated)
+    passed, detail = verify.check_end_to_end_gradients()
+    assert not passed
+    assert "relative error" in detail
+
+
+def test_end_to_end_gradient_of_the_wrong_labels_fails_its_check(monkeypatch):
+    # mutation check: the head's half of the chain rule, which the
+    # quanvolution gradient check does not reach
+    def mutated(self, images, labels):
+        features, pullback = quanv.quanvolve_with_pullback(images, self.quanv_cfg)
+        return pullback(nn.input_gradient(self.head, features, labels[::-1]))
+
+    monkeypatch.setattr(attacks.EndToEndSource, "gradient", mutated)
+    passed, detail = verify.check_end_to_end_gradients()
     assert not passed
     assert "relative error" in detail
 
