@@ -1,12 +1,15 @@
 """L-infinity adversarial attacks: FGSM, PGD, and the momentum iterative method.
 
-All attacks consume a GradientSource, which hides whether gradients come
-from a classical surrogate model or flow end-to-end through the
-quanvolutional layer via its compiled Fourier terms.
+All attacks consume a gradient source: any object whose
+``gradient(images, labels)`` takes an (N, H, W, 1) batch and its (N,)
+labels and returns (N, H, W, 1), row i the gradient of image i's own
+cross-entropy loss.  `SurrogateSource` takes it from a classical surrogate
+model, `EndToEndSource` through the quanvolutional layer via its compiled
+Fourier terms.
 
 Perturbed pixels are NOT clamped to [0, 1] by default: the benchmark sweeps
 budgets well above 1, and with clamping every epsilon >= 1 would produce the
-same saturated image.  Pass clamp=(0.0, 1.0) to restore the conventional
+same saturated image.  Pass clamp=True to restore the conventional [0, 1]
 box constraint.  Quanvolution features are 2-periodic in every pixel, so an
 unclamped step of an even integer epsilon leaves them unchanged.
 
@@ -44,10 +47,12 @@ class AttackConfig:
     steps: int = 10
     step_size: float | None = None  # defaults to epsilon / 4
     decay: float = 1.0
-    clamp: tuple[float, float] | None = None
+    clamp: bool = False  # clip adversarial pixels to [0, 1]
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
+        if not isinstance(self.clamp, bool):
+            raise ValueError(f"clamp must be True or False, got {self.clamp!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not (self.step_size is None or math.isfinite(self.step_size) and self.step_size > 0):
@@ -64,21 +69,7 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
 
 
-class GradientSource:
-    """Input gradients of a fixed model under attack.
-
-    ``gradient(images, labels)`` takes an (N, H, W, 1) batch and its (N,)
-    labels and returns (N, H, W, 1): row i is the gradient of image i's own
-    cross-entropy loss.
-    """
-
-    mode = "abstract"
-
-    def gradient(self, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class SurrogateSource(GradientSource):
+class SurrogateSource:
     """White-box gradients of a classical model trained on raw images.
 
     Adversarial images built here are later quanvolved and shown to the
@@ -94,7 +85,7 @@ class SurrogateSource(GradientSource):
         return nn.input_gradient(self.model, images, labels)
 
 
-class EndToEndSource(GradientSource):
+class EndToEndSource:
     """Exact gradients through quanvolution (compiled Fourier terms) and the head."""
 
     mode = "end_to_end"
@@ -108,16 +99,16 @@ class EndToEndSource(GradientSource):
         return pullback(nn.input_gradient(self.head, features, labels))
 
 
-def _clamped(x: np.ndarray, clamp: tuple[float, float] | None) -> np.ndarray:
-    return x if clamp is None else np.clip(x, clamp[0], clamp[1])
+def _clamped(x: np.ndarray, clamp: bool) -> np.ndarray:
+    return np.clip(x, 0.0, 1.0) if clamp else x
 
 
 def fgsm(
-    source: GradientSource,
+    source,
     images: np.ndarray,
     labels: np.ndarray,
     epsilon: float,
-    clamp: tuple[float, float] | None = None,
+    clamp: bool = False,
     gradient: np.ndarray | None = None,
 ) -> np.ndarray:
     """One signed-gradient step of size epsilon on every image."""
@@ -127,7 +118,7 @@ def fgsm(
     return _clamped(images + step, clamp)
 
 
-def _iterative(source: GradientSource, images: np.ndarray, labels: np.ndarray,
+def _iterative(source, images: np.ndarray, labels: np.ndarray,
                cfg: AttackConfig, momentum: bool, gradient: np.ndarray | None) -> np.ndarray:
     images = np.asarray(images, dtype=float)
     eps, alpha = cfg.epsilon, cfg.resolved_step_size()
@@ -145,28 +136,27 @@ def _iterative(source: GradientSource, images: np.ndarray, labels: np.ndarray,
             direction = np.sign(grad)
         delta = np.clip(delta + alpha * direction, -eps, eps)
         adv = images + delta
-        if cfg.clamp is not None:
-            adv = _clamped(adv, cfg.clamp)
+        if cfg.clamp:
+            adv = np.clip(adv, 0.0, 1.0)
             delta = adv - images
     return adv
 
 
-def pgd(source: GradientSource, images, labels, cfg: AttackConfig, gradient=None) -> np.ndarray:
+def pgd(source, images, labels, cfg: AttackConfig, gradient=None) -> np.ndarray:
     """Iterative signed-gradient ascent projected onto each image's epsilon ball."""
     if cfg.kind is not AttackKind.PGD:
         raise ValueError(f"expected PGD config, got {cfg.kind}")
     return _iterative(source, images, labels, cfg, False, gradient)
 
 
-def mim(source: GradientSource, images, labels, cfg: AttackConfig, gradient=None) -> np.ndarray:
+def mim(source, images, labels, cfg: AttackConfig, gradient=None) -> np.ndarray:
     """PGD with a per-image L1-normalized momentum accumulator steering the sign."""
     if cfg.kind is not AttackKind.MIM:
         raise ValueError(f"expected MIM config, got {cfg.kind}")
     return _iterative(source, images, labels, cfg, True, gradient)
 
 
-def attack_batch(source: GradientSource, images, labels, cfg: AttackConfig,
-                 gradient=None) -> np.ndarray:
+def attack_batch(source, images, labels, cfg: AttackConfig, gradient=None) -> np.ndarray:
     """Attack every image of an (N, H, W, 1) batch; order preserved, deterministic.
 
     ``gradient``, if given, is ``source.gradient(images, labels)``, only read.

@@ -32,7 +32,6 @@ Recognized keys, with defaults in brackets:
     mode           surrogate | end_to_end                  [surrogate]
     clamp          true to clip adversarial pixels to [0,1]  [false]
     train.epochs / train.batch_size / train.lr             [30 / 4 / 0.001]  (Adam)
-    random.depth / random.two_qubit_prob                   [2 / 0.3]
 
 All randomness flows from seeds named above; nothing is seeded from the
 clock.  source=idx expects the conventional file names
@@ -55,7 +54,7 @@ import zlib
 import numpy as np
 
 from . import __version__, data, harness, nn, quanv, synthdata, verify
-from .ansatz import AnsatzKind, RandomCircuitSpec, build_ansatz
+from .ansatz import AnsatzKind, build_ansatz
 from .attacks import AttackKind
 from .data import Dataset
 from .nn import Architecture
@@ -96,8 +95,6 @@ _CONFIG_DEFAULTS = {
     "train.epochs": "30",
     "train.batch_size": "4",
     "train.lr": "0.001",
-    "random.depth": "2",
-    "random.two_qubit_prob": "0.3",
 }
 
 
@@ -230,10 +227,6 @@ def build_sweep_config(cfg: dict[str, str]) -> harness.SweepConfig:
                 epochs=_int(cfg, "train.epochs"),
                 learning_rate=_float(cfg, "train.lr"),
             ),
-            random_spec=RandomCircuitSpec(
-                depth=_int(cfg, "random.depth"),
-                two_qubit_prob=_float(cfg, "random.two_qubit_prob"),
-            ),
         )
 
 
@@ -280,9 +273,8 @@ def cmd_quanvolve(args) -> int:
         if train.images.shape[1:] != test.images.shape[1:]:
             raise ValueError(f"train images {train.images.shape[1:]} and test images "
                              f"{test.images.shape[1:]} differ in shape")
-        qcfg = QuanvConfig(circuit=build_ansatz(kind, 4, seed=args.seed))
-        shape = (len(train) + len(test),
-                 *quanv.output_shape(*train.images.shape[1:3], qcfg))
+        qcfg = QuanvConfig(circuit=build_ansatz(kind, seed=args.seed))
+        shape = (len(train) + len(test), *quanv.output_shape(*train.images.shape[1:3]))
     # train's images then test's, one block at a time: no float copy of the
     # selection, no map array
     blocks = [images[start:start + quanv.BLOCK] for images in (train.images, test.images)

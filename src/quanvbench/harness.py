@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn, quanv
-from .ansatz import AnsatzKind, RandomCircuitSpec, build_ansatz
+from .ansatz import AnsatzKind, build_ansatz
 from .attacks import AttackConfig, AttackKind, EndToEndSource, SurrogateSource, attack_batch
 from .data import Dataset
 from .nn import Architecture
@@ -72,7 +72,6 @@ class SweepConfig:
     clamp: bool = False  # clip adversarial pixels to [0, 1]
     train_cfg: nn.TrainConfig = field(default_factory=nn.TrainConfig)
     attack_steps: int = 10
-    random_spec: RandomCircuitSpec = field(default_factory=RandomCircuitSpec)
 
     def __post_init__(self):
         if len(self.train_data) == 0 or len(self.test_data) == 0:
@@ -85,6 +84,11 @@ class SweepConfig:
             if split.images.shape[1:] != (28, 28, 1):
                 raise ValueError(f"images must be 28x28x1, the input every architecture "
                                  f"is built for, got {split.images.shape[1:]}")
+        for name, values in (("architectures", self.architectures),
+                             ("ansatz_kinds", self.ansatz_kinds), ("attacks", self.attacks)):
+            repeated = sorted({v.value for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{name} lists {', '.join(repeated)} more than once")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.mode not in ("surrogate", "end_to_end"):
@@ -166,7 +170,7 @@ def _quanvolve32(images: np.ndarray, qcfg: QuanvConfig) -> np.ndarray:
     """Quanvolve into float32, each float64 channel sum rounded as it is
     stored: the precision every head is trained and evaluated at (and the one
     `quanvbench quanvolve` writes); results.csv depends on this rounding."""
-    maps = np.empty((len(images), *quanv.output_shape(*images.shape[1:3], qcfg)), np.float32)
+    maps = np.empty((len(images), *quanv.output_shape(*images.shape[1:3])), np.float32)
     return quanv.quanvolve_dataset(images, qcfg, out=maps)
 
 
@@ -180,8 +184,7 @@ def _train_model(cfg: SweepConfig, architecture: Architecture,
     if architecture is Architecture.QUNN:
         if ansatz_kind is None:
             raise ValueError("quantum architecture needs an ansatz kind")
-        circuit = build_ansatz(ansatz_kind, 4, seed=cell_seed, random_spec=cfg.random_spec)
-        qcfg = QuanvConfig(circuit=circuit)
+        qcfg = QuanvConfig(circuit=build_ansatz(ansatz_kind, seed=cell_seed))
         train_x = _quanvolve32(cfg.train_data.images, qcfg)
         test_x = _quanvolve32(cfg.test_data.images, qcfg)
     else:
@@ -209,13 +212,11 @@ def _attacker(cfg: SweepConfig, source):
     gradient."""
     images, labels = cfg.test_data.images, cfg.test_data.labels
     clean_gradient = functools.cache(functools.partial(source.gradient, images, labels))
-    clamp = (0.0, 1.0) if cfg.clamp else None
 
     def adversarial_sets(attack: AttackKind):
         for epsilon in cfg.epsilons_for(attack)[1:]:
-            yield attack_batch(source, images, labels,
-                               AttackConfig(attack, epsilon, steps=cfg.attack_steps, clamp=clamp),
-                               gradient=clean_gradient())
+            attack_cfg = AttackConfig(attack, epsilon, steps=cfg.attack_steps, clamp=cfg.clamp)
+            yield attack_batch(source, images, labels, attack_cfg, gradient=clean_gradient())
 
     return adversarial_sets
 

@@ -146,27 +146,23 @@ class Flatten(Layer):
 
 
 class Softmax(Layer):
+    """No backward: the backward passes start below it, from the
+    softmax-cross-entropy gradient p - onehot(label)."""
+
     def forward(self, x, training=False, rng=None):
         shifted = x - x.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
-        p = e / e.sum(axis=-1, keepdims=True)
-        return p, p
-
-    def backward(self, dout, cache):
-        p = cache
-        return p * (dout - np.sum(dout * p, axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True), None
 
 
 class Model:
-    """Layer stack ending in Softmax, plus the seed it was built from; every
-    parameter is a view of ``flat``, which holds them all in layer order."""
+    """Layer stack ending in Softmax; every parameter is a view of ``flat``,
+    which holds them all in layer order."""
 
-    def __init__(self, layers, input_shape, arch, dataset, rng_seed):
+    def __init__(self, layers, input_shape, arch):
         self.layers = layers
         self.input_shape = tuple(input_shape)
         self.arch = arch
-        self.dataset = dataset
-        self.rng_seed = rng_seed
         if not isinstance(layers[-1], Softmax):
             raise ValueError("model must end in Softmax")
         entries = list(self.param_entries())
@@ -207,7 +203,7 @@ def build_model(arch: Architecture, dataset: str, seed: int) -> Model:
         layers += [Dense(flat, 128, rng), ReLU(), Dropout(0.3)]
         flat = 128
     layers += [Dense(flat, N_CLASSES, rng), Softmax()]
-    return Model(layers, input_shape, arch, dataset, seed)
+    return Model(layers, input_shape, arch)
 
 
 # ---------------------------------------------------------------------------

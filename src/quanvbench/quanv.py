@@ -1,9 +1,12 @@
 """Quanvolutional layer: the frozen filter compiled into its Fourier terms.
 
 Images are (H, W, C) arrays, row-major, of float pixels or of uint8 bytes
-(see below).  A kernel_size x kernel_size patch is flattened row-major and
-pixel i drives qubit i through an angle encoding phi_i = pi * x_i applied
-as R_y(phi_i) to |0>.  That encoding is a real product state
+(see below).  The layer is the paper's (after Henderson et al.,
+arXiv:1904.04767): every 2x2 patch at stride 2 (an odd last row or column
+is dropped), flattened row-major, pixel i driving
+qubit i of the 4-qubit filter through an angle encoding phi_i = pi * x_i
+applied as R_y(phi_i) to |0>.  Patches do not overlap, so every pixel feeds
+exactly one feature.  That encoding is a real product state
 psi = (x)_i (cos, sin)(phi_i / 2).  Channel q of the output pixel is the
 exact expectation <Z_q> after the filter circuit U, psi^T M_q psi with
 M_q = Re(U^dagger Z_q U) (the imaginary part vanishes on real states).  Per
@@ -16,10 +19,10 @@ polynomial (Schuld, Sweke & Meyer, arXiv:2008.08605):
 QuanvConfig compiles the circuit once into the nonzero terms of C.  For a
 filter of single-qubit rotations, with or without the diagonal ZZ gates
 after them, channel q has exactly two: the cos and the sin of pixel q.
-Feature maps take values in [-1, 1] and have kernel_size^2 channels; they
-are 2-periodic in every pixel, and exact input gradients are the same terms
-with one factor differentiated.  Both are evaluated on blocks of images,
-every term reading pixel i of all patches through one strided view;
+Feature maps take values in [-1, 1] and have 4 channels, one per qubit;
+they are 2-periodic in every pixel, and exact input gradients are the same
+terms with one factor differentiated.  Both are evaluated on blocks of
+images, every term reading pixel i of all patches through one strided view;
 `quanvolve_with_pullback` evaluates a block's cos and sin once for both.
 
 The encoding is defined for any real pixel, so unclamped adversarial images
@@ -58,8 +61,9 @@ QNVF_MAGIC = b"QNVF"
 QNVF_VERSION = 1
 _QNVF_HEADER = struct.Struct("<4sIIIIIQ")
 
-# compiling goes through n * 4^n floats of observables: 9 qubits (3x3 kernels) is 19 MB
-MAX_QUBITS = 9
+# side of a patch and the stride between patches; one qubit per pixel of a patch
+PATCH = 2
+N_QUBITS = PATCH * PATCH
 # images per block of features and gradients: bounds the per-block temporaries
 BLOCK = 64
 # psi_a psi_b of one qubit, (cos, sin)(phi / 2) products, in the basis (1, cos phi, sin phi)
@@ -104,38 +108,23 @@ def _compile_terms(circuit: Circuit) -> tuple:
 
 @dataclass(frozen=True)
 class QuanvConfig:
-    """Filter circuit plus patch geometry; kernel_size^2 must equal n_qubits.
-
-    ``terms`` is compiled from the circuit when the config is built.
-    """
+    """The 4-qubit filter circuit; ``terms`` is compiled from it when the
+    config is built."""
 
     circuit: Circuit
-    kernel_size: int = 2
-    stride: int = 2
     terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kernel_size < 1:
-            raise ValueError(f"kernel_size must be >= 1, got {self.kernel_size}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if self.kernel_size**2 != self.circuit.n_qubits:
-            raise ValueError(
-                f"kernel_size^2 = {self.kernel_size**2} must equal circuit qubit "
-                f"count {self.circuit.n_qubits}"
-            )
-        if self.circuit.n_qubits > MAX_QUBITS:
-            raise ValueError(
-                f"{self.circuit.n_qubits} qubits exceed the {MAX_QUBITS}-qubit limit"
-            )
+        if self.circuit.n_qubits != N_QUBITS:
+            raise ValueError(f"the filter acts on {N_QUBITS} qubits, one per pixel of a "
+                             f"{PATCH}x{PATCH} patch, got {self.circuit.n_qubits}")
         object.__setattr__(self, "terms", _compile_terms(self.circuit))
 
 
-def output_shape(height: int, width: int, cfg: QuanvConfig) -> tuple[int, int, int]:
-    k, s = cfg.kernel_size, cfg.stride
-    if height < k or width < k:
-        raise ValueError(f"image {height}x{width} smaller than kernel {k}")
-    return ((height - k) // s + 1, (width - k) // s + 1, k * k)
+def output_shape(height: int, width: int) -> tuple[int, int, int]:
+    if height < PATCH or width < PATCH:
+        raise ValueError(f"image {height}x{width} smaller than a {PATCH}x{PATCH} patch")
+    return (height // PATCH, width // PATCH, N_QUBITS)
 
 
 def _trig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +144,7 @@ def _byte_trig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _BYTE_TRIG[0][index], _BYTE_TRIG[1][index]
 
 
-def _blocked(images: np.ndarray, cfg: QuanvConfig):
+def _blocked(images: np.ndarray):
     """(N, H, W, 1) images, float64 or uint8, feature maps shape, ``pixels[i]``
     indexing pixel i of every patch in an (N, H, W) array, and each block's
     slice with its (cos, sin)(pi x), computed as it is iterated."""
@@ -169,10 +158,9 @@ def _blocked(images: np.ndarray, cfg: QuanvConfig):
                          "data.pixels turns bytes into pixels")
     if images.ndim != 4 or images.shape[-1] != 1:
         raise ValueError(f"expected single-channel (N, H, W, 1) images, got {images.shape}")
-    rows, cols, n = output_shape(images.shape[1], images.shape[2], cfg)
-    k, s = cfg.kernel_size, cfg.stride
-    pixels = [(slice(None), slice(a, a + s * rows, s), slice(b, b + s * cols, s))
-              for a in range(k) for b in range(k)]
+    rows, cols, n = output_shape(images.shape[1], images.shape[2])
+    pixels = [(slice(None), slice(a, PATCH * rows, PATCH), slice(b, PATCH * cols, PATCH))
+              for a in range(PATCH) for b in range(PATCH)]
     blocks = (slice(start, start + BLOCK) for start in range(0, len(images), BLOCK))
     return images, (len(images), rows, cols, n), pixels, (
         (block, trig(images[block, ..., 0])) for block in blocks)
@@ -226,34 +214,34 @@ def _pullback(cfg: QuanvConfig, images, shape, pixels, blocks, upstream) -> np.n
 
 
 def quanvolve_image(image: np.ndarray, cfg: QuanvConfig) -> np.ndarray:
-    """Feature map of shape ((H-k)//s+1, (W-k)//s+1, k^2) with <Z_q> channels
-    of one (H, W, 1) image, float pixels or uint8 bytes as `quanvolve_dataset`
+    """Feature map of shape (H // 2, W // 2, 4) with <Z_q> channels of one
+    (H, W, 1) image, float pixels or uint8 bytes as `quanvolve_dataset`
     reads them."""
     return quanvolve_dataset(np.asarray(image)[None], cfg)[0]
 
 
 def quanvolve_dataset(images: np.ndarray, cfg: QuanvConfig, out=None) -> np.ndarray:
-    """Feature maps (N, rows, cols, k^2) of (N, H, W, 1) images; order preserved.
+    """Feature maps (N, H // 2, W // 2, 4) of (N, H, W, 1) images; order preserved.
     Float images are pixels; uint8 images are bytes and give, bit for bit, the
     maps of ``data.pixels(images)``, through the (cos, sin) tables.  Computed
     in float64 and, given an ``out`` array of that shape, stored into it (a
     float32 ``out`` rounds as ``.astype(np.float32)`` would) and returned."""
-    _images, shape, pixels, blocks = _blocked(images, cfg)
+    _images, shape, pixels, blocks = _blocked(images)
     return _features(cfg, shape, pixels, blocks, out)
 
 
 def input_gradient(images: np.ndarray, cfg: QuanvConfig, upstream: np.ndarray) -> np.ndarray:
     """Exact d(sum(upstream[j] * features[j]))/d(images[j]) for every image j,
-    from (N, H, W, 1) images and (N, rows, cols, n) upstream weights; pixels
-    outside every patch get 0.  Float64, for uint8 images too: the gradient
-    at their pixels ``data.pixels(images)``, bit for bit."""
-    return _pullback(cfg, *_blocked(images, cfg), upstream)
+    from (N, H, W, 1) images and (N, H // 2, W // 2, 4) upstream weights;
+    pixels of an odd last row or column get 0.  Float64, for uint8 images
+    too: the gradient at their pixels ``data.pixels(images)``, bit for bit."""
+    return _pullback(cfg, *_blocked(images), upstream)
 
 
 def quanvolve_with_pullback(images: np.ndarray, cfg: QuanvConfig):
     """``quanvolve_dataset`` and the function taking upstream to ``input_gradient``
     of the same images, from one cos/sin per block."""
-    images, shape, pixels, blocks = _blocked(images, cfg)
+    images, shape, pixels, blocks = _blocked(images)
     blocks = list(blocks)
     return (_features(cfg, shape, pixels, blocks),
             functools.partial(_pullback, cfg, images, shape, pixels, blocks))

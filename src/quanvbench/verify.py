@@ -95,7 +95,7 @@ def check_feature_oracle() -> tuple[bool, str]:
     rng = np.random.default_rng(909)
     worst = 0.0
     for kind in AnsatzKind:
-        cfg = QuanvConfig(circuit=build_ansatz(kind, 4, seed=313))
+        cfg = QuanvConfig(circuit=build_ansatz(kind, seed=313))
         img = rng.uniform(0, 1, (6, 6, 1))
         features = quanv.quanvolve_image(img, cfg)
         for r in range(3):
@@ -135,7 +135,7 @@ def check_input_gradients() -> tuple[bool, str]:
     worst_fd = worst_ps = 0.0
     checked = quanv.BLOCK + 5
     for kind in AnsatzKind:
-        cfg = QuanvConfig(circuit=build_ansatz(kind, 4, seed=303))
+        cfg = QuanvConfig(circuit=build_ansatz(kind, seed=303))
         images = rng.uniform(0.05, 0.95, (quanv.BLOCK + 8, 6, 6, 1))
         upstreams = rng.normal(size=(len(images), 3, 3, 4))
         _features, pullback = quanv.quanvolve_with_pullback(images, cfg)
@@ -191,7 +191,7 @@ def check_end_to_end_gradients() -> tuple[bool, str]:
     h = 1e-5
     worst = 0.0
     for kind, dataset in zip(AnsatzKind, itertools.cycle(("mnist", "fmnist"))):
-        source = EndToEndSource(QuanvConfig(circuit=build_ansatz(kind, 4, seed=1002)),
+        source = EndToEndSource(QuanvConfig(circuit=build_ansatz(kind, seed=1002)),
                                 nn.build_model(Architecture.QUNN, dataset, seed=1003))
         images = rng.uniform(0, 1, (3, 28, 28, 1))
         labels = rng.integers(0, 10, len(images))
@@ -263,14 +263,14 @@ def check_epsilon_ball() -> tuple[bool, str]:
                 steps=int(rng.integers(1, 6)),
                 step_size=float(rng.uniform(0.01, 1.0)),
                 decay=float(rng.uniform(0, 1.5)),
-                clamp=(0.0, 1.0) if rng.random() < 0.5 else None,
+                clamp=bool(rng.random() < 0.5),
             )
             adv = attack_batch(source, imgs, labels, cfg)
             overshoot = float(np.max(np.abs(adv - imgs))) - cfg.epsilon
             worst = max(worst, overshoot)
             if overshoot > 1e-9:
                 return False, f"{kind.value}: ball exceeded by {overshoot:.2e}"
-            if cfg.clamp is not None and (np.any(adv < 0.0) or np.any(adv > 1.0)):
+            if cfg.clamp and (np.any(adv < 0.0) or np.any(adv > 1.0)):
                 return False, f"{kind.value}: clamp violated"
     return True, (f"300 fuzzed attacks on 5-image batches contained "
                   f"(worst overshoot {worst:.2e})")

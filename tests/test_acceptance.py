@@ -317,7 +317,7 @@ def test_criterion_7_fmnist_degradation(fmnist_sweep, report):
 def test_criterion_8_structural_laws(rng, report):
     img = rng.uniform(0, 1, (28, 28, 1))
 
-    qcfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=1))
+    qcfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.ZZ_FULL, seed=1))
     fmap = quanv.quanvolve_image(img, qcfg)
     quanv_shape = fmap.shape == (14, 14, 4)
     in_range = bool(np.all(fmap >= -1 - 1e-12) and np.all(fmap <= 1 + 1e-12))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quanvbench import qsim
-from quanvbench.ansatz import AnsatzKind, RandomCircuitSpec, build_ansatz
+from quanvbench.ansatz import AnsatzKind, build_ansatz
 from quanvbench.qsim import GateKind
 from quanvbench.quanv import QuanvConfig
 
@@ -52,38 +52,31 @@ PAIRS_AT_4 = {
 }
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("kind", ROTATION_KINDS)
-def test_angles_are_one_seeded_draw_in_gate_order(kind, n):
+def test_angles_are_one_seeded_draw_in_gate_order(kind):
     # one Rot per qubit in qubit order, then the ZZ pairs; their angles, in
     # gate order, are a single uniform draw from the seed, bit for bit
+    n = 4
     for seed in (0, 5, 2**63 + 5):
-        c = build_ansatz(kind, n, seed)
+        c = build_ansatz(kind, seed)
+        assert c.n_qubits == n
         rots, zzs = c.gates[:n], c.gates[n:]
         assert [(g.kind, g.targets) for g in rots] == [(GateKind.ROT, (q,)) for q in range(n)]
         assert all(g.kind is GateKind.ZZ for g in zzs)
         draw = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 3 * n + len(zzs))
         assert np.array_equal(angles(c), draw)
-    if n == 4:
-        assert zz_targets(c) == PAIRS_AT_4[kind]
+    assert zz_targets(c) == PAIRS_AT_4[kind]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_parameter_count_table(n):
+def test_parameter_count_table():
     def count(kind):
-        return len(angles(build_ansatz(kind, n, seed=9)))
+        return len(angles(build_ansatz(kind, seed=9)))
 
+    n = 4
     assert count(AnsatzKind.NO_ENTANGLEMENT) == 3 * n
     assert count(AnsatzKind.ZZ_LINEAR) == 3 * n + (n - 1)
     assert count(AnsatzKind.ZZ_STAR) == 3 * n + (n - 1)
     assert count(AnsatzKind.ZZ_FULL) == 3 * n + n * (n - 1) // 2
-
-
-@pytest.mark.parametrize("kind", ZZ_KINDS)
-def test_zz_kinds_need_two_qubits(kind):
-    with pytest.raises(ValueError, match="at least 2 qubits"):
-        build_ansatz(kind, 1, seed=0)
-    assert len(build_ansatz(AnsatzKind.NO_ENTANGLEMENT, 1, seed=0).gates) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -91,22 +84,22 @@ def test_zz_kinds_need_two_qubits(kind):
 # ---------------------------------------------------------------------------
 
 def test_no_entanglement_structure():
-    c = build_ansatz(AnsatzKind.NO_ENTANGLEMENT, 4, seed=5)
+    c = build_ansatz(AnsatzKind.NO_ENTANGLEMENT, seed=5)
     assert len(c.gates) == 4
     assert all(g.kind is GateKind.ROT for g in c.gates)
     assert [g.targets for g in c.gates] == [(0,), (1,), (2,), (3,)]
 
 
 def test_no_entanglement_output_is_product_state():
-    s = run_on_zero(build_ansatz(AnsatzKind.NO_ENTANGLEMENT, 4, seed=77))
+    s = run_on_zero(build_ansatz(AnsatzKind.NO_ENTANGLEMENT, seed=77))
     for q in range(4):
         assert abs(reduced_purity(s, q) - 1.0) < 1e-10
 
 
 def test_no_entanglement_zero_angles_is_identity():
-    c = build_ansatz(AnsatzKind.NO_ENTANGLEMENT, 3, seed=0)
-    zeroed = qsim.Circuit(3, tuple(replace(g, params=(0.0, 0.0, 0.0)) for g in c.gates))
-    assert np.allclose(run_on_zero(zeroed), zero_amps(3), atol=1e-12)
+    c = build_ansatz(AnsatzKind.NO_ENTANGLEMENT, seed=0)
+    zeroed = qsim.Circuit(4, tuple(replace(g, params=(0.0, 0.0, 0.0)) for g in c.gates))
+    assert np.allclose(run_on_zero(zeroed), zero_amps(4), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -114,26 +107,17 @@ def test_no_entanglement_zero_angles_is_identity():
 # ---------------------------------------------------------------------------
 
 def test_zz_linear_pairs():
-    assert zz_targets(build_ansatz(AnsatzKind.ZZ_LINEAR, 4, seed=5)) == [(0, 1), (1, 2), (2, 3)]
-
-
-def test_zz_linear_two_qubits():
-    assert zz_targets(build_ansatz(AnsatzKind.ZZ_LINEAR, 2, seed=5)) == [(0, 1)]
+    assert zz_targets(build_ansatz(AnsatzKind.ZZ_LINEAR, seed=5)) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_zz_full_pair_count_and_order():
-    assert zz_targets(build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=5)) == [
+    assert zz_targets(build_ansatz(AnsatzKind.ZZ_FULL, seed=5)) == [
         (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
     ]
 
 
-def test_zz_full_equals_linear_at_n2():
-    assert (build_ansatz(AnsatzKind.ZZ_FULL, 2, seed=5).gates
-            == build_ansatz(AnsatzKind.ZZ_LINEAR, 2, seed=5).gates)
-
-
 def test_zz_full_entangling_block_order_invariant(rng):
-    c = build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=11)
+    c = build_ansatz(AnsatzKind.ZZ_FULL, seed=11)
     rots = [g for g in c.gates if g.kind is GateKind.ROT]
     zzs = [g for g in c.gates if g.kind is GateKind.ZZ]
     base = run_on_zero(c)
@@ -144,12 +128,7 @@ def test_zz_full_entangling_block_order_invariant(rng):
 
 
 def test_zz_star_pairs():
-    assert zz_targets(build_ansatz(AnsatzKind.ZZ_STAR, 4, seed=5)) == [(0, 1), (0, 2), (0, 3)]
-
-
-def test_zz_star_equals_linear_at_n2():
-    assert (build_ansatz(AnsatzKind.ZZ_STAR, 2, seed=5).gates
-            == build_ansatz(AnsatzKind.ZZ_LINEAR, 2, seed=5).gates)
+    assert zz_targets(build_ansatz(AnsatzKind.ZZ_STAR, seed=5)) == [(0, 1), (0, 2), (0, 3)]
 
 
 @pytest.mark.parametrize("kind", ZZ_KINDS)
@@ -157,8 +136,8 @@ def test_zz_entanglers_are_invisible_to_the_features(kind):
     # diagonal ZZ gates after the rotations commute with every Z_q, so at the
     # same seed (the same 12 rotation angles) the compiled terms are equal
     for seed in range(50):
-        zz_terms = QuanvConfig(circuit=build_ansatz(kind, 4, seed)).terms
-        rot_terms = QuanvConfig(circuit=build_ansatz(AnsatzKind.NO_ENTANGLEMENT, 4, seed)).terms
+        zz_terms = QuanvConfig(circuit=build_ansatz(kind, seed)).terms
+        rot_terms = QuanvConfig(circuit=build_ansatz(AnsatzKind.NO_ENTANGLEMENT, seed)).terms
         assert [(q, f) for q, _, f in zz_terms] == [(q, f) for q, _, f in rot_terms]
         assert max(abs(a[1] - b[1]) for a, b in zip(zz_terms, rot_terms)) <= 1e-14
 
@@ -168,27 +147,13 @@ def test_zz_entanglers_are_invisible_to_the_features(kind):
 # ---------------------------------------------------------------------------
 
 def test_random_builder_deterministic():
-    spec = RandomCircuitSpec(depth=3, two_qubit_prob=0.4)
-    assert (build_ansatz(AnsatzKind.RANDOM, 4, 999, spec).gates
-            == build_ansatz(AnsatzKind.RANDOM, 4, 999, spec).gates)
-
-
-def test_random_builder_no_cnots_at_zero_prob():
-    c = build_ansatz(AnsatzKind.RANDOM, 4, 1, RandomCircuitSpec(depth=4, two_qubit_prob=0.0))
-    assert not any(g.kind is GateKind.CNOT for g in c.gates)
+    assert build_ansatz(AnsatzKind.RANDOM, 999).gates == build_ansatz(AnsatzKind.RANDOM, 999).gates
 
 
 def test_random_builder_count_and_norm():
-    c = build_ansatz(AnsatzKind.RANDOM, 4, 7, RandomCircuitSpec(depth=3, two_qubit_prob=0.3))
-    assert 12 <= len(c.gates) <= 24
+    c = build_ansatz(AnsatzKind.RANDOM, 7)
+    assert 8 <= len(c.gates) <= 16
     assert abs(np.linalg.norm(run_on_zero(c)) - 1.0) < 1e-10
-
-
-def test_random_spec_validation():
-    with pytest.raises(ValueError):
-        RandomCircuitSpec(depth=0)
-    with pytest.raises(ValueError):
-        RandomCircuitSpec(two_qubit_prob=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -197,23 +162,23 @@ def test_random_spec_validation():
 
 @pytest.mark.parametrize("kind", list(AnsatzKind))
 def test_build_ansatz_deterministic_per_seed(kind):
-    a = build_ansatz(kind, 4, seed=42)
-    b = build_ansatz(kind, 4, seed=42)
+    a = build_ansatz(kind, seed=42)
+    b = build_ansatz(kind, seed=42)
     assert a.gates == b.gates
-    c = build_ansatz(kind, 4, seed=43)
+    c = build_ansatz(kind, seed=43)
     assert a.gates != c.gates
 
 
 def test_build_ansatz_random_uses_given_seed():
-    # replay the seed's draws: per position a CNOT coin, then a CNOT target
-    # or a single-qubit kind (RX, RY, RZ, H) and its angle
-    spec = RandomCircuitSpec(depth=2, two_qubit_prob=0.3)
-    gates = build_ansatz(AnsatzKind.RANDOM, 4, seed=55, random_spec=spec).gates
-    assert len(gates) == spec.depth * 4
+    # replay the seed's draws: per position of 2 layers a CNOT coin of
+    # probability 0.3, then a CNOT target or a single-qubit kind (RX, RY, RZ,
+    # H) and its angle
+    gates = build_ansatz(AnsatzKind.RANDOM, seed=55).gates
+    assert len(gates) == 2 * 4
     rng = np.random.default_rng(55)
     for i, g in enumerate(gates):
         q = i % 4
-        if rng.random() < spec.two_qubit_prob:
+        if rng.random() < 0.3:
             target = int(rng.integers(3))
             assert (g.kind, g.targets) == (GateKind.CNOT, (q, target + (target >= q)))
         else:

@@ -55,11 +55,11 @@ def trained_toy():
 @pytest.fixture(scope="module")
 def toy_end_to_end():
     """End-to-end source on 6x6 images: a dense head over 3x3x4 feature maps."""
-    qcfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=21))
+    qcfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.ZZ_FULL, seed=21))
     head_rng = np.random.default_rng(21)
     head = nn.Model(
         [nn.Flatten(), nn.Dense(36, 10, head_rng), nn.Softmax()],
-        input_shape=(3, 3, 4), arch=Architecture.QUNN, dataset="mnist", rng_seed=21,
+        input_shape=(3, 3, 4), arch=Architecture.QUNN,
     )
     return EndToEndSource(qcfg, head)
 
@@ -105,11 +105,18 @@ def test_decay_must_be_finite(bad):
         AttackConfig(AttackKind.MIM, 0.1, decay=bad)
 
 
+@pytest.mark.parametrize("clamp", [(0.0, 1.0), (0.2, 0.8), None])
+def test_clamp_must_be_a_bool(clamp):
+    # clamping clips to [0, 1]: a pair of bounds would be read as True
+    with pytest.raises(ValueError, match="clamp must be True or False"):
+        AttackConfig(AttackKind.PGD, 0.1, clamp=clamp)
+
+
 def test_unclamped_fgsm_at_even_epsilon_leaves_features_unchanged(trained_toy):
     # quanvolution features are 2-periodic in every pixel and FGSM moves
     # each pixel by epsilon * sign(gradient)
     model, xs, ys = trained_toy
-    qcfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=1))
+    qcfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.ZZ_FULL, seed=1))
     adv = fgsm(SurrogateSource(model), xs[:1], ys[:1], 2.0)[0]
     assert np.max(np.abs(adv - xs[0])) == 2.0
     features = quanvolve_image(adv, qcfg)
@@ -118,7 +125,7 @@ def test_unclamped_fgsm_at_even_epsilon_leaves_features_unchanged(trained_toy):
 
 def test_fgsm_clamp(rng):
     img = rng.uniform(0, 1, (1, 4, 4, 1))
-    out = fgsm(FixedGradientSource(np.ones((1, 4, 4, 1))), img, [0], 0.9, clamp=(0.0, 1.0))
+    out = fgsm(FixedGradientSource(np.ones((1, 4, 4, 1))), img, [0], 0.9, clamp=True)
     assert np.all(out <= 1.0) and np.all(out >= 0.0)
 
 
@@ -219,7 +226,7 @@ def test_clamp_respected_fuzzed(kind, rng):
         eps = float(rng.uniform(0, 3))
         cfg = AttackConfig(kind, eps, steps=int(rng.integers(1, 6)),
                            step_size=float(rng.uniform(0.05, 2.0)),
-                           clamp=(0.0, 1.0))
+                           clamp=True)
         source = FixedGradientSource(rng.normal(size=(1, *shape)))
         adv = attack_batch(source, img[None], [0], cfg)[0]
         assert np.all(adv >= 0.0) and np.all(adv <= 1.0)
@@ -258,11 +265,11 @@ def test_attack_batch_empty(trained_toy):
 
 
 @pytest.mark.parametrize("kind", list(AttackKind))
-@pytest.mark.parametrize("clamp", [None, (0.2, 0.8)])
+@pytest.mark.parametrize("clamp", [False, True])
 def test_attack_batch_zero_epsilon_skips_gradients(kind, clamp, rng):
-    images = rng.uniform(0, 1, (3, 4, 4, 1))
+    images = rng.uniform(-0.5, 1.5, (3, 4, 4, 1))
     out = attack_batch(RaisingSource(), images, [0, 1, 2], AttackConfig(kind, 0.0, clamp=clamp))
-    expected = images if clamp is None else np.clip(images, *clamp)
+    expected = np.clip(images, 0.0, 1.0) if clamp else images
     assert out.tobytes() == expected.tobytes()
     assert not np.shares_memory(out, images)
 
@@ -357,7 +364,7 @@ class CountingSource:
 
 
 @pytest.mark.parametrize("kind", list(AttackKind))
-@pytest.mark.parametrize("clamp", [None, (0.0, 1.0)])
+@pytest.mark.parametrize("clamp", [False, True])
 @pytest.mark.parametrize("source_kind", ["surrogate", "end_to_end"])
 def test_supplied_clean_gradient_gives_the_same_images(kind, clamp, source_kind, trained_toy,
                                                         toy_end_to_end, rng):

@@ -69,6 +69,14 @@ def test_config_comments_and_blanks_ignored():
     assert cfg["trials"] == "5"
 
 
+def test_config_key_table_lists_exactly_the_config_keys():
+    # the module docstring's table: a key column, keys of one row joined by " / "
+    table = cli.__doc__.split("Recognized keys")[1].split("\n\n")[1]
+    keys = [key for row in table.splitlines()
+            for key in re.split(r"\s{2,}", row.strip())[0].split(" / ")]
+    assert sorted(keys) == sorted(cli._CONFIG_DEFAULTS)
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -187,7 +195,7 @@ def test_cmd_quanvolve_writes_the_maps_of_the_concatenated_images(idx_dir, tmp_p
     cfg = dict(cli._CONFIG_DEFAULTS, dataset_dir=str(idx_dir), n_train="70", n_test="40")
     train, test = cli.load_dataset_pair(cfg)
     images = np.concatenate([train.images, test.images])
-    qcfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.RANDOM, 4, seed=4))
+    qcfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.RANDOM, seed=4))
     expected = tmp_path / "expected.qnvf"
     quanv.write_qnvf(expected, quanv.quanvolve_dataset(images, qcfg).astype(np.float32),
                      meta_hash=harness.stable_seed("mnist", "random", 4, 70, 40,
@@ -330,6 +338,21 @@ def test_cmd_sweep_bad_value_exit_2(tmp_path, capsys, line, message):
     assert rc == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()  # validated before the directory is made
+
+
+@pytest.mark.parametrize("line, name", [
+    ("architectures = classical_cnn, qunn, classical_cnn", "classical_cnn"),
+    ("ansatz_list = zz_full, zz_full", "zz_full"),
+    ("attack_list = fgsm, fgsm", "fgsm"),
+])
+def test_cmd_sweep_repeated_name_exit_2(tmp_path, capsys, line, name):
+    key = line.split(" = ")[0]
+    config = tmp_path / "bad.cfg"
+    config.write_text(re.sub(rf"^{key} =.*$", line, TINY_SWEEP, flags=re.M))
+    rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_USAGE
+    assert f"{name} more than once" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # rejected before any work
 
 
 def test_cmd_sweep_rejects_images_that_are_not_28x28(tmp_path, capsys):

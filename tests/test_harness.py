@@ -242,6 +242,17 @@ def test_sweep_config_rejects_a_clamp_that_is_not_a_bool(clamp):
         tiny_config(clamp=clamp)
 
 
+@pytest.mark.parametrize("name, values", [
+    ("architectures", (Architecture.QUNN, Architecture.CLASSICAL_CNN, Architecture.QUNN)),
+    ("ansatz_kinds", (AnsatzKind.ZZ_FULL, AnsatzKind.RANDOM, AnsatzKind.ZZ_FULL)),
+    ("attacks", (AttackKind.PGD, AttackKind.PGD)),
+])
+def test_sweep_config_rejects_a_repeated_name(name, values):
+    # a repeat would run its cells twice and write duplicate records
+    with pytest.raises(ValueError, match=f"{name} lists {values[0].value} more than once"):
+        tiny_config(**{name: values})
+
+
 @pytest.mark.parametrize("threads, workers", [(64, [2]), (2, [2]), (1, [])])
 def test_pool_is_capped_at_the_task_count(monkeypatch, threads, workers):
     # a stand-in pool that records its size and runs the tasks in-process

@@ -110,21 +110,6 @@ def test_softmax_probabilities_valid(rng):
     assert np.all(p >= 0)
 
 
-def test_softmax_backward_matches_numerical_jacobian(rng):
-    layer = nn.Softmax()
-    x = rng.normal(size=(1, 6))
-    dout = rng.normal(size=(1, 6))
-    p, cache = layer.forward(x)
-    dx = layer.backward(dout, cache)
-    h = 1e-6
-    for j in range(6):
-        xp, xm = x.copy(), x.copy()
-        xp[0, j] += h
-        xm[0, j] -= h
-        fd = (np.sum(dout * layer.forward(xp)[0]) - np.sum(dout * layer.forward(xm)[0])) / (2 * h)
-        assert abs(dx[0, j] - fd) < 1e-6
-
-
 def test_dropout_only_active_in_training(rng):
     m = build_model(Architecture.QUNN, "fmnist", seed=3)
     x = rng.uniform(0, 1, (14, 14, 4))

@@ -6,12 +6,12 @@ from quanvbench.ansatz import AnsatzKind, build_ansatz
 from quanvbench.quanv import QuanvConfig, input_gradient, quanvolve_dataset, quanvolve_image
 
 
-def identity_cfg(k=2, s=2):
-    return QuanvConfig(circuit=qsim.Circuit(k * k), kernel_size=k, stride=s)
+def identity_cfg():
+    return QuanvConfig(circuit=qsim.Circuit(4))
 
 
 def ansatz_cfg(kind, seed=31):
-    return QuanvConfig(circuit=build_ansatz(kind, 4, seed=seed))
+    return QuanvConfig(circuit=build_ansatz(kind, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +41,7 @@ def test_encode_half_pixel():
 def test_encode_matches_gate_application(rng):
     # encoding the patch == running R_y(pi x_q) gates on |0000> before the filter
     patch = rng.uniform(0, 1, 4)
-    filt = build_ansatz(AnsatzKind.ZZ_FULL, 4, seed=5)
+    filt = build_ansatz(AnsatzKind.ZZ_FULL, seed=5)
     encode = tuple(qsim.ry(q, np.pi * x) for q, x in enumerate(patch))
     via_gates = QuanvConfig(circuit=qsim.Circuit(4, encode + filt.gates))
     assert np.allclose(
@@ -101,7 +101,7 @@ def test_product_filter_channels_are_sinusoids_of_their_own_pixel(kind):
 
 
 def test_terms_are_derived_from_the_circuit(rng):
-    circuit = build_ansatz(AnsatzKind.ZZ_STAR, 4, seed=3)
+    circuit = build_ansatz(AnsatzKind.ZZ_STAR, seed=3)
     a, b = QuanvConfig(circuit=circuit), QuanvConfig(circuit=circuit)
     assert "terms" not in repr(a)
     assert a == b and hash(a) == hash(b)
@@ -153,18 +153,14 @@ def test_rejects_multichannel_input(rng):
 
 
 @pytest.mark.parametrize(
-    "h,w,k,s,expected",
+    "h,w,expected",
     [
-        (28, 28, 2, 2, (14, 14, 4)),
-        (7, 7, 2, 2, (3, 3, 4)),
-        (6, 8, 2, 1, (5, 7, 4)),
-        (9, 9, 3, 3, (3, 3, 9)),
-        (10, 7, 3, 2, (4, 3, 9)),
+        (28, 28, (14, 14, 4)),
+        (7, 7, (3, 3, 4)),
     ],
 )
-def test_shape_law(h, w, k, s, expected, rng):
-    cfg = QuanvConfig(circuit=qsim.Circuit(k * k), kernel_size=k, stride=s)
-    out = quanvolve_image(rng.uniform(0, 1, (h, w, 1)), cfg)
+def test_shape_law(h, w, expected, rng):
+    out = quanvolve_image(rng.uniform(0, 1, (h, w, 1)), identity_cfg())
     assert out.shape == expected
 
 
@@ -186,12 +182,10 @@ def test_locality_one_pixel_touches_one_output_cell(rng):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QuanvConfig(circuit=qsim.Circuit(4), kernel_size=3)  # 9 != 4
-    with pytest.raises(ValueError):
-        QuanvConfig(circuit=qsim.Circuit(4), kernel_size=2, stride=0)
-    with pytest.raises(ValueError, match="limit"):
-        QuanvConfig(circuit=qsim.Circuit(16), kernel_size=4)  # 16 x 4^16 floats
+    # one qubit per pixel of a 2x2 patch
+    for n in (1, 3, 5, 9):
+        with pytest.raises(ValueError, match="4 qubits"):
+            QuanvConfig(circuit=qsim.Circuit(n))
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +211,11 @@ def test_dataset_order_preserved(rng):
 def summed_terms(images, cfg):
     """Every compiled term of channel q added in order into one float64 array
     of the whole batch, the evaluation quanvolve_dataset blocks."""
-    rows, cols, n = quanv.output_shape(images.shape[1], images.shape[2], cfg)
-    k, s = cfg.kernel_size, cfg.stride
+    rows, cols = images.shape[1] // 2, images.shape[2] // 2
     trig = (np.cos(np.pi * images[..., 0]), np.sin(np.pi * images[..., 0]))
-    pixels = [(slice(None), slice(a, a + s * rows, s), slice(b, b + s * cols, s))
-              for a in range(k) for b in range(k)]
-    maps = np.zeros((len(images), rows, cols, n))
+    pixels = [(slice(None), slice(a, a + 2 * rows, 2), slice(b, b + 2 * cols, 2))
+              for a in range(2) for b in range(2)]
+    maps = np.zeros((len(images), rows, cols, 4))
     for q, coefficient, factors in cfg.terms:
         term = coefficient
         for i, t in factors:
@@ -392,23 +385,9 @@ def test_gradient_matches_finite_differences_all_ansatz_kinds(kind, rng):
         assert abs(exact[idx] - fd[idx]) <= 1e-5 * max(1.0, abs(fd[idx]))
 
 
-@pytest.mark.parametrize("k,s", [(2, 1), (3, 2)])
-def test_gradient_overlapping_patches_matches_finite_differences(k, s, rng):
-    # pixels shared by several patches sum every patch's contribution
-    circuit = build_ansatz(AnsatzKind.ZZ_LINEAR, k * k, seed=13)
-    cfg = QuanvConfig(circuit=circuit, kernel_size=k, stride=s)
-    img = rng.uniform(0.05, 0.95, (5, 5, 1))
-    upstream = rng.normal(size=quanvolve_image(img, cfg).shape)
-    exact = input_gradient(img[None], cfg, upstream[None])[0]
-    fd = finite_difference_gradient(img, cfg, upstream)
-    assert np.allclose(exact, fd, atol=1e-6)
-
-
-@pytest.mark.parametrize("k,s", [(2, 2), (2, 1)])
-def test_batched_gradient_rows_match_one_image_batches(k, s, rng):
+def test_batched_gradient_rows_match_one_image_batches(rng):
     # the images span two internal blocks, the last one partial
-    cfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.RANDOM, k * k, seed=5),
-                      kernel_size=k, stride=s)
+    cfg = ansatz_cfg(AnsatzKind.RANDOM, seed=5)
     count = quanv.BLOCK + 3
     imgs = rng.uniform(-0.5, 1.5, (count, 8, 8, 1))
     upstream = rng.normal(size=(count, *quanvolve_image(imgs[0], cfg).shape))

@@ -32,7 +32,7 @@ def test_pullback_that_loses_the_block_reuse_fails_gradient_check(monkeypatch, r
     # mutation check: the end_to_end gradient of an image in the second block
     # must come from that block's cos and sin
     def mutated(images, cfg):
-        images, shape, pixels, blocks = quanv._blocked(images, cfg)
+        images, shape, pixels, blocks = quanv._blocked(images)
         blocks = reuse(blocks)
         return (quanv._features(cfg, shape, pixels, blocks),
                 functools.partial(quanv._pullback, cfg, images, shape, pixels, blocks))
