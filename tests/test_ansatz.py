@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quanvbench import qsim
-from quanvbench.ansatz import AnsatzKind, build_ansatz
+from quanvbench.ansatz import RANDOM_CNOT_PROB, RANDOM_DEPTH, AnsatzKind, build_ansatz
 from quanvbench.qsim import GateKind
 from quanvbench.quanv import QuanvConfig
 
@@ -154,6 +154,28 @@ def test_random_builder_count_and_norm():
     c = build_ansatz(AnsatzKind.RANDOM, 7)
     assert 8 <= len(c.gates) <= 16
     assert abs(np.linalg.norm(run_on_zero(c)) - 1.0) < 1e-10
+
+
+def test_random_builder_draws_cnots_at_the_module_probability():
+    # one gate per qubit per layer; a CNOT with probability RANDOM_CNOT_PROB,
+    # from its position's qubit to each of the 3 others
+    cnot_targets = {q: set() for q in range(4)}
+    positions = cnots = 0
+    for seed in range(400):
+        gates = build_ansatz(AnsatzKind.RANDOM, seed).gates
+        assert len(gates) == RANDOM_DEPTH * 4
+        for i, g in enumerate(gates):
+            positions += 1
+            if g.kind is GateKind.CNOT:
+                cnots += 1
+                control, target = g.targets
+                assert control == i % 4 and target != control and 0 <= target < 4
+                cnot_targets[control].add(target)
+            else:
+                assert g.targets == (i % 4,)
+    sd = np.sqrt(RANDOM_CNOT_PROB * (1 - RANDOM_CNOT_PROB) / positions)
+    assert abs(cnots / positions - RANDOM_CNOT_PROB) <= 4 * sd
+    assert cnot_targets == {q: set(range(4)) - {q} for q in range(4)}
 
 
 # ---------------------------------------------------------------------------

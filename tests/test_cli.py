@@ -59,6 +59,16 @@ def test_config_rejects_unknown_key():
         parse_config_text("no_such_key = 1\n")
 
 
+REMOVED_RANDOM_KEYS = ["random.depth = 3", "random.two_qubit_prob = 0.4"]
+
+
+@pytest.mark.parametrize("line", REMOVED_RANDOM_KEYS)
+def test_config_rejects_the_removed_random_keys(line):
+    # the random architecture's depth and CNOT probability are fixed
+    with pytest.raises(cli.ConfigError, match=re.escape(line.split(" = ")[0])):
+        parse_config_text(line + "\n")
+
+
 def test_config_rejects_malformed_line():
     with pytest.raises(cli.ConfigError, match="line 2"):
         parse_config_text("trials = 3\nbogus line\n")
@@ -310,6 +320,16 @@ def test_cmd_sweep_unknown_key_exit_2(tmp_path, capsys):
     rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
     assert rc == EXIT_USAGE
     assert "mystery_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", REMOVED_RANDOM_KEYS)
+def test_cmd_sweep_removed_random_key_exit_2(tmp_path, capsys, line):
+    config = tmp_path / "old.cfg"
+    config.write_text(TINY_SWEEP + line + "\n")
+    rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_USAGE
+    assert line.split(" = ")[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cmd_sweep_nan_epsilon_exit_2(tmp_path, capsys):

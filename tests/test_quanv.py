@@ -157,11 +157,23 @@ def test_rejects_multichannel_input(rng):
     [
         (28, 28, (14, 14, 4)),
         (7, 7, (3, 3, 4)),
+        (6, 8, (3, 4, 4)),
+        (9, 9, (4, 4, 4)),
+        (10, 7, (5, 3, 4)),
     ],
 )
 def test_shape_law(h, w, expected, rng):
     out = quanvolve_image(rng.uniform(0, 1, (h, w, 1)), identity_cfg())
     assert out.shape == expected
+    assert quanv.output_shape(h, w) == expected
+
+
+@pytest.mark.parametrize("h,w", [(1, 5), (5, 1), (1, 1)])
+def test_images_smaller_than_a_patch_are_rejected(h, w, rng):
+    with pytest.raises(ValueError, match="smaller than a 2x2 patch"):
+        quanv.output_shape(h, w)
+    with pytest.raises(ValueError, match="smaller than a 2x2 patch"):
+        quanvolve_image(rng.uniform(0, 1, (h, w, 1)), identity_cfg())
 
 
 def test_feature_values_in_unit_interval(rng):
@@ -311,6 +323,20 @@ def test_byte_images_give_the_float64_gradients_of_their_pixels(kind, count, rng
     assert grad.dtype == np.float64 and grad.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("h,w", [(7, 9), (9, 6), (3, 3)])
+def test_odd_sized_byte_images_give_the_maps_and_gradients_of_their_pixels(h, w, rng):
+    cfg = ansatz_cfg(AnsatzKind.RANDOM)
+    images = rng.integers(0, 256, (quanv.BLOCK + 1, h, w, 1), dtype=np.uint8)
+    pixels = data.pixels(images)
+    maps = quanvolve_dataset(images, cfg)
+    assert maps.shape == (len(images), *quanv.output_shape(h, w))
+    assert maps.tobytes() == quanvolve_dataset(pixels, cfg).tobytes()
+    upstream = rng.normal(size=maps.shape)
+    grad = input_gradient(images, cfg, upstream)
+    assert grad.tobytes() == input_gradient(pixels, cfg, upstream).tobytes()
+    assert np.all(grad[:, h - 1] == 0) and np.all(grad[:, :, w - w % 2 :] == 0)
+
+
 def test_quanvolve_image_reads_a_byte_image_as_its_pixels():
     cfg = ansatz_cfg(AnsatzKind.ZZ_STAR)
     image = byte_images(1)[0]
@@ -383,6 +409,20 @@ def test_gradient_matches_finite_differences_all_ansatz_kinds(kind, rng):
     coords = [np.unravel_index(i, img.shape) for i in rng.choice(36, 20, replace=False)]
     for idx in coords:
         assert abs(exact[idx] - fd[idx]) <= 1e-5 * max(1.0, abs(fd[idx]))
+
+
+@pytest.mark.parametrize("h,w", [(7, 9), (9, 6), (5, 5)])
+def test_gradient_of_odd_sized_images_matches_finite_differences(h, w, rng):
+    # an odd last row or column lies in no patch: its features ignore it and
+    # its gradient is exactly 0
+    cfg = ansatz_cfg(AnsatzKind.RANDOM, seed=97)
+    img = rng.uniform(0.05, 0.95, (h, w, 1))
+    upstream = rng.normal(size=quanv.output_shape(h, w))
+    exact = input_gradient(img[None], cfg, upstream[None])[0]
+    fd = finite_difference_gradient(img, cfg, upstream)
+    assert np.max(np.abs(exact - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
+    assert np.all(exact[h - h % 2 :] == 0) and np.all(exact[:, w - w % 2 :] == 0)
+    assert np.any(exact[: h - h % 2, : w - w % 2] != 0)
 
 
 def test_batched_gradient_rows_match_one_image_batches(rng):
