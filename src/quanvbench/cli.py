@@ -100,7 +100,7 @@ _CONFIG_DEFAULTS = {
 
 def parse_config_text(text: str) -> dict[str, str]:
     """Flat key = value lines over the documented defaults."""
-    resolved = dict(_CONFIG_DEFAULTS)
+    resolved, seen = dict(_CONFIG_DEFAULTS), {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -110,6 +110,8 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
+        if seen.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"{key} is set twice, on lines {seen[key]} and {lineno}")
         resolved[key] = value
     return resolved
 

@@ -12,21 +12,19 @@ running `trials` independently seeded repetitions of the four-step protocol:
        set (pixels lie in [0, 1], so clamping keeps them), and its row is
        the clean accuracy measured after step 2.
 
-Every model is trained once per trial and then faces every attack.  The
-pool's task unit is one (architecture, trial): it trains the architecture's
-models -- one head per ansatz for qunn -- and runs `run_trial`, steps 3 and
-4 of one (cell, trial), for each of them and each attack.  The sweep yields
-the records one (cell, trial) at a time.
-
-Attacks on the quantum model use the configured gradient mode: "surrogate"
-builds adversarial images against a classical CNN trained on the raw pixels
-(the quantum layer then transforms them), "end_to_end" differentiates
-through the quanvolution itself.  The surrogate depends only on the trial,
-so the qunn task trains it once and builds its adversarial sets once per
-attack and nonzero epsilon, shared by every head.  Classical architectures
-are always attacked with their own gradients.  All attacks of one source
-start from its gradient at the clean test images, which a task computes
-once.
+The pool's task is one (architecture, trial), computed as
+``task_records(cfg, train_task(cfg, architecture, trial))`` by the serial
+sweep, by each worker and by any caller that wants the trained models.
+`train_task` does steps 1 and 2: each model -- one head per ansatz for qunn
+-- is trained once into a `TrainedModel` (whose `evaluate` quanvolves first
+when it has a filter) and paired with the gradient source that attacks it.
+Classical models face their own gradients.  The heads face a classical CNN
+trained on the trial's raw pixels, one shared by all of them, in
+"surrogate" mode, and their own gradients through the quanvolution in
+"end_to_end" mode.  `task_records` does steps 3 and 4 through `run_trial`,
+with the sets of `attacker(cfg, source)`: each source's attacks start from
+one gradient at the clean test images, and a shared source's sets are built
+once for all its models.
 
 Determinism: every random draw is derived from base_seed via stable hashes
 of the cell coordinates other than the attack, so any (architecture, ansatz,
@@ -159,6 +157,21 @@ class TrainedModel:
             return SurrogateSource(self.model)
         return EndToEndSource(self.qcfg, self.model)
 
+    def evaluate(self, images: np.ndarray, labels: np.ndarray) -> float:
+        """Accuracy on pixel images, quanvolved first when the model has a filter."""
+        if self.qcfg is not None:
+            images = _quanvolve32(images, self.qcfg)
+        return nn.evaluate(self.model, images, labels)
+
+
+@dataclass(frozen=True)
+class TrainedTask:
+    """One (architecture, trial)'s (ansatz kind or None, model, source) triples."""
+
+    architecture: Architecture
+    trial: int
+    models: tuple[tuple[AnsatzKind | None, TrainedModel, object], ...]
+
 
 def stable_seed(*parts) -> int:
     """64-bit seed from a blake2 hash of the stringified parts."""
@@ -182,8 +195,6 @@ def _train_model(cfg: SweepConfig, architecture: Architecture,
     cell_seed = stable_seed(cfg.base_seed, dataset, architecture.value, ansatz_label, trial)
 
     if architecture is Architecture.QUNN:
-        if ansatz_kind is None:
-            raise ValueError("quantum architecture needs an ansatz kind")
         qcfg = QuanvConfig(circuit=build_ansatz(ansatz_kind, seed=cell_seed))
         train_x = _quanvolve32(cfg.train_data.images, qcfg)
         test_x = _quanvolve32(cfg.test_data.images, qcfg)
@@ -198,15 +209,22 @@ def _train_model(cfg: SweepConfig, architecture: Architecture,
                         clean_accuracy=nn.evaluate(model, test_x, cfg.test_data.labels))
 
 
-def _train_surrogate(cfg: SweepConfig, trial: int) -> nn.Model:
-    """Classical CNN trained on the raw trial data; the attack surrogate."""
-    seed = stable_seed(cfg.base_seed, "surrogate", cfg.train_data.name, trial)
-    model = nn.build_model(Architecture.CLASSICAL_CNN, cfg.train_data.name, seed)
-    return nn.train(model, cfg.train_data.images, cfg.train_data.labels,
-                    replace(cfg.train_cfg, seed=seed))
+def train_task(cfg: SweepConfig, architecture: Architecture, trial: int) -> TrainedTask:
+    """Steps 1 and 2 for one (architecture, trial): each model trained once,
+    with the source that attacks it (in surrogate mode, one for every head)."""
+    kinds = cfg.ansatz_kinds if architecture is Architecture.QUNN else (None,)
+    models = [(kind, _train_model(cfg, architecture, kind, trial)) for kind in kinds]
+    surrogate = None
+    if architecture is Architecture.QUNN and cfg.mode == "surrogate":
+        seed = stable_seed(cfg.base_seed, "surrogate", cfg.train_data.name, trial)
+        surrogate = SurrogateSource(nn.train(
+            nn.build_model(Architecture.CLASSICAL_CNN, cfg.train_data.name, seed),
+            cfg.train_data.images, cfg.train_data.labels, replace(cfg.train_cfg, seed=seed)))
+    return TrainedTask(architecture, trial, tuple(
+        (kind, trained, surrogate or trained.own_source()) for kind, trained in models))
 
 
-def _attacker(cfg: SweepConfig, source):
+def attacker(cfg: SweepConfig, source):
     """attack -> its adversarial test sets against ``source``, one per nonzero
     epsilon of its grid, built as they are iterated; all share one clean-image
     gradient."""
@@ -232,14 +250,11 @@ def run_trial(
 ) -> list[SweepRecord]:
     """Steps 3 and 4 for one cell and one trial: evaluate ``trained`` on
     ``adversarial``, the attack's test sets for the nonzero epsilons of its
-    grid in order (an iterator from `_attacker` builds each one as it is
+    grid in order (an iterator from `attacker` builds each one as it is
     evaluated).  The grid starts at 0, whose row is the clean accuracy."""
     ansatz_label = ansatz_kind.value if ansatz_kind is not None else "-"
     accuracies = [trained.clean_accuracy]
-    for adv in adversarial:
-        if trained.qcfg is not None:
-            adv = _quanvolve32(adv, trained.qcfg)
-        accuracies.append(nn.evaluate(trained.model, adv, cfg.test_data.labels))
+    accuracies += [trained.evaluate(adv, cfg.test_data.labels) for adv in adversarial]
     return [SweepRecord(
         dataset=cfg.train_data.name, architecture=architecture.value, ansatz=ansatz_label,
         attack=attack.value, mode=cfg.mode, epsilon=float(epsilon), trial=trial,
@@ -248,24 +263,21 @@ def run_trial(
     ) for epsilon, accuracy in zip(cfg.epsilons_for(attack), accuracies, strict=True)]
 
 
-def _task_records(cfg: SweepConfig, architecture: Architecture, trial: int):
-    """Yield the record lists of one (architecture, trial), one per cell:
-    each model is trained once, then attacked with every attack."""
-    kinds = cfg.ansatz_kinds if architecture is Architecture.QUNN else (None,)
-    models = [(kind, _train_model(cfg, architecture, kind, trial)) for kind in kinds]
-    if architecture is Architecture.QUNN and cfg.mode == "surrogate":
-        surrogate = _attacker(cfg, SurrogateSource(_train_surrogate(cfg, trial)))
-        adversarial = lambda attack: [list(surrogate(attack))] * len(models)
-    else:
-        own = [_attacker(cfg, trained.own_source()) for _, trained in models]
-        adversarial = lambda attack: [attacker(attack) for attacker in own]
+def task_records(cfg: SweepConfig, task: TrainedTask):
+    """Yield the record lists of one trained task, one per cell: each model
+    faces every attack.  A source several models share (the surrogate) builds
+    each attack's sets once for them all; any other builds them as evaluated."""
+    sources = [source for _, _, source in task.models]
+    attackers = {source: attacker(cfg, source) for source in sources}
     for attack in cfg.attacks:
-        for (kind, trained), sets in zip(models, adversarial(attack), strict=True):
-            yield run_trial(cfg, architecture, kind, attack, trial, trained, sets)
+        shared = {s: list(attackers[s](attack)) for s in attackers if sources.count(s) > 1}
+        for kind, trained, source in task.models:
+            sets = shared[source] if source in shared else attackers[source](attack)
+            yield run_trial(cfg, task.architecture, kind, attack, task.trial, trained, sets)
 
 
 def _run_task(task) -> list[list[SweepRecord]]:
-    return list(_task_records(*task))
+    return list(task_records(task[0], train_task(*task)))
 
 
 def _record_lists(cfg: SweepConfig, threads: int):
@@ -274,7 +286,7 @@ def _record_lists(cfg: SweepConfig, threads: int):
     workers = min(threads, len(tasks))  # the pool starts every worker up front
     if workers <= 1:
         for task in tasks:
-            yield from _task_records(*task)
+            yield from task_records(cfg, train_task(*task))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for lists in pool.map(_run_task, tasks, chunksize=1):

@@ -21,6 +21,7 @@ measured numbers rather than a weakened threshold.
 """
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ import pytest
 from quanvbench import data, nn, quanv, verify
 from quanvbench.ansatz import AnsatzKind, build_ansatz
 from quanvbench.attacks import AttackKind
-from quanvbench.harness import SweepConfig, emit_csv, run_sweep
+from quanvbench.harness import (
+    SweepConfig, SweepRecord, attacker, emit_csv, run_sweep, run_trial, task_records, train_task)
 from quanvbench.nn import Architecture
 from quanvbench.quanv import QuanvConfig
 from quanvbench.synthdata import synthetic_dataset
@@ -86,6 +88,18 @@ def mnist_sweep():
 
 
 @pytest.fixture(scope="module")
+def mnist_trained(mnist_sweep):
+    """The MNIST sweep once more, in this process, through the trial API the
+    pool's workers run: its trained tasks and its sorted records."""
+    cfg, _, _ = mnist_sweep
+    tasks = [train_task(cfg, architecture, trial)
+             for architecture in cfg.architectures for trial in range(cfg.trials)]
+    records = [record for task in tasks for records in task_records(cfg, task)
+               for record in records]
+    return tasks, sorted(records, key=SweepRecord.sort_key)
+
+
+@pytest.fixture(scope="module")
 def fmnist_sweep():
     return run_default_sweep("fmnist")
 
@@ -95,6 +109,26 @@ def mean_acc(records, **filters):
             if all(getattr(r, k) == v for k, v in filters.items())]
     assert vals, f"no records match {filters}"
     return float(np.mean(vals))
+
+
+def trial_means(records, keep=lambda r: True, **filters):
+    """trial -> mean accuracy of its records that match ``filters`` and ``keep``."""
+    by_trial = {}
+    for r in records:
+        if keep(r) and all(getattr(r, k) == v for k, v in filters.items()):
+            by_trial.setdefault(r.trial, []).append(r.accuracy)
+    assert by_trial, f"no records match {filters}"
+    return {trial: float(np.mean(accs)) for trial, accs in by_trial.items()}
+
+
+def paired(a, b):
+    """The per-trial differences a - b of two arms that share each trial's
+    data: their mean, its standard error, and the trials each side wins."""
+    assert a.keys() == b.keys()
+    d = np.array([a[t] - b[t] for t in sorted(a)])
+    se = np.std(d, ddof=1) / np.sqrt(len(d))
+    return (f"{d.mean():+.3f} +/- {se:.3f} (wins {int(np.sum(d > 0))}-{int(np.sum(d < 0))} "
+            f"of {len(d)})")
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +153,14 @@ def test_criterion_1_oracle_suite(report):
 # Criterion 2: full sweep completes, reproducible byte-for-byte
 # ---------------------------------------------------------------------------
 
-def test_criterion_2_protocol_fidelity(mnist_sweep, tmp_path, report):
+def test_criterion_2_protocol_fidelity(mnist_sweep, mnist_trained, tmp_path, report):
+    # the sweep ran with THREADS workers; the rerun runs in this process
     cfg, records, elapsed = mnist_sweep
     per_trial_rows = sum(len(cfg.epsilons_for(a)) for a in cfg.attacks)
     expected_rows = (2 + len(cfg.ansatz_kinds)) * cfg.trials * per_trial_rows
     complete = len(records) == expected_rows
 
-    rerun = run_sweep(cfg, threads=max(1, THREADS - 1), progress=lambda m: None)
+    _tasks, rerun = mnist_trained
     p1, p2 = tmp_path / "run1.csv", tmp_path / "run2.csv"
     emit_csv(records, p1)
     emit_csv(rerun, p2)
@@ -136,7 +171,7 @@ def test_criterion_2_protocol_fidelity(mnist_sweep, tmp_path, report):
         "criterion 2 (protocol fidelity)",
         ok,
         f"{len(records)}/{expected_rows} records in {elapsed:.0f}s (budget 7200s), "
-        f"rerun byte-identical: {identical}",
+        f"in-process rerun byte-identical: {identical}",
     )
 
 
@@ -164,7 +199,7 @@ def test_criterion_3_clean_accuracy(mnist_sweep, report):
 # Criterion 4: robustness gap, MNIST / FGSM / zz_full / surrogate
 # ---------------------------------------------------------------------------
 
-def test_criterion_4_robustness_gap(mnist_sweep, report):
+def test_criterion_4_robustness_gap(mnist_sweep, report, capsys):
     # "largest common epsilon" = the largest point shared by all attack
     # grids (the base grid's 10); 15 is the FGSM-only extension.  The
     # FGSM-15 numbers are printed alongside for transparency.
@@ -179,6 +214,13 @@ def test_criterion_4_robustness_gap(mnist_sweep, report):
                    attack="fgsm", epsilon=eps_top)
     c15 = mean_acc(records, architecture="classical_cnn", attack="fgsm", epsilon=eps_top)
     ok = gap >= 0.3
+    stats = [f"fgsm@{eps:g} " + paired(
+        trial_means(records, architecture="qunn", ansatz="zz_full", attack="fgsm", epsilon=eps),
+        trial_means(records, architecture="classical_cnn", attack="fgsm", epsilon=eps))
+        for eps in (eps_common, 0.05)]
+    with capsys.disabled():
+        print("    (report-only) criterion 4 paired per trial, qunn/zz_full - classical_cnn: "
+              + "; ".join(stats), flush=True)
     assert report(
         "criterion 4 (robustness gap)",
         ok,
@@ -195,28 +237,27 @@ def test_criterion_4_robustness_gap(mnist_sweep, report):
 REPORT_EPSILONS = (0.05, 0.1)
 
 
-@pytest.fixture(scope="module")
-def mnist_end_to_end_sweep():
-    """The MNIST sweep's qunn heads attacked through the quanvolution.  The
-    grid stops at the reported budgets: the heads do not depend on the grid,
-    and each epsilon's attack is independent of the others, so these are the
-    full grid's numbers."""
-    train, test = load_benchmark_data("mnist")
-    cfg = SweepConfig(train_data=train, test_data=test, base_seed=0,
-                      architectures=(Architecture.QUNN,), mode="end_to_end",
-                      epsilons=(0.0,) + REPORT_EPSILONS, fgsm_extra_epsilons=())
-    t0 = time.perf_counter()
-    records = run_sweep(cfg, threads=THREADS, progress=lambda m: None)
-    return records, time.perf_counter() - t0
-
-
-def test_report_end_to_end_next_to_surrogate(mnist_sweep, mnist_end_to_end_sweep, capsys):
+def test_report_end_to_end_next_to_surrogate(mnist_sweep, mnist_trained, capsys):
     """Report-only, no gate: whether the surrogate robustness of the heads
-    survives their own exact gradients."""
-    _cfg, surrogate, _ = mnist_sweep
-    end_to_end, elapsed = mnist_end_to_end_sweep
+    survives their own exact gradients.  Training reads neither the mode nor
+    the grid, so the in-process pass's heads are the ones an end_to_end sweep
+    trains.  The grid stops at the reported budgets: each epsilon's attack is
+    independent of the others, so these are the full grid's numbers."""
+    cfg, surrogate, _ = mnist_sweep
+    tasks, _records = mnist_trained
+    cfg = replace(cfg, mode="end_to_end", epsilons=(0.0,) + REPORT_EPSILONS,
+                  fgsm_extra_epsilons=())
+    t0 = time.perf_counter()
+    heads = [(task.trial, kind, trained) for task in tasks
+             if task.architecture is Architecture.QUNN for kind, trained, _source in task.models]
+    end_to_end = []
+    for trial, kind, trained in heads:
+        adversarial = attacker(cfg, trained.own_source())
+        for attack in cfg.attacks:
+            end_to_end += run_trial(cfg, Architecture.QUNN, kind, attack, trial, trained,
+                                    adversarial(attack))
     lines = [f"    (report-only) mnist qunn accuracy, surrogate/end_to_end "
-             f"({elapsed:.1f}s for the end_to_end sweep):"]
+             f"({time.perf_counter() - t0:.1f}s for the end_to_end attacks):"]
     for ans in ANSATZ_NAMES:
         cells = []
         for attack in ("fgsm", "pgd", "mim"):
@@ -270,6 +311,13 @@ def test_criterion_6_ansatz_ordering(mnist_sweep, fmnist_sweep, report, capsys):
             f"{attack}: full={means['zz_full']:.3f} star={means['zz_star']:.3f} "
             f"random={means['random']:.3f}"
         )
+        high = {ans: trial_means(records, keep=lambda r: r.epsilon >= 0.5, architecture="qunn",
+                                 ansatz=ans, attack=attack)
+                for ans in ("zz_full", "zz_star", "random")}
+        with capsys.disabled():
+            print(f"    (report-only) criterion 6 paired per trial, {attack} eps>=0.5: "
+                  f"zz_full - random {paired(high['zz_full'], high['random'])}; "
+                  f"zz_star - random {paired(high['zz_star'], high['random'])}", flush=True)
     # report-only: the FMNIST reversal (random outperforming) is not gated
     _fcfg, frecords, _ = fmnist_sweep
     fm = {}

@@ -375,6 +375,19 @@ def test_cmd_sweep_repeated_name_exit_2(tmp_path, capsys, line, name):
     assert not (tmp_path / "o").exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("line, message", [
+    ("trials = 1", "trials is set twice, on lines 13 and 15"),
+    ("train.epochs = 6", "train.epochs is set twice, on lines 14 and 15"),  # the same value
+])
+def test_cmd_sweep_repeated_key_exit_2(tmp_path, capsys, line, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(TINY_SWEEP + line + "\n")
+    rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # rejected before any work
+
+
 def test_cmd_sweep_rejects_images_that_are_not_28x28(tmp_path, capsys):
     root = tmp_path / "data"
     root.mkdir()

@@ -15,8 +15,9 @@ from quanvbench.harness import (
     emit_csv,
     emit_plot,
     run_sweep,
-    run_trial,
     stable_seed,
+    task_records,
+    train_task,
 )
 from quanvbench.nn import Architecture, TrainConfig
 from quanvbench.synthdata import synthetic_dataset
@@ -55,20 +56,17 @@ def fake_record(eps, trial, acc, **kw):
 # run_trial
 # ---------------------------------------------------------------------------
 
-def fresh_trial(cfg, architecture, ansatz_kind, attack, trial):
-    """run_trial on a freshly trained model, attacked as the sweep attacks it."""
-    trained = harness._train_model(cfg, architecture, ansatz_kind, trial)
-    source = trained.own_source()
-    if architecture is Architecture.QUNN and cfg.mode == "surrogate":
-        source = SurrogateSource(harness._train_surrogate(cfg, trial))
-    return run_trial(cfg, architecture, ansatz_kind, attack, trial, trained,
-                     harness._attacker(cfg, source)(attack))
+def fresh_trial(cfg, architecture, trial):
+    """The records of one freshly trained task, attacked as the sweep attacks
+    it; tiny_config's one attack and one ansatz make that a single cell."""
+    (records,) = task_records(cfg, train_task(cfg, architecture, trial))
+    return records
 
 
 @pytest.fixture(scope="module")
 def trial_records():
     cfg = tiny_config()
-    return cfg, fresh_trial(cfg, Architecture.QUNN, AnsatzKind.ZZ_FULL, AttackKind.FGSM, 0)
+    return cfg, fresh_trial(cfg, Architecture.QUNN, 0)
 
 
 def test_trial_epsilon_zero_equals_clean_accuracy(trial_records):
@@ -85,13 +83,13 @@ def test_trial_record_count_matches_grid(trial_records):
 
 def test_trial_deterministic(trial_records):
     cfg, records = trial_records
-    again = fresh_trial(cfg, Architecture.QUNN, AnsatzKind.ZZ_FULL, AttackKind.FGSM, 0)
+    again = fresh_trial(cfg, Architecture.QUNN, 0)
     assert [r.accuracy for r in again] == [r.accuracy for r in records]
 
 
 def test_trials_differ(trial_records):
     cfg, records = trial_records
-    other = fresh_trial(cfg, Architecture.QUNN, AnsatzKind.ZZ_FULL, AttackKind.FGSM, 1)
+    other = fresh_trial(cfg, Architecture.QUNN, 1)
     assert [r.accuracy for r in other] != [r.accuracy for r in records] or (
         other[0].clean_accuracy != records[0].clean_accuracy
     )
@@ -100,9 +98,66 @@ def test_trials_differ(trial_records):
 def test_classical_trial_skips_quanvolution(trial_records, monkeypatch):
     cfg, _ = trial_records
     monkeypatch.setattr(harness.quanv, "quanvolve_dataset", None)  # any call fails
-    records = fresh_trial(cfg, Architecture.CLASSICAL_CNN, None, AttackKind.FGSM, 0)
+    records = fresh_trial(cfg, Architecture.CLASSICAL_CNN, 0)
     assert records[0].ansatz == "-"
     assert records[0].accuracy == records[0].clean_accuracy
+
+
+# ---------------------------------------------------------------------------
+# train_task and task_records
+# ---------------------------------------------------------------------------
+
+TWO_HEADS = (AnsatzKind.ZZ_FULL, AnsatzKind.RANDOM)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(mode="surrogate"), dict(mode="end_to_end"), dict(mode="end_to_end", clamp=True)])
+def test_records_composed_in_process_match_the_pooled_sweep(tmp_path, overrides):
+    cfg = tiny_config(ansatz_kinds=TWO_HEADS, **overrides)
+    composed = sorted((record for architecture in cfg.architectures
+                       for trial in range(cfg.trials)
+                       for records in task_records(cfg, train_task(cfg, architecture, trial))
+                       for record in records), key=SweepRecord.sort_key)
+    pooled = run_sweep(cfg, threads=2, progress=lambda msg: None)
+    assert composed == pooled
+    emit_csv(composed, tmp_path / "composed.csv")
+    emit_csv(pooled, tmp_path / "pooled.csv")
+    assert (tmp_path / "composed.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+
+
+def test_qunn_heads_do_not_depend_on_the_mode_the_grid_or_clamp():
+    # the acceptance suite attacks the surrogate sweep's heads end to end
+    surrogate = train_task(tiny_config(ansatz_kinds=TWO_HEADS), Architecture.QUNN, 0)
+    end_to_end = train_task(tiny_config(ansatz_kinds=TWO_HEADS, mode="end_to_end", clamp=True,
+                                        epsilons=(0.0, 0.05)), Architecture.QUNN, 0)
+    for (kind, a, _), (other, b, _) in zip(surrogate.models, end_to_end.models, strict=True):
+        assert kind is other
+        assert a.model.flat.tobytes() == b.model.flat.tobytes()
+        assert (a.train_accuracy, a.clean_accuracy) == (b.train_accuracy, b.clean_accuracy)
+
+
+@pytest.mark.parametrize("mode", ["surrogate", "end_to_end"])
+def test_each_model_comes_with_the_source_that_attacks_it(mode):
+    cfg = tiny_config(ansatz_kinds=TWO_HEADS, mode=mode)
+    ((_, cnn, cnn_source),) = train_task(cfg, Architecture.CLASSICAL_CNN, 0).models
+    assert isinstance(cnn_source, SurrogateSource) and cnn_source.model is cnn.model
+    heads = train_task(cfg, Architecture.QUNN, 0).models
+    assert [kind for kind, _, _ in heads] == list(TWO_HEADS)
+    if mode == "surrogate":
+        (shared,) = {source for _, _, source in heads}
+        assert isinstance(shared, SurrogateSource)
+        assert all(shared.model is not trained.model for _, trained, _ in heads)
+    else:
+        for _, trained, source in heads:
+            assert isinstance(source, EndToEndSource) and source.head is trained.model
+
+
+def test_evaluate_takes_pixel_images_for_every_model():
+    cfg = tiny_config()
+    for architecture in cfg.architectures:
+        ((_, trained, _),) = train_task(cfg, architecture, 0).models
+        assert trained.evaluate(cfg.test_data.images, cfg.test_data.labels) == \
+            trained.clean_accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +397,9 @@ def test_csv_shape_and_header(tmp_path):
 # SVG
 # ---------------------------------------------------------------------------
 
+SVG = "{http://www.w3.org/2000/svg}"
+
+
 def make_aggregates():
     out = []
     for arch, ansatz_label in (("classical_cnn", "-"), ("qunn", "zz_full")):
@@ -355,7 +413,7 @@ def test_svg_well_formed_one_polyline_per_series(tmp_path):
     path = tmp_path / "plot.svg"
     emit_plot(make_aggregates(), path)
     root = ET.fromstring(path.read_text())
-    polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
+    polylines = root.findall(f".//{SVG}polyline")
     assert len(polylines) == 2
 
 
@@ -366,6 +424,20 @@ def test_svg_rejects_mixed_attacks(tmp_path):
         emit_plot(aggs, tmp_path / "x.svg")
 
 
-def test_zero_epsilon_pinned_left_of_log_region():
-    xs, log_left = harness._x_positions([0.0, 0.01, 0.1, 1.0])
-    assert xs[0.0] < log_left <= xs[0.01] < xs[0.1] < xs[1.0]
+def test_zero_epsilon_pinned_left_of_log_region(tmp_path):
+    path = tmp_path / "plot.svg"
+    emit_plot([AggregateRecord("mnist", "qunn", "zz_full", "fgsm", "surrogate", eps, 0.7, 0.05, 7)
+               for eps in (0.0, 0.01, 0.1, 1.0)], path)
+    root = ET.fromstring(path.read_text())
+    lines = [{k: float(v) for k, v in line.attrib.items() if k[0] in "xy"}
+             for line in root.iter(f"{SVG}line")]
+    axis = lines[0]["y1"]  # the x axis is drawn first
+    ticks = [line["x1"] for line in lines
+             if line["x1"] == line["x2"] and (line["y1"], line["y2"]) == (axis, axis + 4)]
+    marker = [x for line in lines if (line["y1"], line["y2"]) == (axis - 5, axis + 5)
+              for x in (line["x1"], line["x2"])]
+    labels = [text.text for text in root.iter(f"{SVG}text") if float(text.get("y")) == axis + 18]
+    assert labels == ["0", "0.01", "0.1", "1"]
+    assert len(ticks) == 4 and len(marker) == 4  # the break marker is two strokes
+    assert ticks[0] < min(marker) < max(marker) < ticks[1] < ticks[2] < ticks[3]
+    assert ticks[2] - ticks[1] == pytest.approx(ticks[3] - ticks[2], abs=0.2)  # log scale
