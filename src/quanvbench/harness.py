@@ -21,10 +21,11 @@ when it has a filter) and paired with the gradient source that attacks it.
 Classical models face their own gradients.  The heads face a classical CNN
 trained on the trial's raw pixels, one shared by all of them, in
 "surrogate" mode, and their own gradients through the quanvolution in
-"end_to_end" mode.  `task_records` does steps 3 and 4 through `run_trial`,
-with the sets of `attacker(cfg, source)`: each source's attacks start from
-one gradient at the clean test images, and a shared source's sets are built
-once for all its models.
+"end_to_end" mode.  `task_records` does steps 3 and 4 set by set: it builds
+one set of `attacker(cfg, source)` (each source's attacks start from one
+gradient at the clean test images), encodes it once (`quanv.encode`) if a
+model facing that source has a filter, lets every such model score it and
+drops it; `run_trial` then turns each cell's accuracies into its records.
 
 Determinism: every random draw is derived from base_seed via stable hashes
 of the cell coordinates other than the attack, so any (architecture, ansatz,
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -157,10 +159,11 @@ class TrainedModel:
             return SurrogateSource(self.model)
         return EndToEndSource(self.qcfg, self.model)
 
-    def evaluate(self, images: np.ndarray, labels: np.ndarray) -> float:
-        """Accuracy on pixel images, quanvolved first when the model has a filter."""
+    def evaluate(self, images: np.ndarray, labels: np.ndarray, encoding=None) -> float:
+        """Accuracy on pixel images, quanvolved first when the model has a filter
+        (contracting ``encoding``, their `quanv.encode`, when it is given)."""
         if self.qcfg is not None:
-            images = _quanvolve32(images, self.qcfg)
+            images = _quanvolve32(images, self.qcfg, encoding)
         return nn.evaluate(self.model, images, labels)
 
 
@@ -179,12 +182,14 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(digest.digest(), "little")
 
 
-def _quanvolve32(images: np.ndarray, qcfg: QuanvConfig) -> np.ndarray:
+def _quanvolve32(images: np.ndarray, qcfg: QuanvConfig, encoding=None) -> np.ndarray:
     """Quanvolve into float32, each float64 channel sum rounded as it is
     stored: the precision every head is trained and evaluated at (and the one
     `quanvbench quanvolve` writes); results.csv depends on this rounding."""
     maps = np.empty((len(images), *quanv.output_shape(*images.shape[1:3])), np.float32)
-    return quanv.quanvolve_dataset(images, qcfg, out=maps)
+    if encoding is None:
+        return quanv.quanvolve_dataset(images, qcfg, out=maps)
+    return quanv.contract(qcfg, encoding, out=maps)
 
 
 def _train_model(cfg: SweepConfig, architecture: Architecture,
@@ -246,15 +251,14 @@ def run_trial(
     attack: AttackKind,
     trial: int,
     trained: TrainedModel,
-    adversarial,
+    adversarial_accuracies,
 ) -> list[SweepRecord]:
-    """Steps 3 and 4 for one cell and one trial: evaluate ``trained`` on
-    ``adversarial``, the attack's test sets for the nonzero epsilons of its
-    grid in order (an iterator from `attacker` builds each one as it is
-    evaluated).  The grid starts at 0, whose row is the clean accuracy."""
+    """The records of one cell and one trial: ``trained``'s accuracies on the
+    attack's adversarial test sets, one per nonzero epsilon of its grid in
+    order (as `task_records` scores them), after its clean accuracy, the row
+    of the grid's first epsilon, 0."""
     ansatz_label = ansatz_kind.value if ansatz_kind is not None else "-"
-    accuracies = [trained.clean_accuracy]
-    accuracies += [trained.evaluate(adv, cfg.test_data.labels) for adv in adversarial]
+    accuracies = [trained.clean_accuracy, *adversarial_accuracies]
     return [SweepRecord(
         dataset=cfg.train_data.name, architecture=architecture.value, ansatz=ansatz_label,
         attack=attack.value, mode=cfg.mode, epsilon=float(epsilon), trial=trial,
@@ -264,16 +268,22 @@ def run_trial(
 
 
 def task_records(cfg: SweepConfig, task: TrainedTask):
-    """Yield the record lists of one trained task, one per cell: each model
-    faces every attack.  A source several models share (the surrogate) builds
-    each attack's sets once for them all; any other builds them as evaluated."""
-    sources = [source for _, _, source in task.models]
-    attackers = {source: attacker(cfg, source) for source in sources}
+    """Yield the record lists of one trained task, one per cell, in model order
+    within each attack: each model faces every attack.  The models facing one
+    source score its sets set by set: each set is built once, encoded once if
+    any of them has a filter, scored by all of them and dropped."""
+    groups = [list(group) for _, group in itertools.groupby(task.models, key=lambda m: m[2])]
+    attackers = [attacker(cfg, group[0][2]) for group in groups]
     for attack in cfg.attacks:
-        shared = {s: list(attackers[s](attack)) for s in attackers if sources.count(s) > 1}
-        for kind, trained, source in task.models:
-            sets = shared[source] if source in shared else attackers[source](attack)
-            yield run_trial(cfg, task.architecture, kind, attack, task.trial, trained, sets)
+        for group, adversarial_sets in zip(groups, attackers):
+            accuracies = [[] for _ in group]
+            encodes = any(trained.qcfg is not None for _, trained, _ in group)
+            for adv in adversarial_sets(attack):
+                encoding = quanv.encode(adv) if encodes else None
+                for row, (_, trained, _) in zip(accuracies, group):
+                    row.append(trained.evaluate(adv, cfg.test_data.labels, encoding))
+            for (kind, trained, _), row in zip(group, accuracies):
+                yield run_trial(cfg, task.architecture, kind, attack, task.trial, trained, row)
 
 
 def _run_task(task) -> list[list[SweepRecord]]:

@@ -15,8 +15,9 @@ Tensors are row-major numpy arrays; images are (H, W, C) and internal layer
 code works on (N, ...) batches.  Layer forward/backward are functional
 (caches are passed, not stored), so inference and input gradients on a
 frozen model are safe to run concurrently; only train() mutates parameters.
-Backward computes only what is read, and Adam updates in one pass the flat
-vector that every parameter is a view of.
+Backward computes only what is read; a training step writes its parameter
+gradients into views of one preallocated vector, and Adam updates in one
+pass the flat vector, laid out alike, that every parameter is a view of.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ class Architecture(Enum):
 
 # ---------------------------------------------------------------------------
 # Layers.  forward(x, training, rng) -> (y, cache); backward(dout, cache) ->
-# dx; with param_names, param_grads(dout, cache) -> {name: gradient}.
+# dx; with param_names, param_grads(dout, cache, out) writes out[k] = dL/d(name k).
 # ---------------------------------------------------------------------------
 
 
@@ -84,11 +85,11 @@ class Conv2D(Layer):
             dx[patch] += np.einsum("nhwf,cf->nhwc", dout, self.weights[i, j])
         return dx
 
-    def param_grads(self, dout, cache):
-        dw = np.zeros_like(self.weights)
+    def param_grads(self, dout, cache, out):
+        dw, db = out
         for i, j, patch in self._taps(*dout.shape[1:3]):
             dw[i, j] = np.einsum("nhwc,nhwf->cf", cache[patch], dout)
-        return {"weights": dw, "bias": dout.sum(axis=(0, 1, 2))}
+        np.sum(dout, axis=(0, 1, 2), out=db)
 
 
 class Dense(Layer):
@@ -104,8 +105,9 @@ class Dense(Layer):
     def backward(self, dout, cache):
         return dout @ self.weights.T
 
-    def param_grads(self, dout, cache):
-        return {"weights": cache.T @ dout, "bias": dout.sum(axis=0)}
+    def param_grads(self, dout, cache, out):
+        np.matmul(cache.T, dout, out=out[0])
+        np.sum(dout, axis=0, out=out[1])
 
 
 class ReLU(Layer):
@@ -157,7 +159,8 @@ class Softmax(Layer):
 
 class Model:
     """Layer stack ending in Softmax; every parameter is a view of ``flat``,
-    which holds them all in layer order."""
+    which holds them all in layer order.  Training writes their gradients
+    into ``grads[layer index]``, views of ``grad``, laid out like ``flat``."""
 
     def __init__(self, layers, input_shape, arch):
         self.layers = layers
@@ -167,9 +170,13 @@ class Model:
             raise ValueError("model must end in Softmax")
         entries = list(self.param_entries())
         self.flat = np.concatenate([arr.ravel() for _, _, arr in entries])
+        self.grad, self.grads = np.zeros_like(self.flat), {}
+        self.first_param_layer = entries[0][0]  # where backward stops in training
         offset = 0
         for li, name, arr in entries:
             setattr(layers[li], name, self.flat[offset : offset + arr.size].reshape(arr.shape))
+            self.grads.setdefault(li, []).append(
+                self.grad[offset : offset + arr.size].reshape(arr.shape))
             offset += arr.size
 
     def param_entries(self):
@@ -248,15 +255,14 @@ def loss(model: Model, x: np.ndarray, label: int) -> float:
 
 
 def _parameter_gradient(model: Model, dlogits: np.ndarray, caches) -> np.ndarray:
-    """Gradient laid out like ``model.flat``; backward stops at the first layer with parameters."""
-    entries = list(model.param_entries())
-    stop, dout, grads = entries[0][0], dlogits, {}
+    """``model.grad``, written through its views; backward stops at the first layer with parameters."""
+    dout = dlogits
     for li in range(len(model.layers) - 2, -1, -1):
         layer = model.layers[li]
         if layer.param_names:
-            grads.update(((li, name), g) for name, g in layer.param_grads(dout, caches[li]).items())
-        if li == stop:
-            return np.concatenate([grads[i, name].ravel() for i, name, _ in entries])
+            layer.param_grads(dout, caches[li], model.grads[li])
+        if li == model.first_param_layer:
+            return model.grad
         dout = layer.backward(dout, caches[li])
 
 

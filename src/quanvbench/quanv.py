@@ -22,8 +22,10 @@ after them, channel q has exactly two: the cos and the sin of pixel q.
 Feature maps take values in [-1, 1] and have 4 channels, one per qubit;
 they are 2-periodic in every pixel, and exact input gradients are the same
 terms with one factor differentiated.  Both are evaluated on blocks of
-images, every term reading pixel i of all patches through one strided view;
-`quanvolve_with_pullback` evaluates a block's cos and sin once for both.
+images, every term reading pixel i of all patches through one strided view,
+in two steps: a batch's `Encoding` (its blocks' (cos, sin)), then per filter
+a `contract` over it.  `quanvolve_dataset` streams the encoding; `encode`
+keeps it, so filters and pullbacks can share one cos and sin per block.
 
 The encoding is defined for any real pixel, so unclamped adversarial images
 are quanvolved as they are; `data.Dataset` checks float pixels lie in [0, 1].
@@ -51,6 +53,7 @@ import operator
 import os
 import struct
 from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -144,10 +147,19 @@ def _byte_trig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _BYTE_TRIG[0][index], _BYTE_TRIG[1][index]
 
 
-def _blocked(images: np.ndarray):
-    """(N, H, W, 1) images, float64 or uint8, feature maps shape, ``pixels[i]``
-    indexing pixel i of every patch in an (N, H, W) array, and each block's
-    slice with its (cos, sin)(pi x), computed as it is iterated."""
+class Encoding(NamedTuple):
+    """A batch's encoding, which any filter contracts: (N, H, W, 1) images, float64
+    or uint8, feature maps shape, ``pixels[i]`` indexing pixel i of every patch in
+    an (N, H, W) array, and each block's slice with its (cos, sin)(pi x)."""
+
+    images: np.ndarray
+    shape: tuple
+    pixels: list
+    blocks: Iterable
+
+
+def _blocked(images: np.ndarray) -> Encoding:
+    """The encoding of ``images``, each block's (cos, sin) computed as it is iterated."""
     images = np.asarray(images)
     if images.dtype == np.uint8:
         trig = _byte_trig
@@ -162,14 +174,24 @@ def _blocked(images: np.ndarray):
     pixels = [(slice(None), slice(a, PATCH * rows, PATCH), slice(b, PATCH * cols, PATCH))
               for a in range(PATCH) for b in range(PATCH)]
     blocks = (slice(start, start + BLOCK) for start in range(0, len(images), BLOCK))
-    return images, (len(images), rows, cols, n), pixels, (
-        (block, trig(images[block, ..., 0])) for block in blocks)
+    return Encoding(images, (len(images), rows, cols, n), pixels, (
+        (block, trig(images[block, ..., 0])) for block in blocks))
 
 
-def _features(cfg: QuanvConfig, shape, pixels, blocks, out=None) -> np.ndarray:
-    """Feature maps of ``shape``, every term evaluated on each block's (cos, sin)
-    and summed per channel in float64.  Each sum is stored once, so a float32
-    ``out`` holds the same bits as the float64 maps cast as a whole."""
+def encode(images: np.ndarray) -> Encoding:
+    """The encoding of (N, H, W, 1) images, float pixels or uint8 bytes as
+    `quanvolve_dataset` reads them, every block's (cos, sin) computed now,
+    once, for any number of `contract` calls and pullbacks."""
+    encoding = _blocked(images)
+    return encoding._replace(blocks=list(encoding.blocks))
+
+
+def contract(cfg: QuanvConfig, encoding: Encoding, out=None) -> np.ndarray:
+    """Feature maps of the encoded images under ``cfg``'s filter, every term
+    evaluated on each block's (cos, sin) and summed per channel in float64.
+    Each sum is stored once, so a float32 ``out`` holds the same bits as the
+    float64 maps cast as a whole."""
+    _images, shape, pixels, blocks = encoding
     if out is None:
         out = np.zeros(shape)
     elif out.shape != shape:
@@ -226,8 +248,7 @@ def quanvolve_dataset(images: np.ndarray, cfg: QuanvConfig, out=None) -> np.ndar
     maps of ``data.pixels(images)``, through the (cos, sin) tables.  Computed
     in float64 and, given an ``out`` array of that shape, stored into it (a
     float32 ``out`` rounds as ``.astype(np.float32)`` would) and returned."""
-    _images, shape, pixels, blocks = _blocked(images)
-    return _features(cfg, shape, pixels, blocks, out)
+    return contract(cfg, _blocked(images), out)
 
 
 def input_gradient(images: np.ndarray, cfg: QuanvConfig, upstream: np.ndarray) -> np.ndarray:
@@ -240,11 +261,9 @@ def input_gradient(images: np.ndarray, cfg: QuanvConfig, upstream: np.ndarray) -
 
 def quanvolve_with_pullback(images: np.ndarray, cfg: QuanvConfig):
     """``quanvolve_dataset`` and the function taking upstream to ``input_gradient``
-    of the same images, from one cos/sin per block."""
-    images, shape, pixels, blocks = _blocked(images)
-    blocks = list(blocks)
-    return (_features(cfg, shape, pixels, blocks),
-            functools.partial(_pullback, cfg, images, shape, pixels, blocks))
+    of the same images, both from their one `encode`."""
+    encoding = encode(images)
+    return contract(cfg, encoding), functools.partial(_pullback, cfg, *encoding)
 
 
 def write_qnvf(path, maps, meta_hash: int = 0, shape=None) -> None:

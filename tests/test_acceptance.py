@@ -254,8 +254,10 @@ def test_report_end_to_end_next_to_surrogate(mnist_sweep, mnist_trained, capsys)
     for trial, kind, trained in heads:
         adversarial = attacker(cfg, trained.own_source())
         for attack in cfg.attacks:
+            accuracies = [trained.evaluate(adv, cfg.test_data.labels)
+                          for adv in adversarial(attack)]
             end_to_end += run_trial(cfg, Architecture.QUNN, kind, attack, trial, trained,
-                                    adversarial(attack))
+                                    accuracies)
     lines = [f"    (report-only) mnist qunn accuracy, surrogate/end_to_end "
              f"({time.perf_counter() - t0:.1f}s for the end_to_end attacks):"]
     for ans in ANSATZ_NAMES:

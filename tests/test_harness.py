@@ -12,6 +12,7 @@ from quanvbench.harness import (
     SweepConfig,
     SweepRecord,
     aggregate,
+    attacker,
     emit_csv,
     emit_plot,
     run_sweep,
@@ -97,7 +98,8 @@ def test_trials_differ(trial_records):
 
 def test_classical_trial_skips_quanvolution(trial_records, monkeypatch):
     cfg, _ = trial_records
-    monkeypatch.setattr(harness.quanv, "quanvolve_dataset", None)  # any call fails
+    for name in ("quanvolve_dataset", "encode", "contract", "_trig"):
+        monkeypatch.setattr(harness.quanv, name, None)  # any call fails
     records = fresh_trial(cfg, Architecture.CLASSICAL_CNN, 0)
     assert records[0].ansatz == "-"
     assert records[0].accuracy == records[0].clean_accuracy
@@ -150,6 +152,60 @@ def test_each_model_comes_with_the_source_that_attacks_it(mode):
     else:
         for _, trained, source in heads:
             assert isinstance(source, EndToEndSource) and source.head is trained.model
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_set_by_set_scores_equal_each_heads_own_pixel_path(clamp):
+    cfg = two_attack_config(architectures=(Architecture.QUNN,), clamp=clamp)
+    task = train_task(cfg, Architecture.QUNN, 0)
+    cells = list(task_records(cfg, task))
+    expected = []
+    for attack in cfg.attacks:
+        for kind, trained, source in task.models:
+            sets = attacker(cfg, source)(attack)
+            expected.append((kind.value, attack.value, [trained.clean_accuracy] + [
+                trained.evaluate(adv, cfg.test_data.labels) for adv in sets]))
+    got = [(r[0].ansatz, r[0].attack, [record.accuracy for record in r]) for r in cells]
+    assert repr(got) == repr(expected)
+
+
+def test_each_shared_set_is_scored_by_every_head_before_the_next_is_built(monkeypatch):
+    cfg = two_attack_config(architectures=(Architecture.QUNN,), epsilons=(0.0, 0.1, 0.5))
+    task = train_task(cfg, Architecture.QUNN, 0)
+    events = []  # the keep filters log the calls in order
+    count_calls(monkeypatch, harness, "attack_batch", lambda *args: events.append("build"))
+    count_calls(monkeypatch, nn, "evaluate", lambda model, *_: events.append(model))
+    list(task_records(cfg, task))
+    heads = [trained.model for _, trained, _ in task.models]
+    sets = sum(len(cfg.epsilons_for(attack)) - 1 for attack in cfg.attacks)
+    assert events == ["build", *heads] * sets
+
+
+def paper_grid_trial(ansatz_kinds):
+    return two_attack_config(architectures=(Architecture.QUNN,), ansatz_kinds=ansatz_kinds,
+                             attacks=tuple(AttackKind), epsilons=harness.DEFAULT_EPSILONS,
+                             fgsm_extra_epsilons=harness.FGSM_EXTRA_EPSILONS, trials=1)
+
+
+def test_each_adversarial_set_is_encoded_once_for_every_head(monkeypatch):
+    # the train and test sets fit one block, so every quanvolution is one _trig call
+    trigs = count_calls(monkeypatch, harness.quanv, "_trig")
+    counts = []
+    for kinds in (AnsatzKind, (AnsatzKind.ZZ_FULL,), TWO_HEADS):
+        del trigs[:]
+        run_sweep(paper_grid_trial(tuple(kinds)), progress=lambda msg: None)
+        counts.append(len(trigs))
+    sets = sum(len(paper_grid_trial(TWO_HEADS).epsilons_for(a)) - 1 for a in AttackKind)
+    assert sets == 28
+    assert counts == [2 * 5 + sets, 2 * 1 + sets, 2 * 2 + sets]  # 38, not 5 * 30 = 150
+
+
+def test_classical_models_never_encode(monkeypatch):
+    trigs = count_calls(monkeypatch, harness.quanv, "_trig")
+    cfg = two_attack_config(architectures=(Architecture.CLASSICAL_CNN,
+                                           Architecture.CLASSICAL_FC))
+    assert len(run_sweep(cfg, progress=lambda msg: None)) == 2 * 2 * 2 * 2
+    assert trigs == []
 
 
 def test_evaluate_takes_pixel_images_for_every_model():

@@ -292,8 +292,9 @@ def reference_train(model, inputs, labels, cfg):
             for li in range(len(model.layers) - 2, -1, -1):
                 layer = model.layers[li]
                 if layer.param_names:
-                    grads.update({(li, name): g
-                                  for name, g in layer.param_grads(dout, caches[li]).items()})
+                    out = [np.empty_like(getattr(layer, name)) for name in layer.param_names]
+                    layer.param_grads(dout, caches[li], out)
+                    grads.update({(li, name): g for name, g in zip(layer.param_names, out)})
                 dout = layer.backward(dout, caches[li])
             t += 1
             for li, name, param in model.param_entries():
@@ -325,6 +326,19 @@ def test_parameters_are_views_of_one_flat_vector():
     assert m.flat.size == sum(arr.size for _, _, arr in entries)
     assert all(np.shares_memory(arr, m.flat) for _, _, arr in entries)
     assert np.array_equal(m.flat, np.concatenate([arr.ravel() for _, _, arr in entries]))
+
+
+def test_parameter_gradients_are_views_of_one_vector_laid_out_like_flat(rng):
+    m = build_model(Architecture.CLASSICAL_CNN, "fmnist", seed=1)
+    views = [view for li in sorted(m.grads) for view in m.grads[li]]
+    offset = lambda arr, base: arr.ctypes.data - base.ctypes.data
+    assert [offset(v, m.grad) for v in views] == [offset(a, m.flat) for _, _, a in m.param_entries()]
+    assert [v.shape for v in views] == [a.shape for _, _, a in m.param_entries()]
+    assert m.first_param_layer == 0  # the Conv2D
+    xs, ys = random_dataset(rng, n=3, shape=m.input_shape)
+    probs, caches = nn._forward_batch(m, xs, training=False)
+    dlogits = probs - np.eye(10)[ys]
+    assert nn._parameter_gradient(m, dlogits, caches) is m.grad
 
 
 def forbid(monkeypatch, cls, name):

@@ -345,6 +345,39 @@ def test_quanvolve_image_reads_a_byte_image_as_its_pixels():
     assert np.all(quanvolve_image(np.full((2, 2, 1), 255, np.uint8), identity_cfg()) == -1.0)
 
 
+def maps32(count, h, w):
+    return np.full((count, *quanv.output_shape(h, w)), np.nan, np.float32)
+
+
+@pytest.mark.parametrize("count", [1, quanv.BLOCK + 1, 2 * quanv.BLOCK + 2])
+@pytest.mark.parametrize("h,w", [(28, 28), (7, 9), (3, 3)])
+@pytest.mark.parametrize("pixel_type", ["float", "uint8"])
+def test_one_encoding_contracts_to_every_filters_maps_bit_for_bit(pixel_type, h, w, count, rng):
+    # the harness encodes an adversarial set once and contracts it per head
+    images = rng.integers(0, 256, (count, h, w, 1), dtype=np.uint8)
+    if pixel_type == "float":
+        images = rng.uniform(-1.5, 2.5, images.shape)  # unclamped adversarial pixels
+    encoding = quanv.encode(images)
+    assert isinstance(encoding.blocks, list)  # kept, so every contraction reads it
+    for kind in AnsatzKind:
+        cfg = ansatz_cfg(kind)
+        expected = quanvolve_dataset(images, cfg, out=maps32(count, h, w))
+        out = maps32(count, h, w)
+        assert quanv.contract(cfg, encoding, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+    assert quanv.contract(cfg, encoding).tobytes() == quanvolve_dataset(images, cfg).tobytes()
+
+
+def test_encode_rejects_what_quanvolve_dataset_rejects():
+    with pytest.raises(ValueError, match="data.pixels"):
+        quanv.encode(np.ones((2, 4, 4, 1), np.int64))
+    with pytest.raises(ValueError, match=r"\(N, H, W, 1\)"):
+        quanv.encode(np.ones((2, 4, 4, 3)))
+    with pytest.raises(ValueError, match="out shape"):
+        quanv.contract(identity_cfg(), quanv.encode(np.ones((2, 4, 4, 1))),
+                       out=np.empty((2, 2, 2, 3)))
+
+
 @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint16, bool])
 def test_integer_images_that_are_not_bytes_are_rejected(dtype):
     images = np.ones((2, 4, 4, 1), dtype)

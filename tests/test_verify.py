@@ -33,9 +33,9 @@ def test_pullback_that_loses_the_block_reuse_fails_gradient_check(monkeypatch, r
     # must come from that block's cos and sin
     def mutated(images, cfg):
         images, shape, pixels, blocks = quanv._blocked(images)
-        blocks = reuse(blocks)
-        return (quanv._features(cfg, shape, pixels, blocks),
-                functools.partial(quanv._pullback, cfg, images, shape, pixels, blocks))
+        encoding = quanv.Encoding(images, shape, pixels, reuse(blocks))
+        return (quanv.contract(cfg, encoding),
+                functools.partial(quanv._pullback, cfg, *encoding))
 
     monkeypatch.setattr(quanv, "quanvolve_with_pullback", mutated)
     passed, detail = verify.check_input_gradients()
