@@ -259,6 +259,8 @@ def _write_manifest(out_dir, cfg, status, n_records, error=None):
 
 
 def cmd_quanvolve(args) -> int:
+    if os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} is a directory, not a QNVF file path")
     cfg = dict(_CONFIG_DEFAULTS)
     cfg.update(
         dataset=args.dataset,
@@ -293,8 +295,7 @@ def cmd_quanvolve(args) -> int:
     def maps():
         nonlocal low, high
         for block in blocks:
-            block_maps = np.empty((len(block), *shape[1:]), np.float32)
-            quanv.quanvolve_dataset(block, qcfg, out=block_maps)
+            block_maps = quanv.quanvolve_dataset(block, qcfg, np.float32)
             low, high = min(low, block_maps.min()), max(high, block_maps.max())
             yield block_maps
 
@@ -306,13 +307,27 @@ def cmd_quanvolve(args) -> int:
     return EXIT_OK
 
 
+def _read_config(path) -> dict[str, str]:
+    """The parsed config at ``path``; a path that is not a UTF-8 text file is a config error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read --config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"--config {path} is not UTF-8 text: {exc}") from exc
+    return parse_config_text(text)
+
+
 def cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        cfg = parse_config_text(fh.read())
+    cfg = _read_config(args.config)
     if args.seed is not None:
         cfg["base_seed"] = str(args.seed)
     sweep_cfg = build_sweep_config(cfg)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make --out directory {args.out}: {exc.strerror}") from exc
     csv_path = os.path.join(args.out, "results.csv")
 
     records = []

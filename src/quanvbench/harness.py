@@ -186,10 +186,9 @@ def _quanvolve32(images: np.ndarray, qcfg: QuanvConfig, encoding=None) -> np.nda
     """Quanvolve into float32, each float64 channel sum rounded as it is
     stored: the precision every head is trained and evaluated at (and the one
     `quanvbench quanvolve` writes); results.csv depends on this rounding."""
-    maps = np.empty((len(images), *quanv.output_shape(*images.shape[1:3])), np.float32)
     if encoding is None:
-        return quanv.quanvolve_dataset(images, qcfg, out=maps)
-    return quanv.contract(qcfg, encoding, out=maps)
+        return quanv.quanvolve_dataset(images, qcfg, np.float32)
+    return quanv.contract(qcfg, encoding, np.float32)
 
 
 def _train_model(cfg: SweepConfig, architecture: Architecture,

@@ -1,18 +1,19 @@
 """From-scratch differentiable networks for the robustness benchmark.
 
-Three architectures share a softmax-cross-entropy head:
+Three architectures share a dense head, trained on softmax cross-entropy:
 
-    classical_cnn   Conv2D(k=2, s=2, 4 filters) + ReLU -> Flatten -> head
+    classical_cnn   Conv2D(2x2, stride 2, 4 filters) + ReLU -> Flatten -> head
     classical_fc    Flatten -> head, straight from raw pixels
     qunn            Flatten -> head, fed pre-computed quanvolved maps
 
-On MNIST the head is Dense(10) + Softmax; on FMNIST a Dense(128) + ReLU +
-Dropout(0.3) block is inserted before it.  Weights use seeded Glorot-uniform
-initialization with zero biases, so the same seed always rebuilds the same
-model.
+On MNIST the head is Dense(10); on FMNIST a Dense(128) + ReLU + Dropout
+block is inserted before it.  The layer stack computes logits; `forward`
+applies the softmax, and `loss` is the mean cross-entropy of a batch.
+Weights use seeded Glorot-uniform initialization with zero biases, so the
+same seed always rebuilds the same model.
 
-Tensors are row-major numpy arrays; images are (H, W, C) and internal layer
-code works on (N, ...) batches.  Layer forward/backward are functional
+Tensors are row-major numpy arrays; images are (H, W, C) and every layer
+works on (N, ...) batches.  Layer forward/backward are functional
 (caches are passed, not stored), so inference and input gradients on a
 frozen model are safe to run concurrently; only train() mutates parameters.
 Backward computes only what is read; a training step writes its parameter
@@ -28,6 +29,8 @@ from enum import Enum
 import numpy as np
 
 N_CLASSES = 10
+# the rate of the FMNIST hidden block's dropout
+DROP_PROB = 0.3
 
 
 class Architecture(Enum):
@@ -37,8 +40,9 @@ class Architecture(Enum):
 
 
 # ---------------------------------------------------------------------------
-# Layers.  forward(x, training, rng) -> (y, cache); backward(dout, cache) ->
-# dx; with param_names, param_grads(dout, cache, out) writes out[k] = dL/d(name k).
+# Layers, on batches.  forward(x, training, rng) -> (y, cache); backward(dout,
+# cache) -> dx; with param_names, param_grads(dout, cache, out) writes
+# out[k] = dL/d(name k).  The last layer's y is the logits.
 # ---------------------------------------------------------------------------
 
 
@@ -52,28 +56,24 @@ class Layer:
 
 
 class Conv2D(Layer):
+    """2x2 kernels at stride 2 over one input channel, into ``filters``
+    channels; an odd last row or column is dropped."""
+
     param_names = ("weights", "bias")
 
-    def __init__(self, kernel_size, stride, in_channels, out_channels, rng):
-        self.kernel_size = kernel_size
-        self.stride = stride
-        fan_in = kernel_size * kernel_size * in_channels
-        fan_out = kernel_size * kernel_size * out_channels
-        self.weights = _glorot(
-            rng, (kernel_size, kernel_size, in_channels, out_channels), fan_in, fan_out
-        )
-        self.bias = np.zeros(out_channels)
+    def __init__(self, filters, rng):
+        self.weights = _glorot(rng, (2, 2, 1, filters), 4, 4 * filters)
+        self.bias = np.zeros(filters)
 
-    def _taps(self, oh, ow):
+    @staticmethod
+    def _taps(oh, ow):
         """(i, j, index of the inputs that tap (i, j) reads) for every tap."""
-        k, s = self.kernel_size, self.stride
-        return [(i, j, (slice(None), slice(i, i + oh * s, s), slice(j, j + ow * s, s)))
-                for i in range(k) for j in range(k)]
+        return [(i, j, (slice(None), slice(i, i + 2 * oh, 2), slice(j, j + 2 * ow, 2)))
+                for i in range(2) for j in range(2)]
 
     def forward(self, x, training=False, rng=None):
         n, h, w, _ = x.shape
-        k, s = self.kernel_size, self.stride
-        oh, ow = (h - k) // s + 1, (w - k) // s + 1
+        oh, ow = h // 2, w // 2
         out = np.broadcast_to(self.bias, (n, oh, ow, self.bias.shape[0])).copy()
         for i, j, patch in self._taps(oh, ow):
             out += np.einsum("nhwc,cf->nhwf", x[patch], self.weights[i, j])
@@ -120,19 +120,14 @@ class ReLU(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: scaled mask at train time, identity at eval."""
-
-    def __init__(self, drop_prob):
-        if not 0.0 <= drop_prob < 1.0:
-            raise ValueError(f"drop_prob must be in [0, 1), got {drop_prob}")
-        self.drop_prob = drop_prob
+    """Inverted dropout of rate DROP_PROB: scaled mask at train time, identity at eval."""
 
     def forward(self, x, training=False, rng=None):
-        if not training or self.drop_prob == 0.0:
+        if not training:
             return x, None
         if rng is None:
             raise ValueError("dropout in training mode needs a seeded generator")
-        mask = (rng.random(x.shape) >= self.drop_prob) / (1.0 - self.drop_prob)
+        mask = (rng.random(x.shape) >= DROP_PROB) / (1.0 - DROP_PROB)
         return x * mask, mask
 
     def backward(self, dout, cache):
@@ -147,18 +142,8 @@ class Flatten(Layer):
         return dout.reshape(cache)
 
 
-class Softmax(Layer):
-    """No backward: the backward passes start below it, from the
-    softmax-cross-entropy gradient p - onehot(label)."""
-
-    def forward(self, x, training=False, rng=None):
-        shifted = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True), None
-
-
 class Model:
-    """Layer stack ending in Softmax; every parameter is a view of ``flat``,
+    """Layer stack computing logits; every parameter is a view of ``flat``,
     which holds them all in layer order.  Training writes their gradients
     into ``grads[layer index]``, views of ``grad``, laid out like ``flat``."""
 
@@ -166,8 +151,6 @@ class Model:
         self.layers = layers
         self.input_shape = tuple(input_shape)
         self.arch = arch
-        if not isinstance(layers[-1], Softmax):
-            raise ValueError("model must end in Softmax")
         entries = list(self.param_entries())
         self.flat = np.concatenate([arr.ravel() for _, _, arr in entries])
         self.grad, self.grads = np.zeros_like(self.flat), {}
@@ -197,7 +180,7 @@ def build_model(arch: Architecture, dataset: str, seed: int) -> Model:
     layers: list = []
     if arch is Architecture.CLASSICAL_CNN:
         input_shape = (28, 28, 1)
-        layers += [Conv2D(2, 2, 1, 4, rng), ReLU()]
+        layers += [Conv2D(4, rng), ReLU()]
         flat = 14 * 14 * 4
     elif arch is Architecture.QUNN:
         input_shape = (14, 14, 4)
@@ -207,9 +190,9 @@ def build_model(arch: Architecture, dataset: str, seed: int) -> Model:
         flat = 28 * 28
     layers.append(Flatten())
     if dataset == "fmnist":
-        layers += [Dense(flat, 128, rng), ReLU(), Dropout(0.3)]
+        layers += [Dense(flat, 128, rng), ReLU(), Dropout()]
         flat = 128
-    layers += [Dense(flat, N_CLASSES, rng), Softmax()]
+    layers.append(Dense(flat, N_CLASSES, rng))
     return Model(layers, input_shape, arch)
 
 
@@ -218,46 +201,41 @@ def build_model(arch: Architecture, dataset: str, seed: int) -> Model:
 # ---------------------------------------------------------------------------
 
 
-def _forward_batch(model: Model, x: np.ndarray, training=False, rng=None):
-    """Run the stack on a batch; returns (probabilities, caches)."""
-    caches = []
+def forward(model: Model, x: np.ndarray, training=False, rng=None):
+    """Class probabilities of an (N, *input_shape) batch, the softmax of the
+    stack's logits, and each layer's cache."""
     out = np.asarray(x, dtype=float)
+    if out.shape[1:] != model.input_shape:
+        raise ValueError(f"input shape {out.shape} is not a batch of model input "
+                         f"{model.input_shape}")
+    caches = []
     for layer in model.layers:
         out, cache = layer.forward(out, training=training, rng=rng)
         caches.append(cache)
-    return out, caches
+    e = np.exp(out - out.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True), caches
 
 
-def forward(model: Model, x: np.ndarray, training=False, rng=None) -> np.ndarray:
-    """Class probabilities for one image (H, W, C) or a batch (N, H, W, C)."""
-    x = np.asarray(x, dtype=float)
-    single = x.shape == model.input_shape
-    if single:
-        x = x[None]
-    elif x.shape[1:] != model.input_shape:
-        raise ValueError(
-            f"input shape {x.shape} does not match model input {model.input_shape}"
-        )
-    probs, _ = _forward_batch(model, x, training=training, rng=rng)
-    return probs[0] if single else probs
-
-
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood of the true classes."""
-    probs = np.atleast_2d(probs)
-    labels = np.atleast_1d(labels)
+def loss(model: Model, x: np.ndarray, labels) -> float:
+    """Mean softmax cross-entropy of a batch and its labels."""
+    probs, _ = forward(model, x)
+    labels = np.asarray(labels)
     picked = np.clip(probs[np.arange(len(labels)), labels], 1e-12, None)
     return float(-np.log(picked).mean())
 
 
-def loss(model: Model, x: np.ndarray, label: int) -> float:
-    return cross_entropy(forward(model, x), np.array([label]))
+def _dlogits(model: Model, x: np.ndarray, labels, training=False, rng=None):
+    """d(cross-entropy)/d(logits) of each image's own loss, p - onehot(label),
+    with the caches of its forward pass."""
+    dlogits, caches = forward(model, x, training, rng)
+    dlogits[np.arange(len(labels)), labels] -= 1.0
+    return dlogits, caches
 
 
 def _parameter_gradient(model: Model, dlogits: np.ndarray, caches) -> np.ndarray:
     """``model.grad``, written through its views; backward stops at the first layer with parameters."""
     dout = dlogits
-    for li in range(len(model.layers) - 2, -1, -1):
+    for li in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[li]
         if layer.param_names:
             layer.param_grads(dout, caches[li], model.grads[li])
@@ -272,28 +250,22 @@ def input_gradient(model: Model, x: np.ndarray, labels: np.ndarray) -> np.ndarra
     ``x`` is an (N, *input_shape) batch and ``labels`` its (N,) classes; row i
     of the result is the gradient of image i's loss alone (no 1/N).
     """
-    x = np.asarray(x, dtype=float)
     labels = np.asarray(labels)
-    if x.shape[1:] != model.input_shape or labels.shape != x.shape[:1]:
-        raise ValueError(
-            f"inputs {x.shape} with labels {labels.shape} do not match a batch of "
-            f"model input {model.input_shape}"
-        )
-    probs, caches = _forward_batch(model, x, training=False)
-    dout = probs.copy()  # the pre-softmax gradient, then each layer's input gradient
-    dout[np.arange(len(x)), labels] -= 1.0
-    for li in range(len(model.layers) - 2, -1, -1):
+    if labels.shape != np.shape(x)[:1]:
+        raise ValueError(f"labels {labels.shape} do not match a batch of "
+                         f"{np.shape(x)[:1]} inputs")
+    dout, caches = _dlogits(model, x, labels)  # then each layer's input gradient
+    for li in range(len(model.layers) - 1, -1, -1):
         dout = model.layers[li].backward(dout, caches[li])
     return dout
 
 
 def evaluate(model: Model, inputs: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of argmax predictions equal to the labels."""
-    inputs = np.asarray(inputs, dtype=float)
     labels = np.asarray(labels)
     if len(inputs) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    probs, _ = _forward_batch(model, inputs, training=False)
+    probs, _ = forward(model, inputs)
     return float(np.mean(np.argmax(probs, axis=1) == labels))
 
 
@@ -360,11 +332,8 @@ def train(model: Model, inputs, labels, cfg: TrainConfig):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb, yb = inputs[idx], labels[idx]
-            probs, caches = _forward_batch(model, xb, training=True, rng=rng)
-            dlogits = probs.copy()
-            dlogits[np.arange(len(yb)), yb] -= 1.0
-            dlogits /= len(yb)
+            dlogits, caches = _dlogits(model, inputs[idx], labels[idx], True, rng)
+            dlogits /= len(idx)
             opt.step(model.flat, _parameter_gradient(model, dlogits, caches))
     return model
 

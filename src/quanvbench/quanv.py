@@ -36,13 +36,14 @@ byte by the float path's own operations: its maps and gradients (float64)
 have the bits of its pixels', and no cosine or sine is evaluated per pixel.
 Any other integer or boolean image is rejected rather than read as angles.
 
-Features are summed in float64, per block and channel; given an ``out``
-array, `quanvolve_dataset` stores each sum into it, so float32 maps cost no
-float64 copy of the whole batch.  `quanvbench quanvolve` writes its feature
-maps in the QNVF container: little-endian header (magic "QNVF", version u32,
-count u32, H u32, W u32, C u32, metadata hash u64) followed by the maps as
-row-major float32.  `write_qnvf` takes the maps as an iterable of blocks,
-so they can be computed while the file is written and never all be held.
+Features are summed in float64, per block and channel, and each sum is
+stored once into maps of the ``dtype`` asked for: float32 maps hold the
+float64 maps' values rounded, and cost no float64 copy of the whole batch.
+`quanvbench quanvolve` writes its feature maps in the QNVF container:
+little-endian header (magic "QNVF", version u32, count u32, H u32, W u32,
+C u32, metadata hash u64) followed by the maps as row-major float32.
+`write_qnvf` takes the maps as an iterable of blocks, so they can be
+computed while the file is written and never all be held.
 """
 from __future__ import annotations
 
@@ -186,18 +187,13 @@ def encode(images: np.ndarray) -> Encoding:
     return encoding._replace(blocks=list(encoding.blocks))
 
 
-def contract(cfg: QuanvConfig, encoding: Encoding, out=None) -> np.ndarray:
+def contract(cfg: QuanvConfig, encoding: Encoding, dtype=np.float64) -> np.ndarray:
     """Feature maps of the encoded images under ``cfg``'s filter, every term
     evaluated on each block's (cos, sin) and summed per channel in float64.
-    Each sum is stored once, so a float32 ``out`` holds the same bits as the
+    Each sum is stored once, so float32 maps hold the same bits as the
     float64 maps cast as a whole."""
     _images, shape, pixels, blocks = encoding
-    if out is None:
-        out = np.zeros(shape)
-    elif out.shape != shape:
-        raise ValueError(f"out shape {out.shape} does not match feature maps shape {shape}")
-    else:
-        out[...] = 0  # a channel without terms stays 0
+    out = np.zeros(shape, dtype)  # a channel without terms stays 0
     for block, trig in blocks:
         maps = out[block]
         for q, terms in itertools.groupby(cfg.terms, key=operator.itemgetter(0)):
@@ -242,13 +238,13 @@ def quanvolve_image(image: np.ndarray, cfg: QuanvConfig) -> np.ndarray:
     return quanvolve_dataset(np.asarray(image)[None], cfg)[0]
 
 
-def quanvolve_dataset(images: np.ndarray, cfg: QuanvConfig, out=None) -> np.ndarray:
+def quanvolve_dataset(images: np.ndarray, cfg: QuanvConfig, dtype=np.float64) -> np.ndarray:
     """Feature maps (N, H // 2, W // 2, 4) of (N, H, W, 1) images; order preserved.
     Float images are pixels; uint8 images are bytes and give, bit for bit, the
     maps of ``data.pixels(images)``, through the (cos, sin) tables.  Computed
-    in float64 and, given an ``out`` array of that shape, stored into it (a
-    float32 ``out`` rounds as ``.astype(np.float32)`` would) and returned."""
-    return contract(cfg, _blocked(images), out)
+    in float64 and stored as ``dtype`` (float32 maps round as
+    ``.astype(np.float32)`` would)."""
+    return contract(cfg, _blocked(images), dtype)
 
 
 def input_gradient(images: np.ndarray, cfg: QuanvConfig, upstream: np.ndarray) -> np.ndarray:

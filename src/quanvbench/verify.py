@@ -172,7 +172,8 @@ def check_backprop_gradients() -> tuple[bool, str]:
             plus, minus = x.copy(), x.copy()
             plus[idx] += h
             minus[idx] -= h
-            fd = (nn.loss(model, plus, label) - nn.loss(model, minus, label)) / (2 * h)
+            fd = (nn.loss(model, plus[None], [label])
+                  - nn.loss(model, minus[None], [label])) / (2 * h)
             rel = abs(grad[idx] - fd) / max(1.0, abs(fd))
             worst = max(worst, rel)
         if worst >= 1e-4:
@@ -197,7 +198,8 @@ def check_end_to_end_gradients() -> tuple[bool, str]:
         labels = rng.integers(0, 10, len(images))
         for img, label, grad in zip(images, labels, source.gradient(images, labels)):
             def loss(x):
-                return nn.loss(source.head, quanv.quanvolve_image(x, source.quanv_cfg), label)
+                return nn.loss(source.head, quanv.quanvolve_dataset(x[None], source.quanv_cfg),
+                               [label])
 
             for flat in rng.choice(img.size, 10, replace=False):
                 idx = np.unravel_index(flat, img.shape)

@@ -376,7 +376,7 @@ def test_criterion_8_structural_laws(rng, report):
     conv_out, _ = cnn.layers[0].forward(img[None])
     conv_shape = conv_out.shape == (1, 14, 14, 4)
 
-    probs = nn.forward(cnn, img)
+    probs = nn.forward(cnn, img[None])[0][0]
     softmax_ok = bool(np.isclose(probs.sum(), 1.0, atol=1e-6) and np.all(probs >= 0))
 
     pool = synthetic_dataset("mnist", 400, seed=3)

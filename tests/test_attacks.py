@@ -58,7 +58,7 @@ def toy_end_to_end():
     qcfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.ZZ_FULL, seed=21))
     head_rng = np.random.default_rng(21)
     head = nn.Model(
-        [nn.Flatten(), nn.Dense(36, 10, head_rng), nn.Softmax()],
+        [nn.Flatten(), nn.Dense(36, 10, head_rng)],
         input_shape=(3, 3, 4), arch=Architecture.QUNN,
     )
     return EndToEndSource(qcfg, head)
@@ -254,7 +254,8 @@ def test_pgd_loss_at_least_fgsm_loss(trained_toy):
     pgd_adv = pgd(source, xs[:5], ys[:5], AttackConfig(AttackKind.PGD, eps, steps=10))
     for i in range(5):
         label = int(ys[i])
-        assert nn.loss(model, pgd_adv[i], label) >= nn.loss(model, fgsm_adv[i], label) - 1e-9
+        assert (nn.loss(model, pgd_adv[i : i + 1], [label])
+                >= nn.loss(model, fgsm_adv[i : i + 1], [label]) - 1e-9)
 
 
 def test_attack_batch_empty(trained_toy):
@@ -319,7 +320,7 @@ def test_end_to_end_source_attacks_through_quanv(toy_end_to_end, rng):
 
     def loss(images, label):
         features = quanvolve_dataset(images, source.quanv_cfg)
-        return nn.loss(source.head, features[0], label)
+        return nn.loss(source.head, features, [label])
 
     img = rng.uniform(0, 1, (1, 6, 6, 1))
     label = 4

@@ -276,6 +276,17 @@ def test_cmd_quanvolve_failing_block_leaves_out_as_it_was(tmp_path, capsys, monk
         assert out.read_bytes() == earlier
 
 
+def test_cmd_quanvolve_out_is_a_directory_exit_2_before_any_work(tmp_path, capsys,
+                                                                 monkeypatch):
+    calls = []
+    monkeypatch.setattr(quanv, "quanvolve_dataset", lambda *args, **kwargs: calls.append(args))
+    rc = main(["quanvolve", "--synthetic", "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(tmp_path) in err and "internal error" not in err
+    assert calls == []
+
+
 def test_cmd_quanvolve_missing_file_exit_2(tmp_path, capsys):
     rc = main(["quanvolve", "--dataset-dir", str(tmp_path / "nowhere"),
                "--out", str(tmp_path / "x.qnvf")])
@@ -486,3 +497,33 @@ def test_cmd_sweep_failure_preserves_partial_csv(tmp_path, capsys, monkeypatch):
 def test_cmd_sweep_missing_config_exit_2(tmp_path, capsys):
     rc = main(["sweep", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "o")])
     assert rc == EXIT_USAGE
+
+
+def test_cmd_sweep_out_is_an_existing_file_exit_2(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(TINY_SWEEP)
+    out = tmp_path / "results"
+    out.write_bytes(b"an earlier file")
+    rc = main(["sweep", "--config", str(config), "--out", str(out)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(out) in err and "internal error" not in err
+    assert out.read_bytes() == b"an earlier file"
+
+
+def test_cmd_sweep_config_is_a_directory_exit_2(tmp_path, capsys):
+    rc = main(["sweep", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(tmp_path) in err and "internal error" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cmd_sweep_config_that_is_not_utf8_exit_2(tmp_path, capsys):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(TINY_SWEEP.replace("small", "kleiner Durchlauf f\u00fcr").encode("latin-1"))
+    rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(config) in err and "UTF-8" in err and "internal error" not in err
+    assert not (tmp_path / "o").exists()

@@ -34,7 +34,7 @@ def random_dataset(rng, n=50, shape=(28, 28, 1)):
 
 def test_classical_cnn_forward_shape(rng):
     m = build_model(Architecture.CLASSICAL_CNN, "mnist", seed=1)
-    p = forward(m, rng.uniform(0, 1, (28, 28, 1)))
+    p = forward(m, rng.uniform(0, 1, (1, 28, 28, 1)))[0][0]
     assert p.shape == (10,)
     assert np.isclose(p.sum(), 1.0, atol=1e-6)
 
@@ -59,7 +59,7 @@ def test_same_seed_same_weights():
 def test_fmnist_models_have_hidden_block():
     m = build_model(Architecture.QUNN, "fmnist", seed=1)
     kinds = [type(l).__name__ for l in m.layers]
-    assert kinds == ["Flatten", "Dense", "ReLU", "Dropout", "Dense", "Softmax"]
+    assert kinds == ["Flatten", "Dense", "ReLU", "Dropout", "Dense"]
 
 
 def test_conv_output_shape_matches_quanv_shape_law(rng):
@@ -75,7 +75,7 @@ def test_conv_output_shape_matches_quanv_shape_law(rng):
 
 def test_zero_init_gives_uniform_probabilities():
     m = zero_weights(build_model(Architecture.CLASSICAL_FC, "mnist", seed=0))
-    p = forward(m, np.zeros((28, 28, 1)))
+    p, _ = forward(m, np.zeros((1, 28, 28, 1)))
     assert np.allclose(p, 0.1, atol=1e-12)
 
 
@@ -100,24 +100,36 @@ def test_relu_zeroes_negatives(rng):
 def test_forward_rejects_wrong_shape(rng):
     m = build_model(Architecture.QUNN, "mnist", seed=0)
     with pytest.raises(ValueError):
-        forward(m, rng.uniform(0, 1, (28, 28, 1)))
+        forward(m, rng.uniform(0, 1, (1, 28, 28, 1)))
 
 
 def test_softmax_probabilities_valid(rng):
     m = build_model(Architecture.CLASSICAL_CNN, "fmnist", seed=3)
-    p = forward(m, rng.uniform(0, 1, (5, 28, 28, 1)))
+    p, _ = forward(m, rng.uniform(0, 1, (5, 28, 28, 1)))
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-6)
     assert np.all(p >= 0)
 
 
 def test_dropout_only_active_in_training(rng):
     m = build_model(Architecture.QUNN, "fmnist", seed=3)
-    x = rng.uniform(0, 1, (14, 14, 4))
-    eval_1 = forward(m, x)
-    eval_2 = forward(m, x)
+    x = rng.uniform(0, 1, (1, 14, 14, 4))
+    eval_1, _ = forward(m, x)
+    eval_2, _ = forward(m, x)
     assert np.array_equal(eval_1, eval_2)
-    trained_mode = forward(m, x, training=True, rng=np.random.default_rng(0))
+    trained_mode, _ = forward(m, x, training=True, rng=np.random.default_rng(0))
     assert not np.array_equal(eval_1, trained_mode)
+
+
+@pytest.mark.parametrize("arch,dataset", [(Architecture.CLASSICAL_CNN, "mnist"),
+                                          (Architecture.QUNN, "fmnist")])
+def test_loss_of_a_batch_is_the_mean_of_its_images_losses(arch, dataset, rng):
+    m = build_model(arch, dataset, seed=12)
+    xs = rng.uniform(0, 1, (6,) + m.input_shape)
+    ys = rng.integers(0, 10, 6)
+    losses = [nn.loss(m, xs[i : i + 1], ys[i : i + 1]) for i in range(len(xs))]
+    probs, _ = forward(m, xs)
+    assert losses == pytest.approx(-np.log(probs[np.arange(len(xs)), ys]), rel=1e-12)
+    assert nn.loss(m, xs, ys) == pytest.approx(np.mean(losses), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +148,7 @@ def test_input_gradient_matches_finite_differences(rng):
         xp, xm = x.copy(), x.copy()
         xp[idx] += h
         xm[idx] -= h
-        fd = (nn.loss(m, xp, label) - nn.loss(m, xm, label)) / (2 * h)
+        fd = (nn.loss(m, xp[None], [label]) - nn.loss(m, xm[None], [label])) / (2 * h)
         assert abs(grad[idx] - fd) <= 1e-4 * max(1.0, abs(fd))
 
 
@@ -152,7 +164,7 @@ def test_input_gradient_fmnist_stack_matches_finite_differences(rng):
         xp, xm = x.copy(), x.copy()
         xp[idx] += h
         xm[idx] -= h
-        fd = (nn.loss(m, xp, label) - nn.loss(m, xm, label)) / (2 * h)
+        fd = (nn.loss(m, xp[None], [label]) - nn.loss(m, xm[None], [label])) / (2 * h)
         assert abs(grad[idx] - fd) <= 1e-4 * max(1.0, abs(fd))
 
 
@@ -165,11 +177,11 @@ def test_saturated_softmax_zero_gradient():
 
 
 def test_linear_model_gradient_closed_form(rng):
-    # Flatten -> Dense -> Softmax: dL/dx = W (p - y)
+    # Flatten -> Dense, softmax cross-entropy: dL/dx = W (p - y)
     m = build_model(Architecture.CLASSICAL_FC, "mnist", seed=9)
     x = rng.uniform(0, 1, (28, 28, 1))
     label = 2
-    p = forward(m, x)
+    p = forward(m, x[None])[0][0]
     y = np.zeros(10)
     y[label] = 1.0
     w = m.layers[1].weights  # (784, 10)
@@ -203,17 +215,13 @@ def test_input_gradient_rejects_unbatched_or_mislabelled_input(rng):
 # train / evaluate
 # ---------------------------------------------------------------------------
 
-def dataset_loss(m, xs, ys):
-    return nn.cross_entropy(nn.forward(m, xs), ys)
-
-
 def test_train_memorizes_small_dataset(rng):
     xs, ys = random_dataset(rng)
     m = build_model(Architecture.CLASSICAL_CNN, "mnist", seed=11)
-    loss_before, accuracy_before = dataset_loss(m, xs, ys), evaluate(m, xs, ys)
+    loss_before, accuracy_before = nn.loss(m, xs, ys), evaluate(m, xs, ys)
     assert train(m, xs, ys, TrainConfig(seed=11)) is m
     assert evaluate(m, xs, ys) >= 0.9 > accuracy_before
-    assert dataset_loss(m, xs, ys) < loss_before
+    assert nn.loss(m, xs, ys) < loss_before
 
 
 def test_parameters_change_only_through_optimizer_step(rng, monkeypatch):
@@ -284,12 +292,12 @@ def reference_train(model, inputs, labels, cfg):
         for start in range(0, len(inputs), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb, yb = inputs[idx], labels[idx]
-            probs, caches = nn._forward_batch(model, xb, training=True, rng=rng)
+            probs, caches = nn.forward(model, xb, training=True, rng=rng)
             dout = probs.copy()
             dout[np.arange(len(yb)), yb] -= 1.0
             dout /= len(yb)
             grads = {}
-            for li in range(len(model.layers) - 2, -1, -1):
+            for li in range(len(model.layers) - 1, -1, -1):
                 layer = model.layers[li]
                 if layer.param_names:
                     out = [np.empty_like(getattr(layer, name)) for name in layer.param_names]
@@ -336,7 +344,7 @@ def test_parameter_gradients_are_views_of_one_vector_laid_out_like_flat(rng):
     assert [v.shape for v in views] == [a.shape for _, _, a in m.param_entries()]
     assert m.first_param_layer == 0  # the Conv2D
     xs, ys = random_dataset(rng, n=3, shape=m.input_shape)
-    probs, caches = nn._forward_batch(m, xs, training=False)
+    probs, caches = nn.forward(m, xs, training=False)
     dlogits = probs - np.eye(10)[ys]
     assert nn._parameter_gradient(m, dlogits, caches) is m.grad
 
