@@ -261,6 +261,9 @@ def _write_manifest(out_dir, cfg, status, n_records, error=None):
 def cmd_quanvolve(args) -> int:
     if os.path.isdir(args.out):
         raise ConfigError(f"--out {args.out} is a directory, not a QNVF file path")
+    out_dir = os.path.dirname(args.out)
+    if out_dir and not os.path.isdir(out_dir):
+        raise ConfigError(f"--out {args.out}: directory {out_dir} does not exist")
     cfg = dict(_CONFIG_DEFAULTS)
     cfg.update(
         dataset=args.dataset,

@@ -39,7 +39,6 @@ import hashlib
 import itertools
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -297,6 +296,9 @@ def _record_lists(cfg: SweepConfig, threads: int):
         for task in tasks:
             yield from task_records(cfg, train_task(*task))
     else:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for lists in pool.map(_run_task, tasks, chunksize=1):
                 yield from lists

@@ -81,8 +81,10 @@ class Conv2D(Layer):
 
     def backward(self, dout, cache):
         dx = np.zeros_like(cache)
-        for i, j, patch in self._taps(*dout.shape[1:3]):
-            dx[patch] += np.einsum("nhwf,cf->nhwc", dout, self.weights[i, j])
+        n, oh, ow, f = dout.shape
+        rows = dout.reshape(-1, f)
+        for i, j, patch in self._taps(oh, ow):
+            dx[patch] += (rows @ self.weights[i, j].T).reshape(n, oh, ow, -1)
         return dx
 
     def param_grads(self, dout, cache, out):

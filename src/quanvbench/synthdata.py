@@ -10,13 +10,20 @@ more than the digits do, mirroring the relative difficulty of the real
 datasets.
 
 Everything is a pure function of (name, count, seed); use data.save_idx to
-materialize a corpus as IDX files for the CLI.
+materialize a corpus as IDX files for the CLI.  The generator first draws
+all labels, then for each image in turn: `random` (dilate the glyph?), two
+`integers` (row and column shift), for fmnist two more `integers` (the
+occlusion's corner), `uniform` (intensity) and `normal(0, noise, (28, 28))`.
+This order is the corpus's contract: images are rendered in blocks, and a
+change to the order changes every corpus.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .data import Dataset
+
+_BLOCK = 64  # images rendered together; bounds the working set
 
 _DIGIT_GLYPHS = [
     (" ### ", "#   #", "#  ##", "# # #", "##  #", "#   #", " ### "),
@@ -116,12 +123,13 @@ def _upscale(mask: np.ndarray, factor: int) -> np.ndarray:
     return np.kron(mask, np.ones((factor, factor)))
 
 
-def _box_blur(img: np.ndarray) -> np.ndarray:
-    padded = np.pad(img, 1, mode="constant")
-    out = np.zeros_like(img)
+def _box_blur(imgs: np.ndarray) -> np.ndarray:
+    """3x3 mean of each image in a (k, 28, 28) block, zero beyond the edge."""
+    padded = np.pad(imgs, ((0, 0), (1, 1), (1, 1)), mode="constant")
+    out = np.zeros_like(imgs)
     for di in range(3):
         for dj in range(3):
-            out += padded[di : di + img.shape[0], dj : dj + img.shape[1]]
+            out += padded[:, di : di + 28, dj : dj + 28]
     return out / 9.0
 
 
@@ -131,39 +139,6 @@ def _dilate(img: np.ndarray) -> np.ndarray:
     for di, dj in ((0, 1), (1, 0), (2, 1), (1, 2)):
         out = np.maximum(out, padded[di : di + img.shape[0], dj : dj + img.shape[1]])
     return out
-
-
-def _place(mask: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    h, w = mask.shape
-    out = np.zeros((28, 28))
-    top = (28 - h) // 2 + dy
-    left = (28 - w) // 2 + dx
-    top, left = np.clip(top, 0, 28 - h), np.clip(left, 0, 28 - w)
-    out[top : top + h, left : left + w] = mask
-    return out
-
-
-def _render(
-    base: np.ndarray,
-    rng: np.random.Generator,
-    noise: float,
-    shift: int,
-    blur_passes: int,
-    occlusion: int = 0,
-) -> np.ndarray:
-    img = base
-    if rng.random() < 0.5:
-        img = _dilate(img)
-    img = _place(img, int(rng.integers(-shift, shift + 1)), int(rng.integers(-shift, shift + 1)))
-    if occlusion > 0:
-        top = int(rng.integers(0, 28 - occlusion))
-        left = int(rng.integers(0, 28 - occlusion))
-        img[top : top + occlusion, left : left + occlusion] = 0.0
-    for _ in range(blur_passes):
-        img = _box_blur(img)
-    img = img * rng.uniform(0.8, 1.0)
-    img = img + rng.normal(0.0, noise, img.shape)
-    return np.clip(img, 0.0, 1.0)
 
 
 def synthetic_dataset(name: str, count: int, seed: int) -> Dataset:
@@ -178,10 +153,32 @@ def synthetic_dataset(name: str, count: int, seed: int) -> Dataset:
         noise, shift, blur_passes, occlusion = 0.30, 3, 3, 9
     else:
         raise ValueError(f"unknown synthetic dataset {name!r}")
+    if count < 1:
+        raise ValueError(f"a synthetic corpus needs count >= 1 images, got {count}")
+    glyphs = [(base, _dilate(base)) for base in bases]
+    h, w = bases[0].shape
 
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 10, size=count)
-    images = np.stack(
-        [_render(bases[lbl], rng, noise, shift, blur_passes, occlusion) for lbl in labels]
-    )[..., None]
+    images = np.empty((count, 28, 28, 1))
+    for start in range(0, count, _BLOCK):
+        block_labels = labels[start : start + _BLOCK]
+        k = len(block_labels)
+        block = np.zeros((k, 28, 28))
+        scales = np.empty((k, 1, 1))
+        noises = np.empty((k, 28, 28))
+        for i, label in enumerate(block_labels):
+            glyph = glyphs[label][int(rng.random() < 0.5)]
+            top = min(max((28 - h) // 2 + int(rng.integers(-shift, shift + 1)), 0), 28 - h)
+            left = min(max((28 - w) // 2 + int(rng.integers(-shift, shift + 1)), 0), 28 - w)
+            block[i, top : top + h, left : left + w] = glyph
+            if occlusion > 0:
+                top = int(rng.integers(0, 28 - occlusion))
+                left = int(rng.integers(0, 28 - occlusion))
+                block[i, top : top + occlusion, left : left + occlusion] = 0.0
+            scales[i] = rng.uniform(0.8, 1.0)
+            noises[i] = rng.normal(0.0, noise, (28, 28))
+        for _ in range(blur_passes):
+            block = _box_blur(block)
+        np.clip(block * scales + noises, 0.0, 1.0, out=images[start : start + k, :, :, 0])
     return Dataset(images, labels.astype(np.int64), name)

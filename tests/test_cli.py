@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
 
@@ -287,6 +290,19 @@ def test_cmd_quanvolve_out_is_a_directory_exit_2_before_any_work(tmp_path, capsy
     assert calls == []
 
 
+def test_cmd_quanvolve_out_in_a_missing_directory_exit_2_before_any_work(tmp_path, capsys,
+                                                                         monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_select_dataset_pair", lambda *args: calls.append(args))
+    out = tmp_path / "nowhere" / "x.qnvf"
+    rc = main(["quanvolve", "--synthetic", "--out", str(out)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"--out {out}" in err and ".tmp" not in err
+    assert calls == []
+    assert not (tmp_path / "nowhere").exists()
+
+
 def test_cmd_quanvolve_missing_file_exit_2(tmp_path, capsys):
     rc = main(["quanvolve", "--dataset-dir", str(tmp_path / "nowhere"),
                "--out", str(tmp_path / "x.qnvf")])
@@ -355,6 +371,8 @@ def test_cmd_sweep_nan_epsilon_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("line, message", [
     ("n_train = abc", "n_train"),
     ("synth_count = x", "synth_count"),
+    ("synth_count = 0", "count >= 1 images, got 0"),
+    ("synth_count = -3", "count >= 1 images, got -3"),
     ("epsilons = 0, abc", "epsilons"),
     ("n_train = -5", ">= 0"),
     ("n_test = 0", "empty"),
@@ -527,3 +545,13 @@ def test_cmd_sweep_config_that_is_not_utf8_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(config) in err and "UTF-8" in err and "internal error" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool's modules are imported only when a sweep runs on 2+ workers
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, quanvbench.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

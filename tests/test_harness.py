@@ -382,7 +382,8 @@ def test_pool_is_capped_at_the_task_count(monkeypatch, threads, workers):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # _record_lists imports the pool class from here when it starts a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     cfg = tiny_config(architectures=(Architecture.CLASSICAL_FC,),
                       train_cfg=TrainConfig(epochs=1, seed=0))
     records = run_sweep(cfg, threads=threads, progress=lambda msg: None)

@@ -89,6 +89,18 @@ def test_conv_constant_image_hand_computed():
     assert np.allclose(out, 1.3, atol=1e-12)
 
 
+@pytest.mark.parametrize("n, side", [(1, 28), (4, 28), (30, 28), (4, 27)])
+def test_conv_backward_equals_the_per_tap_einsum_bit_for_bit(n, side, rng):
+    # at the 4 filters every model uses; other widths may sum in another order
+    conv = Conv2D(4, rng)
+    x = rng.uniform(0, 1, (n, side, side, 1))
+    dout = rng.normal(size=(n, side // 2, side // 2, 4))
+    expected = np.zeros_like(x)
+    for i, j, patch in Conv2D._taps(side // 2, side // 2):
+        expected[patch] += np.einsum("nhwf,cf->nhwc", dout, conv.weights[i, j])
+    assert conv.backward(dout, x).tobytes() == expected.tobytes()
+
+
 def test_relu_zeroes_negatives(rng):
     layer = nn.ReLU()
     x = rng.normal(size=(3, 5))

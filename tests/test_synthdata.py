@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,18 @@ def test_classes_are_visually_distinct():
 def test_unknown_name_rejected():
     with pytest.raises(ValueError):
         synthetic_dataset("cifar", 10, seed=0)
+
+
+@pytest.mark.parametrize("name, count, seed, digest", [
+    ("mnist", 600, 7, "8c50395b8e0977a7a7a69366f81a8a4d"),
+    ("fmnist", 600, 7, "4e8684d68d2d9f376453e02b7038adfd"),
+    # 65 images cross a render-block boundary
+    ("mnist", 65, 3, "7c73926058b10a1df61ba0893427a18f"),
+    ("fmnist", 65, 3, "731ab1eb835bf939499dde7f16bbbe63"),
+])
+def test_corpus_bytes_are_pinned(name, count, seed, digest):
+    ds = synthetic_dataset(name, count, seed)
+    assert ds.images.dtype == np.float64
+    assert ds.images.shape == (count, 28, 28, 1)
+    pinned = hashlib.blake2b(ds.images.tobytes() + ds.labels.tobytes(), digest_size=16)
+    assert pinned.hexdigest() == digest
