@@ -18,7 +18,14 @@ works on (N, ...) batches.  Layer forward/backward are functional
 frozen model are safe to run concurrently; only train() mutates parameters.
 Backward computes only what is read; a training step writes its parameter
 gradients into views of one preallocated vector, and Adam updates in one
-pass the flat vector, laid out alike, that every parameter is a view of.
+pass, through two preallocated scratch vectors, the flat vector, laid out
+alike, that every parameter is a view of.
+
+The convolution reads a (5, N*14*14) patch matrix: a row of ones for the
+bias, then pixel (i, j) of every 2x2 patch in tap order (0,0), (0,1), (1,0),
+(1,1).  Each output sums the bias first and then the rounded tap products in
+that order; `results.csv` depends on these bits, as it does on Adam applying
+the textbook expression's operations in their order.
 """
 from __future__ import annotations
 
@@ -57,7 +64,16 @@ class Layer:
 
 class Conv2D(Layer):
     """2x2 kernels at stride 2 over one input channel, into ``filters``
-    channels; an odd last row or column is dropped."""
+    channels; an odd last row or column is dropped.
+
+    Every output is ``b + p0*w0 + p1*w1 + p2*w2 + p3*w3``, summed left to
+    right with each product rounded: the bias first, then the patch's
+    pixels in tap order (0,0), (0,1), (1,0), (1,1).  `results.csv` depends
+    on these bits.  ``forward`` and ``param_grads`` each make one einsum
+    over the patch matrix (``_patch_matrix``), whose row 0 is ones: it adds
+    the bias, and in ``param_grads`` it sums the bias gradient.  The cache
+    is the input, from which ``param_grads`` rebuilds the matrix.
+    """
 
     param_names = ("weights", "bias")
 
@@ -66,32 +82,40 @@ class Conv2D(Layer):
         self.bias = np.zeros(filters)
 
     @staticmethod
-    def _taps(oh, ow):
-        """(i, j, index of the inputs that tap (i, j) reads) for every tap."""
-        return [(i, j, (slice(None), slice(i, i + 2 * oh, 2), slice(j, j + 2 * ow, 2)))
-                for i in range(2) for j in range(2)]
+    def _patch_matrix(x, oh, ow):
+        """(5, n*oh*ow): ones, then pixel (i, j) of every patch in tap order."""
+        n = x.shape[0]
+        p = np.empty((5, n * oh * ow))
+        p[0] = 1.0
+        p[1:].reshape(2, 2, n, oh, ow)[...] = (
+            x[:, : 2 * oh, : 2 * ow, 0].reshape(n, oh, 2, ow, 2).transpose(2, 4, 0, 1, 3))
+        return p
 
     def forward(self, x, training=False, rng=None):
         n, h, w, _ = x.shape
-        oh, ow = h // 2, w // 2
-        out = np.broadcast_to(self.bias, (n, oh, ow, self.bias.shape[0])).copy()
-        for i, j, patch in self._taps(oh, ow):
-            out += np.einsum("nhwc,cf->nhwf", x[patch], self.weights[i, j])
-        return out, x
+        oh, ow, f = h // 2, w // 2, self.bias.shape[0]
+        coef = np.concatenate([self.bias[None], self.weights.reshape(4, f)])
+        out = np.einsum("tf,tm->fm", coef, self._patch_matrix(x, oh, ow))
+        return np.ascontiguousarray(out.T).reshape(n, oh, ow, f), x
 
     def backward(self, dout, cache):
-        dx = np.zeros_like(cache)
         n, oh, ow, f = dout.shape
+        dx = np.empty_like(cache)
+        dx[:, 2 * oh :] = 0.0
+        dx[:, :, 2 * ow :] = 0.0
         rows = dout.reshape(-1, f)
-        for i, j, patch in self._taps(oh, ow):
-            dx[patch] += (rows @ self.weights[i, j].T).reshape(n, oh, ow, -1)
+        for i in range(2):
+            for j in range(2):
+                dx[:, i : 2 * oh : 2, j : 2 * ow : 2, 0] = (
+                    rows @ self.weights[i, j, 0]).reshape(n, oh, ow)
         return dx
 
     def param_grads(self, dout, cache, out):
         dw, db = out
-        for i, j, patch in self._taps(*dout.shape[1:3]):
-            dw[i, j] = np.einsum("nhwc,nhwf->cf", cache[patch], dout)
-        np.sum(dout, axis=(0, 1, 2), out=db)
+        _, oh, ow, f = dout.shape
+        g = np.einsum("tm,mf->tf", self._patch_matrix(cache, oh, ow), dout.reshape(-1, f))
+        db[...] = g[0]
+        dw.reshape(4, f)[...] = g[1:]
 
 
 class Dense(Layer):
@@ -295,21 +319,36 @@ class TrainConfig:
 
 
 class _Adam:
-    """Adam on one flat parameter vector: every step is one elementwise pass."""
+    """Adam on one flat parameter vector: every step is one elementwise pass,
+    the textbook expression's operations in its order, written into two
+    preallocated scratch vectors."""
 
     def __init__(self, lr, size):
         self.lr = lr
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.m, self.v = np.zeros(size), np.zeros(size)
+        self._a, self._b = np.empty(size), np.empty(size)
         self.t = 0
 
     def step(self, param, grad):
+        """param -= lr * m_hat / (sqrt(v_hat) + eps), after
+        m += (1 - beta1) * (grad - m) and v += (1 - beta2) * (grad * grad - v)."""
         self.t += 1
-        self.m += (1 - self.beta1) * (grad - self.m)
-        self.v += (1 - self.beta2) * (grad * grad - self.v)
-        m_hat = self.m / (1 - self.beta1**self.t)
-        v_hat = self.v / (1 - self.beta2**self.t)
-        param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        a, b = self._a, self._b
+        np.subtract(grad, self.m, out=a)
+        np.multiply(1 - self.beta1, a, out=a)
+        self.m += a
+        np.multiply(grad, grad, out=a)
+        np.subtract(a, self.v, out=a)
+        np.multiply(1 - self.beta2, a, out=a)
+        self.v += a
+        np.divide(self.m, 1 - self.beta1**self.t, out=a)  # m_hat
+        np.multiply(self.lr, a, out=a)
+        np.divide(self.v, 1 - self.beta2**self.t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        np.add(b, self.eps, out=b)
+        np.divide(a, b, out=a)
+        param -= a
 
 
 def train(model: Model, inputs, labels, cfg: TrainConfig):

@@ -89,16 +89,53 @@ def test_conv_constant_image_hand_computed():
     assert np.allclose(out, 1.3, atol=1e-12)
 
 
-@pytest.mark.parametrize("n, side", [(1, 28), (4, 28), (30, 28), (4, 27)])
-def test_conv_backward_equals_the_per_tap_einsum_bit_for_bit(n, side, rng):
-    # at the 4 filters every model uses; other widths may sum in another order
+def conv_taps(oh, ow):
+    """(i, j, index of the inputs that tap (i, j) reads) for every tap."""
+    return [(i, j, (slice(None), slice(i, i + 2 * oh, 2), slice(j, j + 2 * ow, 2)))
+            for i in range(2) for j in range(2)]
+
+
+# batches of 1, 4 and 30 images, odd sides, and a non-square image
+CONV_CASES = [(1, 28, 28), (4, 28, 28), (30, 28, 28), (4, 27, 27), (3, 7, 9)]
+
+
+def conv_case(n, h, w, rng):
     conv = Conv2D(4, rng)
-    x = rng.uniform(0, 1, (n, side, side, 1))
-    dout = rng.normal(size=(n, side // 2, side // 2, 4))
+    conv.bias[...] = rng.normal(size=4)
+    return conv, rng.uniform(0, 1, (n, h, w, 1)), rng.normal(size=(n, h // 2, w // 2, 4))
+
+
+@pytest.mark.parametrize("n, h, w", CONV_CASES)
+def test_conv_forward_sums_bias_then_taps_in_order_bit_for_bit(n, h, w, rng):
+    conv, x, _ = conv_case(n, h, w, rng)
+    expected = np.broadcast_to(conv.bias, (n, h // 2, w // 2, 4)).copy()
+    for i, j, patch in conv_taps(h // 2, w // 2):
+        expected += np.einsum("nhwc,cf->nhwf", x[patch], conv.weights[i, j])
+    out, cache = conv.forward(x)
+    assert out.flags.c_contiguous and cache is x
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n, h, w", CONV_CASES)
+def test_conv_backward_equals_the_per_tap_einsum_bit_for_bit(n, h, w, rng):
+    # at the 4 filters every model uses; other widths may sum in another order
+    conv, x, dout = conv_case(n, h, w, rng)
     expected = np.zeros_like(x)
-    for i, j, patch in Conv2D._taps(side // 2, side // 2):
+    for i, j, patch in conv_taps(h // 2, w // 2):
         expected[patch] += np.einsum("nhwf,cf->nhwc", dout, conv.weights[i, j])
     assert conv.backward(dout, x).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n, h, w", CONV_CASES)
+def test_conv_param_grads_equal_the_per_tap_einsum_bit_for_bit(n, h, w, rng):
+    conv, x, dout = conv_case(n, h, w, rng)
+    expected_dw = np.empty_like(conv.weights)
+    for i, j, patch in conv_taps(h // 2, w // 2):
+        expected_dw[i, j] = np.einsum("nhwc,nhwf->cf", x[patch], dout)
+    dw, db = np.full_like(conv.weights, np.nan), np.full_like(conv.bias, np.nan)
+    conv.param_grads(dout, x, [dw, db])
+    assert dw.tobytes() == expected_dw.tobytes()
+    assert db.tobytes() == np.sum(dout, axis=(0, 1, 2)).tobytes()
 
 
 def test_relu_zeroes_negatives(rng):
@@ -338,6 +375,24 @@ def test_flat_adam_equals_per_parameter_adam_bit_for_bit(arch, dataset, rng):
     reference = reference_train(build_model(arch, dataset, seed=3), xs, ys, cfg)
     for (_, name, a), (_, _, b) in zip(model.param_entries(), reference.param_entries()):
         assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("size", [7850, 101770])  # MNIST classical_fc, FMNIST qunn
+def test_adam_step_equals_the_textbook_expression_bit_for_bit(size, rng):
+    lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
+    opt = nn._Adam(lr, size)
+    param = rng.normal(size=size)
+    ref, m, v = param.copy(), np.zeros(size), np.zeros(size)
+    for t in range(1, 401):
+        grad = rng.normal(scale=10.0 ** rng.integers(-6, 1), size=size)
+        opt.step(param, grad)
+        m += (1 - beta1) * (grad - m)
+        v += (1 - beta2) * (grad * grad - v)
+        m_hat = m / (1 - beta1**t)
+        v_hat = v / (1 - beta2**t)
+        ref -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    assert param.tobytes() == ref.tobytes()
+    assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
 
 
 def test_parameters_are_views_of_one_flat_vector():
