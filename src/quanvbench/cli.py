@@ -6,10 +6,18 @@
 
 Exit codes: 0 success, 1 internal failure, 2 usage or config error.
 
-`quanvolve` streams: it keeps the selected IDX images as bytes, quanvolves
-them one 64-image block at a time, each block's bytes read as their pixels
-through a table, and appends each block's float32 maps to the QNVF file,
-which appears at ``--out`` only once complete.
+`quanvolve` streams: it reads only the selected IDX images, keeps them as
+bytes, quanvolves them one 64-image block at a time, each block's bytes read
+as their pixels through a table, and appends each block's float32 maps to
+the QNVF file, which appears at ``--out`` only once complete.
+
+Processes: `main` freezes the heap the imports built (``gc.freeze``), so the
+collections at interpreter exit skip it and the OS reclaims it.  Importing
+this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS
+to 1 where they are unset, before numpy loads BLAS: a sweep's parallelism is
+its ``--threads`` pool.  Set a variable before the run to override it.  A
+library caller of ``harness.run_sweep`` with ``threads > 1`` should set them
+before it first imports numpy, as ``tests/conftest.py`` does.
 
 Sweep configs are flat ``key = value`` text files ('#' comments allowed).
 Recognized keys, with defaults in brackets:
@@ -41,12 +49,19 @@ built-in procedural stand-in corpus instead.
 """
 from __future__ import annotations
 
+import os
+
+# before numpy loads BLAS, which reads them once: each forked pool worker
+# would otherwise start BLAS threads of its own on the same cores
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import json
-import os
 import sys
 import traceback
 import zlib
@@ -163,7 +178,7 @@ def _parse_enum_list(key, value, enum_cls):
 
 def _select_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
     """Resolve config to stratified train/test subsets; an IDX source's
-    images stay bytes."""
+    images stay bytes, and only the selected ones are read."""
     name = cfg["dataset"].lower()
     if name not in ("mnist", "fmnist"):
         raise ConfigError(f"dataset: expected mnist or fmnist, got {cfg['dataset']!r}")
@@ -186,12 +201,13 @@ def _select_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
     for path in paths["train"] + paths["test"]:
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing dataset file: {path}")
-    # each pool is freed as soon as its images are selected
-    train, _ = data.subset(data.load_idx(*paths["train"], name), n_train, 0,
-                           harness.stable_seed(seed, "train"))
-    test, _ = data.subset(data.load_idx(*paths["test"], name), n_test, 0,
-                          harness.stable_seed(seed, "test"))
-    return train, test
+
+    def split(which, n):
+        # the images `data.subset(pool, n, 0, ...)[0]` would copy out of the whole file
+        return data.load_idx(*paths[which], name, select=lambda labels: data.subset_indices(
+            labels, n, 0, harness.stable_seed(seed, which))[0])
+
+    return split("train", n_train), split("test", n_test)
 
 
 def load_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
@@ -418,6 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the import-time heap moves to the permanent generation, which the
+    # collections at interpreter exit skip
+    gc.freeze()
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)

@@ -10,10 +10,12 @@ default), so `subset` balances classes to within one example per class and
 keeps the splits disjoint and reproducible per seed.  A selection from a
 byte pool stays bytes.  `pixels` is the one place a byte becomes a pixel,
 by exact division by 255, so a caller converts only what it reads: a sweep
-its whole selection.  `quanvbench quanvolve` hands its selection to the
-quantum layer as bytes, one block of images at a time; that layer's cos/sin
-tables hold the 256 pixels `pixels` makes of the 256 bytes, so a byte
-still means what `pixels` says.
+its whole selection.  `load_idx` given a ``select`` reads the pixels of the
+selected images only, so the CLI, which selects its IDX subsets this way,
+never holds a whole image file.  `quanvbench quanvolve` hands its selection
+to the quantum layer as bytes, one block of images at a time; that layer's
+cos/sin tables hold the 256 pixels `pixels` makes of the 256 bytes, so a
+byte still means what `pixels` says.
 """
 from __future__ import annotations
 
@@ -61,9 +63,7 @@ class Dataset:
             raise IdxCountMismatchError(
                 f"{len(self.images)} images vs {len(self.labels)} labels"
             )
-        labels = self.labels
-        if labels.dtype.kind not in "iu" or len(labels) and not 0 <= labels.min() <= labels.max() < N_CLASSES:
-            raise ValueError(f"labels must be integers in [0, {N_CLASSES}), got {labels.dtype}")
+        _check_labels(self.labels)
         images = self.images
         # every byte is a pixel in [0, 1]; min and max of float pixels are
         # NaN if any pixel is, which fails both comparisons
@@ -75,38 +75,75 @@ class Dataset:
         return len(self.images)
 
 
-def _read_exact(fh, n: int, path, what: str) -> bytes:
-    """The next n bytes of fh; more than the file holds fails before reading."""
+def _check_labels(labels: np.ndarray) -> None:
+    if labels.dtype.kind not in "iu" or len(labels) and not 0 <= labels.min() <= labels.max() < N_CLASSES:
+        raise ValueError(f"labels must be integers in [0, {N_CLASSES}), got {labels.dtype}")
+
+
+def _check_remaining(fh, n: int, path, what: str) -> None:
+    """Fail unless fh holds n more bytes."""
     if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise IdxTruncatedError(f"{path}: truncated while reading {what}")
+
+
+def _read_exact(fh, n: int, path, what: str) -> bytes:
+    """The next n bytes of fh; more than the file holds fails before reading."""
+    _check_remaining(fh, n, path, what)
     return fh.read(n)
 
 
-def load_idx(images_path, labels_path, name: str = "mnist") -> Dataset:
-    """Parse an IDX image/label file pair into a Dataset of its uint8 pixels."""
+def _read_labels(labels_path) -> np.ndarray:
+    with open(labels_path, "rb") as fh:
+        magic, count = struct.unpack(">II", _read_exact(fh, 8, labels_path, "label header"))
+        if magic != IDX_LABEL_MAGIC:
+            raise IdxMagicError(f"{labels_path}: bad label magic {magic:#010x}")
+        raw = _read_exact(fh, count, labels_path, "label data")
+    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+
+
+# images per read when load_idx reads a selection
+_READ_CHUNK = 1024
+
+
+def _read_rows(fh, indices: np.ndarray, size: int) -> np.ndarray:
+    """Rows ``indices`` (sorted) of the size-byte rows that start at fh's
+    position, read _READ_CHUNK rows at a time into one buffer; a chunk
+    holding none of them is skipped."""
+    start, rows = fh.tell(), np.empty((len(indices), size), np.uint8)
+    chunk, lo = np.empty((_READ_CHUNK, size), np.uint8), 0
+    while lo < len(indices):
+        first = int(indices[lo]) // _READ_CHUNK * _READ_CHUNK
+        hi = int(np.searchsorted(indices, first + _READ_CHUNK))
+        fh.seek(start + first * size)
+        fh.readinto(chunk[:int(indices[hi - 1]) - first + 1])
+        rows[lo:hi] = chunk[indices[lo:hi] - first]
+        lo = hi
+    return rows
+
+
+def load_idx(images_path, labels_path, name: str = "mnist", select=None) -> Dataset:
+    """Parse an IDX image/label file pair into a Dataset of its uint8 pixels.
+    ``select(labels)``, if given, returns the sorted indices of the images to
+    keep: the Dataset holds only those, and only their pixels are read."""
     with open(images_path, "rb") as fh:
         magic, count, rows, cols = struct.unpack(
             ">IIII", _read_exact(fh, 16, images_path, "image header")
         )
         if magic != IDX_IMAGE_MAGIC:
             raise IdxMagicError(f"{images_path}: bad image magic {magic:#010x}")
-        raw = _read_exact(fh, count * rows * cols, images_path, "pixel data")
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols, 1)
-
-    with open(labels_path, "rb") as fh:
-        magic, label_count = struct.unpack(
-            ">II", _read_exact(fh, 8, labels_path, "label header")
-        )
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxMagicError(f"{labels_path}: bad label magic {magic:#010x}")
-        raw = _read_exact(fh, label_count, labels_path, "label data")
-    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-
-    if label_count != count:
-        raise IdxCountMismatchError(
-            f"{count} images in {images_path} vs {label_count} labels in {labels_path}"
-        )
-    return Dataset(pixels, labels, name)
+        _check_remaining(fh, count * rows * cols, images_path, "pixel data")
+        labels = _read_labels(labels_path)
+        if len(labels) != count:
+            raise IdxCountMismatchError(
+                f"{count} images in {images_path} vs {len(labels)} labels in {labels_path}"
+            )
+        _check_labels(labels)  # of the whole file, before any selection
+        if select is None:
+            pixels = np.frombuffer(fh.read(count * rows * cols), dtype=np.uint8)
+        else:
+            indices = select(labels)
+            pixels, labels = _read_rows(fh, indices, rows * cols), labels[indices]
+    return Dataset(pixels.reshape(-1, rows, cols, 1), labels, name)
 
 
 def save_idx(ds: Dataset, images_path, labels_path) -> None:
@@ -139,14 +176,14 @@ def pixels(images: np.ndarray) -> np.ndarray:
     return images / 255.0 if images.dtype == np.uint8 else images
 
 
-def subset(ds: Dataset, n_train: int, n_test: int, seed: int) -> tuple[Dataset, Dataset]:
-    """Stratified, disjoint, seed-deterministic train/test subsets, holding
-    the pool's images as they are (a uint8 pool's as bytes)."""
+def subset_indices(labels: np.ndarray, n_train: int, n_test: int,
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted indices `subset` selects from a pool with these labels."""
     if n_train < 0 or n_test < 0:
         raise ValueError(f"subset sizes must be >= 0, got {n_train} and {n_test}")
-    if n_train + n_test > len(ds):
+    if n_train + n_test > len(labels):
         raise ValueError(
-            f"requested {n_train}+{n_test} examples from a {len(ds)}-image dataset"
+            f"requested {n_train}+{n_test} examples from a {len(labels)}-image dataset"
         )
     rng = np.random.default_rng(seed)
     train_quota = _class_quotas(n_train, rng)
@@ -154,7 +191,7 @@ def subset(ds: Dataset, n_train: int, n_test: int, seed: int) -> tuple[Dataset, 
 
     train_idx, test_idx = [], []
     for cls in range(N_CLASSES):
-        pool = np.flatnonzero(ds.labels == cls)
+        pool = np.flatnonzero(labels == cls)
         need = int(train_quota[cls] + test_quota[cls])
         if len(pool) < need:
             raise ValueError(
@@ -164,7 +201,12 @@ def subset(ds: Dataset, n_train: int, n_test: int, seed: int) -> tuple[Dataset, 
         train_idx.extend(picked[: train_quota[cls]])
         test_idx.extend(picked[train_quota[cls] :])
 
-    train_idx = np.sort(np.asarray(train_idx, dtype=np.int64))
-    test_idx = np.sort(np.asarray(test_idx, dtype=np.int64))
+    return (np.sort(np.asarray(train_idx, dtype=np.int64)),
+            np.sort(np.asarray(test_idx, dtype=np.int64)))
+
+
+def subset(ds: Dataset, n_train: int, n_test: int, seed: int) -> tuple[Dataset, Dataset]:
+    """Stratified, disjoint, seed-deterministic train/test subsets, holding
+    the pool's images as they are (a uint8 pool's as bytes)."""
     return tuple(Dataset(ds.images[idx], ds.labels[idx], ds.name)
-                 for idx in (train_idx, test_idx))
+                 for idx in subset_indices(ds.labels, n_train, n_test, seed))

@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread per process, set before numpy loads BLAS, as the CLI does:
+# sweeps run at --threads 2 fork workers that would each start BLAS threads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -216,6 +216,18 @@ def test_cmd_quanvolve_writes_the_maps_of_the_concatenated_images(idx_dir, tmp_p
     assert out.read_bytes() == expected.read_bytes()
 
 
+def test_idx_subsets_are_the_ones_subset_takes_from_the_whole_files(idx_dir):
+    cfg = dict(cli._CONFIG_DEFAULTS, dataset_dir=str(idx_dir), n_train="70", n_test="40",
+               subset_seed="3")
+    selected = cli._select_dataset_pair(cfg)
+    for split, n, got in zip(("train", "test"), (70, 40), selected):
+        pool = data.load_idx(*(idx_dir / "mnist" / name for name in cli._IDX_NAMES[split]))
+        expected, _ = subset(pool, n, 0, harness.stable_seed(3, split))
+        assert got.images.dtype == np.uint8
+        assert np.array_equal(got.images, expected.images)
+        assert np.array_equal(got.labels, expected.labels)
+
+
 def test_cmd_quanvolve_hands_the_idx_selection_over_as_bytes(idx_dir, tmp_path, monkeypatch):
     real, calls = quanv.quanvolve_dataset, []
 
@@ -555,3 +567,72 @@ def test_importing_the_cli_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# process policy: a frozen import-time heap, one BLAS thread per process
+# ---------------------------------------------------------------------------
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def fresh_python(code, *args, **env):
+    """Run ``code`` in a new interpreter, stdout and stderr pipes, with none of
+    the BLAS variables and no PYTHONUNBUFFERED unless given in ``env``."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS + ("PYTHONUNBUFFERED",)}
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env={**base, "PYTHONPATH": src, **env},
+                          capture_output=True, text=True, timeout=300)
+
+
+MAIN_IN_A_FRESH_PROCESS = ("import gc, sys; from quanvbench import cli; "
+                           "rc = cli.main(sys.argv[1:]); "
+                           "print('frozen', gc.get_freeze_count() > 0); sys.exit(rc)")
+
+
+def test_fresh_process_sweep_writes_what_an_in_process_run_writes(tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(TINY_SWEEP.replace("trials = 2", "trials = 1"))
+    in_process, fresh = tmp_path / "in", tmp_path / "fresh"
+    assert main(["sweep", "--config", str(config), "--out", str(in_process)]) == EXIT_OK
+    run = fresh_python(MAIN_IN_A_FRESH_PROCESS, "sweep", "--config", str(config),
+                       "--out", str(fresh))
+    assert run.returncode == EXIT_OK, run.stderr
+    assert run.stdout.splitlines()[-2].startswith(f"wrote {fresh / 'results.csv'} (6 records)")
+    assert run.stdout.splitlines()[-1] == "frozen True"
+    assert (fresh / "results.csv").read_bytes() == (in_process / "results.csv").read_bytes()
+    assert json.loads((fresh / "manifest.json").read_text())["status"] == "ok"
+
+
+def test_fresh_process_quanvolve_writes_what_an_in_process_run_writes(idx_dir, tmp_path):
+    flags = ["quanvolve", "--dataset-dir", str(idx_dir), "--n-train", "70", "--n-test", "40",
+             "--seed", "2"]
+    in_process, fresh = tmp_path / "in.qnvf", tmp_path / "fresh.qnvf"
+    assert main(flags + ["--out", str(in_process)]) == EXIT_OK
+    run = fresh_python(MAIN_IN_A_FRESH_PROCESS, *flags, "--out", str(fresh))
+    assert run.returncode == EXIT_OK, run.stderr
+    assert run.stdout.splitlines()[-2].startswith(f"wrote {fresh}: 110 maps of 14x14x4")
+    assert fresh.read_bytes() == in_process.read_bytes()
+
+
+def test_fresh_process_bad_config_exit_2_with_its_message(tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_text(TINY_SWEEP + "mystery_key = 1\n")
+    run = fresh_python(MAIN_IN_A_FRESH_PROCESS, "sweep", "--config", str(config),
+                       "--out", str(tmp_path / "o"))
+    assert run.returncode == EXIT_USAGE
+    assert run.stderr == "error: unknown config key 'mystery_key'\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("env, expected", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"]),
+], ids=["unset", "user-set"])
+def test_importing_the_cli_pins_blas_to_one_thread_unless_set(env, expected):
+    code = ("import os, sys; assert 'numpy' not in sys.modules; import quanvbench.cli; "
+            f"print(*[os.environ.get(v) for v in {BLAS_VARS!r}])")
+    run = fresh_python(code, **env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == expected

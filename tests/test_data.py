@@ -13,6 +13,7 @@ from quanvbench.data import (
     load_idx,
     save_idx,
     subset,
+    subset_indices,
 )
 
 
@@ -111,11 +112,7 @@ def test_save_idx_writes_a_uint8_pool_unchanged(tmp_path, rng):
 
 def test_only_the_selected_images_are_converted(tmp_path, rng):
     count, side = 2000, 28
-    ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
-    ip.write_bytes(struct.pack(">IIII", data.IDX_IMAGE_MAGIC, count, side, side)
-                   + rng.integers(0, 256, count * side * side, dtype=np.uint8).tobytes())
-    lp.write_bytes(struct.pack(">II", data.IDX_LABEL_MAGIC, count)
-                   + (np.arange(count) % 10).astype(np.uint8).tobytes())
+    ip, lp = write_random_idx(tmp_path, rng, count, side)
     tracemalloc.start()
     try:
         pool = load_idx(ip, lp)
@@ -129,6 +126,63 @@ def test_only_the_selected_images_are_converted(tmp_path, rng):
     assert train_pixels.dtype == test_pixels.dtype == np.float64
     # the float64 pool alone would be 8 bytes a pixel: 12.5 MB here
     assert peak < count * side * side * 8
+
+
+def write_random_idx(tmp_path, rng, count, side=28):
+    """An IDX pair of ``count`` random-byte images, labels cycling 0-9."""
+    ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+    ip.write_bytes(struct.pack(">IIII", data.IDX_IMAGE_MAGIC, count, side, side)
+                   + rng.integers(0, 256, count * side * side, dtype=np.uint8).tobytes())
+    lp.write_bytes(struct.pack(">II", data.IDX_LABEL_MAGIC, count)
+                   + (np.arange(count) % 10).astype(np.uint8).tobytes())
+    return ip, lp
+
+
+def select_train(n, seed):
+    return lambda labels: subset_indices(labels, n, 0, seed)[0]
+
+
+# 2,500 images span three of load_idx's read chunks; 7 touch a few of them
+@pytest.mark.parametrize("n", [0, 7, 1030, 2500])
+def test_load_idx_select_reads_what_subset_copies_out_of_the_pool(tmp_path, rng, n):
+    ip, lp = write_random_idx(tmp_path, rng, 2500)
+    expected, _ = subset(load_idx(ip, lp), n, 0, seed=4)
+    selected = load_idx(ip, lp, select=select_train(n, seed=4))
+    assert selected.images.dtype == np.uint8 and selected.images.shape == (n, 28, 28, 1)
+    assert np.array_equal(selected.images, expected.images)
+    assert np.array_equal(selected.labels, expected.labels)
+
+
+def test_load_idx_select_holds_no_whole_file(tmp_path, rng):
+    count = 5000  # 3.9 MB of pixels
+    ip, lp = write_random_idx(tmp_path, rng, count)
+    tracemalloc.start()
+    try:
+        selected = load_idx(ip, lp, select=select_train(10, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(selected) == 10
+    # at most one read chunk of 1,024 images, 0.8 MB, is held at a time
+    assert peak < count * 28 * 28 / 3
+
+
+def test_load_idx_select_checks_the_labels_it_does_not_select(tmp_path, rng):
+    ip, lp = write_random_idx(tmp_path, rng, 100)
+    raw = bytearray(lp.read_bytes())
+    raw[8 + 99] = 10  # the last label
+    lp.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="labels must be integers"):
+        load_idx(ip, lp, select=lambda labels: np.arange(10))
+
+
+def test_load_idx_select_checks_the_pixel_data_size_before_selecting(tmp_path, rng):
+    ip, lp = write_random_idx(tmp_path, rng, 100)
+    ip.write_bytes(ip.read_bytes()[:-1])
+    calls = []
+    with pytest.raises(IdxTruncatedError, match="pixel data"):
+        load_idx(ip, lp, select=calls.append)
+    assert calls == []
 
 
 def test_bad_image_magic(idx_files, tmp_path):
