@@ -123,7 +123,7 @@ def _read_rows(fh, indices: np.ndarray, size: int) -> np.ndarray:
 
 def load_idx(images_path, labels_path, name: str = "mnist", select=None) -> Dataset:
     """Parse an IDX image/label file pair into a Dataset of its uint8 pixels.
-    ``select(labels)``, if given, returns the sorted indices of the images to
+    ``select(labels)``, if given, returns the increasing indices of the images to
     keep: the Dataset holds only those, and only their pixels are read."""
     with open(images_path, "rb") as fh:
         magic, count, rows, cols = struct.unpack(
@@ -141,7 +141,10 @@ def load_idx(images_path, labels_path, name: str = "mnist", select=None) -> Data
         if select is None:
             pixels = np.frombuffer(fh.read(count * rows * cols), dtype=np.uint8)
         else:
-            indices = select(labels)
+            indices = np.asarray(select(labels))
+            if len(indices) and not (0 <= indices[0] and indices[-1] < count
+                                     and np.all(indices[1:] > indices[:-1])):
+                raise ValueError("select must return increasing indices of images in the file")
             pixels, labels = _read_rows(fh, indices, rows * cols), labels[indices]
     return Dataset(pixels.reshape(-1, rows, cols, 1), labels, name)
 

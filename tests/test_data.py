@@ -176,6 +176,15 @@ def test_load_idx_select_checks_the_labels_it_does_not_select(tmp_path, rng):
         load_idx(ip, lp, select=lambda labels: np.arange(10))
 
 
+@pytest.mark.parametrize("indices", [[3, 1], [2, 2], [-1, 4], [0, 100]],
+                         ids=["decreasing", "repeated", "negative", "past-the-end"])
+def test_load_idx_select_rejects_indices_that_are_not_increasing_images(tmp_path, rng,
+                                                                        indices):
+    ip, lp = write_random_idx(tmp_path, rng, 100)
+    with pytest.raises(ValueError, match="increasing indices"):
+        load_idx(ip, lp, select=lambda labels: np.array(indices))
+
+
 def test_load_idx_select_checks_the_pixel_data_size_before_selecting(tmp_path, rng):
     ip, lp = write_random_idx(tmp_path, rng, 100)
     ip.write_bytes(ip.read_bytes()[:-1])
