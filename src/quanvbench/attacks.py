@@ -1,6 +1,7 @@
 """L-infinity adversarial attacks: FGSM, PGD, and the momentum iterative method.
 
-All attacks consume a gradient source: any object whose
+`attack_batch(source, images, labels, cfg)` runs the attack an `AttackConfig`
+names.  Every attack consumes a gradient source: any object whose
 ``gradient(images, labels)`` takes an (N, H, W, 1) batch and its (N,)
 labels and returns (N, H, W, 1), row i the gradient of image i's own
 cross-entropy loss.  `SurrogateSource` takes it from a classical surrogate
@@ -13,7 +14,8 @@ same saturated image.  Pass clamp=True to restore the conventional [0, 1]
 box constraint.  Quanvolution features are 2-periodic in every pixel, so an
 unclamped step of an even integer epsilon leaves them unchanged.
 
-Iterative attacks track the perturbation delta rather than the perturbed
+FGSM is one signed-gradient step of size epsilon; PGD and MIM share one
+iterative loop.  It tracks the perturbation delta rather than the perturbed
 image so that the single-step reductions (PGD with steps=1 and alpha=eps,
 MIM with decay 0) are bit-identical to FGSM.  No attack uses randomness.
 Budgets and decays must be finite and >= 0, step sizes finite and > 0.
@@ -50,7 +52,10 @@ class AttackConfig:
     clamp: bool = False  # clip adversarial pixels to [0, 1]
 
     def __post_init__(self):
-        _check_epsilon(self.epsilon)
+        if not isinstance(self.kind, AttackKind):
+            raise ValueError(f"kind must be an AttackKind, got {self.kind!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not isinstance(self.clamp, bool):
             raise ValueError(f"clamp must be True or False, got {self.clamp!r}")
         if self.steps < 1:
@@ -62,11 +67,6 @@ class AttackConfig:
 
     def resolved_step_size(self) -> float:
         return self.epsilon / 4.0 if self.step_size is None else self.step_size
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
 
 
 class SurrogateSource:
@@ -103,31 +103,19 @@ def _clamped(x: np.ndarray, clamp: bool) -> np.ndarray:
     return np.clip(x, 0.0, 1.0) if clamp else x
 
 
-def fgsm(
-    source,
-    images: np.ndarray,
-    labels: np.ndarray,
-    epsilon: float,
-    clamp: bool = False,
-    gradient: np.ndarray | None = None,
-) -> np.ndarray:
-    """One signed-gradient step of size epsilon on every image."""
-    _check_epsilon(epsilon)
-    images = np.asarray(images, dtype=float)
-    step = epsilon * np.sign(source.gradient(images, labels) if gradient is None else gradient)
-    return _clamped(images + step, clamp)
-
-
 def _iterative(source, images: np.ndarray, labels: np.ndarray,
-               cfg: AttackConfig, momentum: bool, gradient: np.ndarray | None) -> np.ndarray:
-    images = np.asarray(images, dtype=float)
+               cfg: AttackConfig, grad: np.ndarray) -> np.ndarray:
+    """PGD: signed-gradient ascent projected onto each image's epsilon ball,
+    from ``grad``, the gradient at the clean images.  MIM steers the sign by
+    a per-image L1-normalized momentum accumulator instead."""
     eps, alpha = cfg.epsilon, cfg.resolved_step_size()
     delta = np.zeros_like(images)
     g_acc = np.zeros_like(images)
     adv = images
     for step in range(cfg.steps):
-        grad = gradient if step == 0 and gradient is not None else source.gradient(adv, labels)
-        if momentum:
+        if step:
+            grad = source.gradient(adv, labels)
+        if cfg.kind is AttackKind.MIM:
             # L1 norm per image; an all-zero gradient is left as it is
             l1 = np.sum(np.abs(grad), axis=(1, 2, 3), keepdims=True)
             g_acc = cfg.decay * g_acc + grad / np.where(l1 > 0, l1, 1.0)
@@ -142,20 +130,6 @@ def _iterative(source, images: np.ndarray, labels: np.ndarray,
     return adv
 
 
-def pgd(source, images, labels, cfg: AttackConfig, gradient=None) -> np.ndarray:
-    """Iterative signed-gradient ascent projected onto each image's epsilon ball."""
-    if cfg.kind is not AttackKind.PGD:
-        raise ValueError(f"expected PGD config, got {cfg.kind}")
-    return _iterative(source, images, labels, cfg, False, gradient)
-
-
-def mim(source, images, labels, cfg: AttackConfig, gradient=None) -> np.ndarray:
-    """PGD with a per-image L1-normalized momentum accumulator steering the sign."""
-    if cfg.kind is not AttackKind.MIM:
-        raise ValueError(f"expected MIM config, got {cfg.kind}")
-    return _iterative(source, images, labels, cfg, True, gradient)
-
-
 def attack_batch(source, images, labels, cfg: AttackConfig, gradient=None) -> np.ndarray:
     """Attack every image of an (N, H, W, 1) batch; order preserved, deterministic.
 
@@ -166,8 +140,7 @@ def attack_batch(source, images, labels, cfg: AttackConfig, gradient=None) -> np
     images = np.array(images, dtype=float)  # a copy: never aliases the input
     if len(images) == 0 or cfg.epsilon == 0:
         return _clamped(images, cfg.clamp)
+    grad = source.gradient(images, labels) if gradient is None else gradient
     if cfg.kind is AttackKind.FGSM:
-        return fgsm(source, images, labels, cfg.epsilon, cfg.clamp, gradient)
-    if cfg.kind is AttackKind.PGD:
-        return pgd(source, images, labels, cfg, gradient)
-    return mim(source, images, labels, cfg, gradient)
+        return _clamped(images + cfg.epsilon * np.sign(grad), cfg.clamp)
+    return _iterative(source, images, labels, cfg, grad)

@@ -70,7 +70,6 @@ class SweepConfig:
     mode: str = "surrogate"  # "surrogate" | "end_to_end"
     clamp: bool = False  # clip adversarial pixels to [0, 1]
     train_cfg: nn.TrainConfig = field(default_factory=nn.TrainConfig)
-    attack_steps: int = 10
 
     def __post_init__(self):
         if len(self.train_data) == 0 or len(self.test_data) == 0:
@@ -85,6 +84,8 @@ class SweepConfig:
                                  f"is built for, got {split.images.shape[1:]}")
         for name, values in (("architectures", self.architectures),
                              ("ansatz_kinds", self.ansatz_kinds), ("attacks", self.attacks)):
+            if not values:
+                raise ValueError(f"{name} must not be empty")
             repeated = sorted({v.value for v in values if values.count(v) > 1})
             if repeated:
                 raise ValueError(f"{name} lists {', '.join(repeated)} more than once")
@@ -162,7 +163,8 @@ class TrainedModel:
         """Accuracy on pixel images, quanvolved first when the model has a filter
         (contracting ``encoding``, their `quanv.encode`, when it is given)."""
         if self.qcfg is not None:
-            images = _quanvolve32(images, self.qcfg, encoding)
+            encoding = quanv.encode(images) if encoding is None else encoding
+            images = quanv.contract(self.qcfg, encoding, np.float32)
         return nn.evaluate(self.model, images, labels)
 
 
@@ -181,15 +183,6 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(digest.digest(), "little")
 
 
-def _quanvolve32(images: np.ndarray, qcfg: QuanvConfig, encoding=None) -> np.ndarray:
-    """Quanvolve into float32, each float64 channel sum rounded as it is
-    stored: the precision every head is trained and evaluated at (and the one
-    `quanvbench quanvolve` writes); results.csv depends on this rounding."""
-    if encoding is None:
-        return quanv.quanvolve_dataset(images, qcfg, np.float32)
-    return quanv.contract(qcfg, encoding, np.float32)
-
-
 def _train_model(cfg: SweepConfig, architecture: Architecture,
                  ansatz_kind: AnsatzKind | None, trial: int) -> TrainedModel:
     """Steps 1 and 2 for one (architecture, ansatz, trial)."""
@@ -199,8 +192,11 @@ def _train_model(cfg: SweepConfig, architecture: Architecture,
 
     if architecture is Architecture.QUNN:
         qcfg = QuanvConfig(circuit=build_ansatz(ansatz_kind, seed=cell_seed))
-        train_x = _quanvolve32(cfg.train_data.images, qcfg)
-        test_x = _quanvolve32(cfg.test_data.images, qcfg)
+        # float32, each float64 channel sum rounded as it is stored: the precision
+        # every head is trained and evaluated at (and the one `quanvbench
+        # quanvolve` writes); results.csv depends on this rounding
+        train_x = quanv.quanvolve_dataset(cfg.train_data.images, qcfg, np.float32)
+        test_x = quanv.quanvolve_dataset(cfg.test_data.images, qcfg, np.float32)
     else:
         qcfg = None
         train_x, test_x = cfg.train_data.images, cfg.test_data.images
@@ -236,7 +232,7 @@ def attacker(cfg: SweepConfig, source):
 
     def adversarial_sets(attack: AttackKind):
         for epsilon in cfg.epsilons_for(attack)[1:]:
-            attack_cfg = AttackConfig(attack, epsilon, steps=cfg.attack_steps, clamp=cfg.clamp)
+            attack_cfg = AttackConfig(attack, epsilon, clamp=cfg.clamp)
             yield attack_batch(source, images, labels, attack_cfg, gradient=clean_gradient())
 
     return adversarial_sets

@@ -15,6 +15,7 @@ step fails loudly here before any experiment runs.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -23,8 +24,7 @@ import numpy as np
 
 from . import nn, qsim, quanv
 from .ansatz import AnsatzKind, build_ansatz
-from .attacks import (AttackConfig, AttackKind, EndToEndSource, SurrogateSource, attack_batch,
-                      fgsm, mim, pgd)
+from .attacks import AttackConfig, AttackKind, EndToEndSource, SurrogateSource, attack_batch
 from .nn import Architecture
 from .quanv import QuanvConfig
 
@@ -231,20 +231,18 @@ def check_attack_reductions() -> tuple[bool, str]:
         imgs = rng.uniform(0, 1, (5, 28, 28, 1))
         labels = rng.integers(0, 10, 5)
         eps = float(rng.uniform(0.05, 0.5))
-        a = fgsm(source, imgs, labels, eps)
-        b = pgd(source, imgs, labels, AttackConfig(AttackKind.PGD, eps, steps=1, step_size=eps))
+        attack = functools.partial(attack_batch, source, imgs, labels)
+        a = attack(AttackConfig(AttackKind.FGSM, eps))
+        b = attack(AttackConfig(AttackKind.PGD, eps, steps=1, step_size=eps))
         if a.tobytes() != b.tobytes():
             return False, f"PGD single-step differs from FGSM at eps={eps:.3f}"
         alpha = eps / 3
-        p = pgd(source, imgs, labels,
-                AttackConfig(AttackKind.PGD, eps, steps=6, step_size=alpha))
-        m = mim(source, imgs, labels,
-                AttackConfig(AttackKind.MIM, eps, steps=6, step_size=alpha, decay=0.0))
+        p = attack(AttackConfig(AttackKind.PGD, eps, steps=6, step_size=alpha))
+        m = attack(AttackConfig(AttackKind.MIM, eps, steps=6, step_size=alpha, decay=0.0))
         if p.tobytes() != m.tobytes():
             return False, f"MIM with zero decay differs from PGD at eps={eps:.3f}"
-        f1 = fgsm(source, imgs, labels, alpha)
-        m1 = mim(source, imgs, labels,
-                 AttackConfig(AttackKind.MIM, eps, steps=1, step_size=alpha, decay=0.9))
+        f1 = attack(AttackConfig(AttackKind.FGSM, alpha))
+        m1 = attack(AttackConfig(AttackKind.MIM, eps, steps=1, step_size=alpha, decay=0.9))
         if f1.tobytes() != m1.tobytes():
             return False, f"MIM single step differs from FGSM step at alpha={alpha:.3f}"
     return True, "5 random configs on 5-image batches, all three identities bit-exact"

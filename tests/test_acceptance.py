@@ -121,6 +121,12 @@ def trial_means(records, keep=lambda r: True, **filters):
     return {trial: float(np.mean(accs)) for trial, accs in by_trial.items()}
 
 
+def mean_se(by_trial):
+    """The mean of per-trial values and its standard error."""
+    v = np.array([by_trial[t] for t in sorted(by_trial)])
+    return f"{v.mean():.3f} +/- {np.std(v, ddof=1) / np.sqrt(len(v)):.3f}"
+
+
 def paired(a, b):
     """The per-trial differences a - b of two arms that share each trial's
     data: their mean, its standard error, and the trials each side wins."""
@@ -340,7 +346,7 @@ def test_criterion_6_ansatz_ordering(mnist_sweep, fmnist_sweep, report, capsys):
 # Criterion 7: FMNIST degradation
 # ---------------------------------------------------------------------------
 
-def test_criterion_7_fmnist_degradation(fmnist_sweep, report):
+def test_criterion_7_fmnist_degradation(fmnist_sweep, report, capsys):
     cfg, records, _ = fmnist_sweep
     details, ok = [], True
     for attack in AttackKind:
@@ -357,6 +363,15 @@ def test_criterion_7_fmnist_degradation(fmnist_sweep, report):
             f"{attack.value}: classical@{eps_max:g} cnn={cnn:.3f} fc={fc:.3f} (<0.1), "
             f"qunn high-eps {q_high:.3f} (in [0.2, 0.6])"
         )
+        cells = [("qunn/zz_full@>=1", dict(keep=lambda r: r.epsilon >= 1.0,
+                                            architecture="qunn", ansatz="zz_full"))]
+        cells += [(f"{arch}@{eps_max:g}", dict(architecture=arch, epsilon=eps_max))
+                  for arch in ("classical_cnn", "classical_fc")]
+        stats = [f"{name} {mean_se(trial_means(records, attack=attack.value, **cell))}"
+                 for name, cell in cells]
+        with capsys.disabled():
+            print(f"    (report-only) criterion 7 per-trial mean +/- standard error, "
+                  f"{attack.value}: " + "; ".join(stats), flush=True)
     assert report("criterion 7 (fmnist degradation)", ok, "; ".join(details))
 
 

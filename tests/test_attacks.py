@@ -8,9 +8,6 @@ from quanvbench.attacks import (
     EndToEndSource,
     SurrogateSource,
     attack_batch,
-    fgsm,
-    mim,
-    pgd,
 )
 from quanvbench.ansatz import AnsatzKind, build_ansatz
 from quanvbench.nn import Architecture, TrainConfig, build_model, train
@@ -64,33 +61,28 @@ def toy_end_to_end():
     return EndToEndSource(qcfg, head)
 
 
+def fgsm_batch(source, images, labels, epsilon, clamp=False):
+    """`attack_batch` under an FGSM config."""
+    cfg = AttackConfig(AttackKind.FGSM, epsilon, clamp=clamp)
+    return attack_batch(source, images, labels, cfg)
+
+
 # ---------------------------------------------------------------------------
-# FGSM
+# AttackConfig
 # ---------------------------------------------------------------------------
 
-def test_fgsm_zero_epsilon_is_identity(rng):
-    img = rng.uniform(0, 1, (1, 4, 4, 1))
-    out = fgsm(FixedGradientSource(rng.normal(size=(1, 4, 4, 1))), img, [0], 0.0)
-    assert np.array_equal(out, img)
+@pytest.mark.parametrize("kind", ["fgsm", "pgd", "mim", None])
+def test_kind_must_be_an_attack_kind(kind):
+    # attack_batch runs PGD for any kind that is neither FGSM nor MIM
+    with pytest.raises(ValueError, match=f"kind must be an AttackKind, got {kind!r}"):
+        AttackConfig(kind, 0.1)
 
 
-def test_fgsm_positive_gradient_steps_up():
-    img = np.full((1, 3, 3, 1), 0.5)
-    out = fgsm(FixedGradientSource(np.ones((1, 3, 3, 1))), img, [0], 0.1)
-    assert np.allclose(out, 0.6, atol=1e-15)
-
-
-def test_fgsm_negative_epsilon_rejected():
-    with pytest.raises(ValueError):
-        fgsm(FixedGradientSource(np.ones((1, 2, 2, 1))), np.zeros((1, 2, 2, 1)), [0], -0.1)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_epsilon_rejected(bad):
-    with pytest.raises(ValueError, match="finite"):
-        AttackConfig(AttackKind.PGD, bad)
-    with pytest.raises(ValueError, match="finite"):
-        fgsm(FixedGradientSource(np.ones((1, 2, 2, 1))), np.zeros((1, 2, 2, 1)), [0], bad)
+@pytest.mark.parametrize("kind", list(AttackKind))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+def test_epsilon_must_be_finite_and_non_negative(kind, bad):
+    with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+        AttackConfig(kind, bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.0])
@@ -112,12 +104,22 @@ def test_clamp_must_be_a_bool(clamp):
         AttackConfig(AttackKind.PGD, 0.1, clamp=clamp)
 
 
+# ---------------------------------------------------------------------------
+# FGSM
+# ---------------------------------------------------------------------------
+
+def test_fgsm_positive_gradient_steps_up():
+    img = np.full((1, 3, 3, 1), 0.5)
+    out = fgsm_batch(FixedGradientSource(np.ones((1, 3, 3, 1))), img, [0], 0.1)
+    assert np.allclose(out, 0.6, atol=1e-15)
+
+
 def test_unclamped_fgsm_at_even_epsilon_leaves_features_unchanged(trained_toy):
     # quanvolution features are 2-periodic in every pixel and FGSM moves
     # each pixel by epsilon * sign(gradient)
     model, xs, ys = trained_toy
     qcfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.ZZ_FULL, seed=1))
-    adv = fgsm(SurrogateSource(model), xs[:1], ys[:1], 2.0)[0]
+    adv = fgsm_batch(SurrogateSource(model), xs[:1], ys[:1], 2.0)[0]
     assert np.max(np.abs(adv - xs[0])) == 2.0
     features = quanvolve_image(adv, qcfg)
     assert np.max(np.abs(features - quanvolve_image(xs[0], qcfg))) <= 1e-12
@@ -125,7 +127,7 @@ def test_unclamped_fgsm_at_even_epsilon_leaves_features_unchanged(trained_toy):
 
 def test_fgsm_clamp(rng):
     img = rng.uniform(0, 1, (1, 4, 4, 1))
-    out = fgsm(FixedGradientSource(np.ones((1, 4, 4, 1))), img, [0], 0.9, clamp=True)
+    out = fgsm_batch(FixedGradientSource(np.ones((1, 4, 4, 1))), img, [0], 0.9, clamp=True)
     assert np.all(out <= 1.0) and np.all(out >= 0.0)
 
 
@@ -146,8 +148,9 @@ def test_pgd_single_step_equals_fgsm(trained_toy):
     model, xs, _ = trained_toy
     source = SurrogateSource(model)
     img, label, eps = xs[:1], [3], 0.2
-    via_fgsm = fgsm(source, img, label, eps)
-    via_pgd = pgd(source, img, label, AttackConfig(AttackKind.PGD, eps, steps=1, step_size=eps))
+    via_fgsm = fgsm_batch(source, img, label, eps)
+    via_pgd = attack_batch(source, img, label,
+                           AttackConfig(AttackKind.PGD, eps, steps=1, step_size=eps))
     assert np.array_equal(via_fgsm, via_pgd)
     assert via_fgsm.tobytes() == via_pgd.tobytes()
 
@@ -158,8 +161,8 @@ def test_mim_zero_decay_equals_pgd(trained_toy):
     img, label = xs[1:2], [5]
     cfg_p = AttackConfig(AttackKind.PGD, 0.3, steps=10, step_size=0.05)
     cfg_m = AttackConfig(AttackKind.MIM, 0.3, steps=10, step_size=0.05, decay=0.0)
-    a = pgd(source, img, label, cfg_p)
-    b = mim(source, img, label, cfg_m)
+    a = attack_batch(source, img, label, cfg_p)
+    b = attack_batch(source, img, label, cfg_m)
     assert np.array_equal(a, b)
     assert a.tobytes() == b.tobytes()
 
@@ -169,8 +172,8 @@ def test_mim_single_step_equals_fgsm_with_step_size(trained_toy):
     source = SurrogateSource(model)
     img, label = xs[2:3], [1]
     alpha = 0.07
-    via_fgsm = fgsm(source, img, label, alpha)
-    via_mim = mim(
+    via_fgsm = fgsm_batch(source, img, label, alpha)
+    via_mim = attack_batch(
         source, img, label,
         AttackConfig(AttackKind.MIM, 0.5, steps=1, step_size=alpha, decay=0.8),
     )
@@ -237,7 +240,7 @@ def test_pgd_projection_with_changing_gradients(trained_toy):
     model, xs, ys = trained_toy
     source = SurrogateSource(model)
     cfg = AttackConfig(AttackKind.PGD, 0.1, steps=10, step_size=0.05)
-    adv = pgd(source, xs[:5], ys[:5], cfg)
+    adv = attack_batch(source, xs[:5], ys[:5], cfg)
     for i in range(5):
         assert np.max(np.abs(adv[i] - xs[i])) <= 0.1 + 1e-9
 
@@ -250,8 +253,8 @@ def test_pgd_loss_at_least_fgsm_loss(trained_toy):
     model, xs, ys = trained_toy
     source = SurrogateSource(model)
     eps = 0.2
-    fgsm_adv = fgsm(source, xs[:5], ys[:5], eps)
-    pgd_adv = pgd(source, xs[:5], ys[:5], AttackConfig(AttackKind.PGD, eps, steps=10))
+    fgsm_adv = fgsm_batch(source, xs[:5], ys[:5], eps)
+    pgd_adv = attack_batch(source, xs[:5], ys[:5], AttackConfig(AttackKind.PGD, eps, steps=10))
     for i in range(5):
         label = int(ys[i])
         assert (nn.loss(model, pgd_adv[i : i + 1], [label])
@@ -333,7 +336,7 @@ def test_end_to_end_source_attacks_through_quanv(toy_end_to_end, rng):
     stepped = loss(img + 1e-3 * np.sign(grad), label)
     assert stepped > base
 
-    adv = fgsm(source, img, [label], 0.25)
+    adv = fgsm_batch(source, img, [label], 0.25)
     assert np.max(np.abs(adv - img)) <= 0.25 + 1e-12
     assert loss(adv, label) > base
 

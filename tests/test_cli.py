@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -55,6 +56,18 @@ def test_config_defaults_and_overrides():
     assert cfg["trials"] == "3"
     assert cfg["mode"] == "end_to_end"
     assert cfg["dataset"] == "mnist"  # default preserved
+
+
+def test_config_defaults_are_the_sweep_config_defaults():
+    # the protocol's defaults are written twice: as the config keys' strings
+    # and as the defaults of SweepConfig and TrainConfig
+    cfg = cli.build_sweep_config(parse_config_text("source = synthetic\n"))
+    defaults = {f.name: f.default for f in dataclasses.fields(harness.SweepConfig)
+                if f.default is not dataclasses.MISSING}
+    assert {"architectures", "ansatz_kinds", "attacks", "epsilons", "fgsm_extra_epsilons",
+            "trials", "base_seed", "mode", "clamp"} <= defaults.keys()
+    assert {name: getattr(cfg, name) for name in defaults} == defaults
+    assert cfg.train_cfg == nn.TrainConfig()
 
 
 def test_config_rejects_unknown_key():

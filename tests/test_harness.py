@@ -264,7 +264,6 @@ def two_attack_config(**overrides) -> SweepConfig:
         attacks=(AttackKind.FGSM, AttackKind.PGD),
         epsilons=(0.0, 0.1),
         train_cfg=TrainConfig(epochs=1, seed=0),
-        attack_steps=2,
     ), **overrides})
 
 
@@ -362,6 +361,14 @@ def test_sweep_config_rejects_a_repeated_name(name, values):
     # a repeat would run its cells twice and write duplicate records
     with pytest.raises(ValueError, match=f"{name} lists {values[0].value} more than once"):
         tiny_config(**{name: values})
+
+
+@pytest.mark.parametrize("name", ["architectures", "ansatz_kinds", "attacks"])
+def test_sweep_config_rejects_an_empty_list(name):
+    # no attack or architecture gives a sweep of no records; no ansatz kind
+    # drops every qunn cell while the classical ones still run
+    with pytest.raises(ValueError, match=f"{name} must not be empty"):
+        tiny_config(**{name: ()})
 
 
 @pytest.mark.parametrize("threads, workers", [(64, [2]), (2, [2]), (1, [])])

@@ -57,7 +57,7 @@ def test_run_trial_hook_reads_a_real_call(layers, monkeypatch):
         architectures=(Architecture.CLASSICAL_FC, Architecture.QUNN),
         ansatz_kinds=(AnsatzKind.ZZ_FULL,), attacks=(AttackKind.FGSM, AttackKind.PGD),
         epsilons=(0.0, 0.1), fgsm_extra_epsilons=(), trials=1,
-        train_cfg=TrainConfig(epochs=1), attack_steps=1,
+        train_cfg=TrainConfig(epochs=1),
     )
     harness.run_sweep(cfg, progress=lambda msg: None)
     assert [hook(None, args, kwargs, result)

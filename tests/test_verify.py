@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -79,6 +80,28 @@ def test_end_to_end_gradient_of_the_wrong_labels_fails_its_check(monkeypatch):
     passed, detail = verify.check_end_to_end_gradients()
     assert not passed
     assert "relative error" in detail
+
+
+@pytest.mark.parametrize("mutate, check, message", [
+    # a step size off by one part in 1e12: MIM's single step is no longer FGSM's
+    (lambda cfg: dataclasses.replace(cfg, step_size=cfg.resolved_step_size() * (1 + 1e-12)),
+     verify.check_attack_reductions, "differs from FGSM"),
+    # every step projected onto a ball 3 epsilon wide
+    (lambda cfg: dataclasses.replace(cfg, epsilon=3 * cfg.epsilon,
+                                     step_size=cfg.resolved_step_size()),
+     verify.check_epsilon_ball, "ball exceeded"),
+], ids=["step-size", "projection"])
+def test_mutated_iterative_attack_fails_its_check(monkeypatch, mutate, check, message):
+    # mutation check: the loop PGD and MIM share, reached through attack_batch
+    real = attacks._iterative
+
+    def mutated(source, images, labels, cfg, grad):
+        return real(source, images, labels, mutate(cfg), grad)
+
+    monkeypatch.setattr(attacks, "_iterative", mutated)
+    passed, detail = check()
+    assert not passed
+    assert message in detail
 
 
 def test_corrupted_zz_sign_fails_dense_oracle(monkeypatch):
