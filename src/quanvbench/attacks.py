@@ -28,6 +28,7 @@ The first step's gradient, at the clean images, can be passed in as
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,8 +59,9 @@ class AttackConfig:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not isinstance(self.clamp, bool):
             raise ValueError(f"clamp must be True or False, got {self.clamp!r}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral) \
+                or self.steps < 1:
+            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
         if not (self.step_size is None or math.isfinite(self.step_size) and self.step_size > 0):
             raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if not (math.isfinite(self.decay) and self.decay >= 0):

@@ -30,6 +30,7 @@ the textbook expression's operations in their order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -308,10 +309,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("batch_size", "epochs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"

@@ -30,10 +30,19 @@ keeps it, so filters and pullbacks can share one cos and sin per block.
 The encoding is defined for any real pixel, so unclamped adversarial images
 are quanvolved as they are; `data.Dataset` checks float pixels lie in [0, 1].
 A uint8 image holds IDX bytes and means its pixels ``data.pixels(image)``,
-byte b standing for b / 255.  A block of bytes takes its (cos, sin)(pi x)
-from two 256-entry tables, built at import from ``data.pixels`` of every
-byte by the float path's own operations: its maps and gradients (float64)
-have the bits of its pixels', and no cosine or sine is evaluated per pixel.
+byte b standing for b / 255; its maps and gradients (float64) have, bit for
+bit, the values of its pixels', and no cosine or sine is evaluated per pixel.
+When every channel's terms read one pixel, as for the four rotation kinds
+(no_entanglement, zz_full, zz_linear, zz_star), a channel takes at most 256
+values over bytes: the config's ``byte_table`` holds them, computed by the
+float path from ``data.pixels`` of every byte when bytes are first
+quanvolved under it and kept for later calls (sweeps quanvolve float pixels
+and never build it).  `contract` looks each channel up there, one gather
+per channel, no term evaluated.  A filter that mixes pixels in a channel
+(``random``) has no table: bytes take their (cos, sin)(pi x) from two
+256-entry tables, built at import by the float path's own operations, and
+every term is evaluated on them, as for the gradients of bytes under any
+filter.
 Any other integer or boolean image is rejected rather than read as angles.
 
 Features are summed in float64, per block and channel, and each sum is
@@ -110,19 +119,45 @@ def _compile_terms(circuit: Circuit) -> tuple:
     )
 
 
+def _channel_pixels(terms: tuple) -> tuple | None:
+    """The pixel each channel's terms read (its own index if they read
+    none), or None if some channel's terms read more than one pixel."""
+    read = [set() for _ in range(N_QUBITS)]
+    for q, _coefficient, factors in terms:
+        read[q].update(i for i, _t in factors)
+    if any(len(pixels) > 1 for pixels in read):
+        return None
+    return tuple(pixels.pop() if pixels else q for q, pixels in enumerate(read))
+
+
 @dataclass(frozen=True)
 class QuanvConfig:
-    """The 4-qubit filter circuit; ``terms`` is compiled from it when the
-    config is built."""
+    """The 4-qubit filter circuit; ``terms`` and ``channel_pixels`` are
+    compiled from it when the config is built, ``byte_table`` when first read."""
 
     circuit: Circuit
     terms: tuple = field(init=False, repr=False, compare=False)
+    # pixel of a patch that channel q reads; None if some channel reads several
+    channel_pixels: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.circuit.n_qubits != N_QUBITS:
             raise ValueError(f"the filter acts on {N_QUBITS} qubits, one per pixel of a "
                              f"{PATCH}x{PATCH} patch, got {self.circuit.n_qubits}")
         object.__setattr__(self, "terms", _compile_terms(self.circuit))
+        object.__setattr__(self, "channel_pixels", _channel_pixels(self.terms))
+
+    @functools.cached_property
+    def byte_table(self) -> np.ndarray | None:
+        """Channel q's feature when its pixel holds byte b, at [q, b], float64,
+        shape (4, 256); None unless every channel reads one pixel.  Each entry
+        is the float path's channel sum at ``data.pixels(b)``, so maps looked
+        up here have the bits of the maps of the images' pixels."""
+        if self.channel_pixels is None:
+            return None
+        patches = np.repeat(data.pixels(np.arange(256, dtype=np.uint8)), N_QUBITS)
+        maps = _summed_terms(self, _blocked(patches.reshape(256, PATCH, PATCH, 1)), np.float64)
+        return maps[:, 0, 0].T.copy()
 
 
 def output_shape(height: int, width: int) -> tuple[int, int, int]:
@@ -188,10 +223,23 @@ def encode(images: np.ndarray) -> Encoding:
 
 
 def contract(cfg: QuanvConfig, encoding: Encoding, dtype=np.float64) -> np.ndarray:
-    """Feature maps of the encoded images under ``cfg``'s filter, every term
-    evaluated on each block's (cos, sin) and summed per channel in float64.
-    Each sum is stored once, so float32 maps hold the same bits as the
-    float64 maps cast as a whole."""
+    """Feature maps of the encoded images under ``cfg``'s filter, summed per
+    channel in float64 and stored once, so float32 maps hold the same bits as
+    the float64 maps cast as a whole.  Bytes are looked up in ``byte_table``
+    when the filter has one; otherwise every term is evaluated."""
+    images, shape, pixels, _blocks = encoding
+    table = cfg.byte_table if images.dtype == np.uint8 else None
+    if table is None:
+        return _summed_terms(cfg, encoding, dtype)
+    out = np.empty(shape, dtype)
+    for q, (i, features) in enumerate(zip(cfg.channel_pixels, table.astype(dtype, copy=False))):
+        # a byte never wraps; unlike the default mode, "wrap" fills out unbuffered
+        np.take(features, images[pixels[i] + (0,)], out=out[..., q], mode="wrap")
+    return out
+
+
+def _summed_terms(cfg: QuanvConfig, encoding: Encoding, dtype) -> np.ndarray:
+    """`contract` by evaluating every term on each block's (cos, sin)."""
     _images, shape, pixels, blocks = encoding
     out = np.zeros(shape, dtype)  # a channel without terms stays 0
     for block, trig in blocks:
@@ -241,7 +289,8 @@ def quanvolve_image(image: np.ndarray, cfg: QuanvConfig) -> np.ndarray:
 def quanvolve_dataset(images: np.ndarray, cfg: QuanvConfig, dtype=np.float64) -> np.ndarray:
     """Feature maps (N, H // 2, W // 2, 4) of (N, H, W, 1) images; order preserved.
     Float images are pixels; uint8 images are bytes and give, bit for bit, the
-    maps of ``data.pixels(images)``, through the (cos, sin) tables.  Computed
+    maps of ``data.pixels(images)``, through ``cfg.byte_table`` when it
+    exists, else through the (cos, sin) tables.  Computed
     in float64 and stored as ``dtype`` (float32 maps round as
     ``.astype(np.float32)`` would)."""
     return contract(cfg, _blocked(images), dtype)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,17 @@ def test_step_size_must_be_finite_and_positive(bad):
 def test_decay_must_be_finite(bad):
     with pytest.raises(ValueError, match="decay"):
         AttackConfig(AttackKind.MIM, 0.1, decay=bad)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, 1.0, np.float64(3.0), True, False, "3"])
+def test_steps_must_be_a_positive_integer(bad):
+    with pytest.raises(ValueError, match=re.escape(f"steps must be an integer >= 1, got {bad!r}")):
+        AttackConfig(AttackKind.PGD, 0.1, steps=bad)
+
+
+@pytest.mark.parametrize("steps", [np.int64(3), np.int32(1), np.uint8(2)])
+def test_numpy_integer_steps_are_accepted(steps):
+    assert AttackConfig(AttackKind.MIM, 0.1, steps=steps).steps == steps
 
 
 @pytest.mark.parametrize("clamp", [(0.0, 1.0), (0.2, 0.8), None])

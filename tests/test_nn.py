@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,18 @@ def test_parameters_change_only_through_optimizer_step(rng, monkeypatch):
 def test_learning_rate_must_be_finite_and_positive(lr):
     with pytest.raises(ValueError, match="learning_rate"):
         TrainConfig(learning_rate=lr)
+
+
+@pytest.mark.parametrize("name", ["batch_size", "epochs"])
+@pytest.mark.parametrize("bad", [0, -2, 2.5, 4.0, np.float64(3.0), True, "4"])
+def test_batch_size_and_epochs_must_be_positive_integers(name, bad):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= 1, got {bad!r}")):
+        TrainConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("name", ["batch_size", "epochs"])
+def test_numpy_integer_batch_size_and_epochs_are_accepted(name):
+    assert getattr(TrainConfig(**{name: np.int64(3)}), name) == 3
 
 
 def test_training_is_deterministic(rng):

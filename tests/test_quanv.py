@@ -249,15 +249,19 @@ def test_float32_maps_hold_the_float64_maps_rounded(kind, rng):
     assert np.array_equal(out.view(np.uint32), maps.astype(np.float32).view(np.uint32))
 
 
-def test_a_channel_without_terms_is_zero(rng):
+@pytest.mark.parametrize("pixel_type", ["float", "uint8"])
+def test_a_channel_without_terms_is_zero(pixel_type, rng):
     # R_x(pi/2) turns Z_0 into -Y_0, whose real part is 0: channel 0 has no terms
     cfg = QuanvConfig(circuit=qsim.Circuit(4, (qsim.rx(0, np.pi / 2),)))
     assert {q for q, _, _ in cfg.terms} == {1, 2, 3}
-    imgs = rng.uniform(0, 1, (3, 6, 6, 1))
+    imgs = rng.integers(0, 256, (3, 6, 6, 1), dtype=np.uint8)
+    if pixel_type == "float":
+        imgs = rng.uniform(0, 1, imgs.shape)
     out = quanvolve_dataset(imgs, cfg, np.float32)
     maps = quanvolve_dataset(imgs, cfg)
     assert np.all(maps[..., 0] == 0) and np.all(out[..., 0] == 0)
     assert np.array_equal(out, maps.astype(np.float32))
+    assert maps.tobytes() == quanvolve_dataset(data.pixels(imgs), cfg).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +320,9 @@ def test_byte_images_give_the_float64_gradients_of_their_pixels(kind, count, rng
 
 
 @pytest.mark.parametrize("h,w", [(7, 9), (9, 6), (3, 3)])
-def test_odd_sized_byte_images_give_the_maps_and_gradients_of_their_pixels(h, w, rng):
-    cfg = ansatz_cfg(AnsatzKind.RANDOM)
+@pytest.mark.parametrize("kind", [AnsatzKind.RANDOM, AnsatzKind.ZZ_FULL])  # terms, table
+def test_odd_sized_byte_images_give_the_maps_and_gradients_of_their_pixels(kind, h, w, rng):
+    cfg = ansatz_cfg(kind)
     images = rng.integers(0, 256, (quanv.BLOCK + 1, h, w, 1), dtype=np.uint8)
     pixels = data.pixels(images)
     maps = quanvolve_dataset(images, cfg)
@@ -335,6 +340,53 @@ def test_quanvolve_image_reads_a_byte_image_as_its_pixels():
     assert quanvolve_image(image, cfg).tobytes() == \
         quanvolve_image(data.pixels(image), cfg).tobytes()
     assert np.all(quanvolve_image(np.full((2, 2, 1), 255, np.uint8), identity_cfg()) == -1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 31])
+@pytest.mark.parametrize("kind", PRODUCT_KINDS)
+def test_every_rotation_filter_has_a_byte_table(kind, seed):
+    cfg = ansatz_cfg(kind, seed)
+    assert cfg.channel_pixels == (0, 1, 2, 3)
+    assert cfg.byte_table.shape == (4, 256) and cfg.byte_table.dtype == np.float64
+
+
+def test_a_filter_mixing_pixels_in_a_channel_has_no_byte_table():
+    cfg = ansatz_cfg(AnsatzKind.RANDOM, seed=0)
+    read = [set() for _ in range(4)]  # the pixels each channel's terms read
+    for q, _coefficient, factors in cfg.terms:
+        read[q].update(i for i, _t in factors)
+    assert max(map(len, read)) >= 2
+    assert cfg.channel_pixels is None and cfg.byte_table is None
+
+
+def test_the_byte_table_is_built_once_and_only_for_bytes(rng, monkeypatch):
+    cfg = ansatz_cfg(AnsatzKind.ZZ_FULL)
+    quanvolve_dataset(rng.uniform(0, 1, (3, 6, 6, 1)), cfg)
+    assert "byte_table" not in vars(cfg)  # building and float pixels leave it unbuilt
+    calls, summed_terms = [], quanv._summed_terms
+
+    def counted(*args):
+        calls.append(args)
+        return summed_terms(*args)
+
+    monkeypatch.setattr(quanv, "_summed_terms", counted)
+    for _block in range(3):
+        quanvolve_dataset(rng.integers(0, 256, (quanv.BLOCK, 6, 6, 1), dtype=np.uint8), cfg,
+                          np.float32)
+    assert len(calls) == 1 and vars(cfg)["byte_table"] is cfg.byte_table
+
+
+def test_bytes_under_a_table_evaluate_no_cos_or_sin(rng, monkeypatch):
+    def forbidden(_x):
+        raise AssertionError("byte (cos, sin) looked up")
+
+    images = rng.integers(0, 256, (quanv.BLOCK + 1, 6, 6, 1), dtype=np.uint8)
+    monkeypatch.setattr(quanv, "_byte_trig", forbidden)
+    cfg = ansatz_cfg(AnsatzKind.ZZ_FULL)
+    assert quanvolve_dataset(images, cfg).tobytes() == \
+        quanvolve_dataset(data.pixels(images), cfg).tobytes()
+    with pytest.raises(AssertionError, match="looked up"):
+        quanvolve_dataset(images, ansatz_cfg(AnsatzKind.RANDOM))
 
 
 @pytest.mark.parametrize("count", [1, quanv.BLOCK + 1, 2 * quanv.BLOCK + 2])
