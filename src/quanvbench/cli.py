@@ -7,9 +7,9 @@
 Exit codes: 0 success, 1 internal failure, 2 usage or config error.
 
 `quanvolve` streams: it reads only the selected IDX images, keeps them as
-bytes, quanvolves them one 64-image block at a time, each block's bytes read
-as their pixels through a table, and appends each block's float32 maps to
-the QNVF file, which appears at ``--out`` only once complete.
+bytes, quanvolves them one 64-image block at a time, each byte read as its
+pixel, and appends each block's float32 maps to the QNVF file, which
+appears at ``--out`` only once complete.
 
 Processes: `main` freezes the heap the imports built (``gc.freeze``), so the
 collections at interpreter exit skip it and the OS reclaims it.  Importing
@@ -44,8 +44,9 @@ Recognized keys, with defaults in brackets:
 All randomness flows from seeds named above; nothing is seeded from the
 clock.  source=idx expects the conventional file names
 (train-images-idx3-ubyte, train-labels-idx1-ubyte, t10k-images-idx3-ubyte,
-t10k-labels-idx1-ubyte) inside dataset_dir; source=synthetic uses the
-built-in procedural stand-in corpus instead.
+t10k-labels-idx1-ubyte) in dataset_dir/<dataset>, or in dataset_dir itself
+when that subdirectory does not exist; source=synthetic uses the built-in
+procedural stand-in corpus instead.
 """
 from __future__ import annotations
 

@@ -13,9 +13,9 @@ by exact division by 255, so a caller converts only what it reads: a sweep
 its whole selection.  `load_idx` given a ``select`` reads the pixels of the
 selected images only, so the CLI, which selects its IDX subsets this way,
 never holds a whole image file.  `quanvbench quanvolve` hands its selection
-to the quantum layer as bytes, one block of images at a time; that layer's
-cos/sin tables hold the 256 pixels `pixels` makes of the 256 bytes, so a
-byte still means what `pixels` says.
+to the quantum layer as bytes, one block of images at a time.  There a byte
+is `pixels` of it too, and a filter whose channels each read one pixel
+looks bytes up in its ``byte_table``, built from `pixels` of all 256 bytes.
 """
 from __future__ import annotations
 
@@ -51,8 +51,8 @@ class Dataset:
     """Images (N, H, W, 1) with integer labels below 10.  Float pixels must
     be finite and in [0, 1]: this is the program's one check of input pixels.
     A uint8 pool, or a selection from one, holds raw IDX bytes, byte b
-    meaning pixel b / 255: normalized by `pixels`, or quanvolved as bytes
-    through tables built with `pixels`."""
+    meaning pixel b / 255 as `pixels` makes it, also where the quantum
+    layer reads bytes."""
 
     images: np.ndarray
     labels: np.ndarray

@@ -38,8 +38,9 @@ import functools
 import hashlib
 import itertools
 import math
+import numbers
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -52,8 +53,6 @@ from .quanv import QuanvConfig
 
 DEFAULT_EPSILONS = (0.0, 0.01, 0.05, 0.1, 0.3, 0.5, 1.0, 2.0, 5.0, 10.0)
 FGSM_EXTRA_EPSILONS = (15.0,)
-
-CSV_COLUMNS = ("dataset", "architecture", "ansatz", "attack", "mode", "epsilon", "trial", "accuracy")
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,22 @@ class SweepConfig:
             if split.images.shape[1:] != (28, 28, 1):
                 raise ValueError(f"images must be 28x28x1, the input every architecture "
                                  f"is built for, got {split.images.shape[1:]}")
-        for name, values in (("architectures", self.architectures),
-                             ("ansatz_kinds", self.ansatz_kinds), ("attacks", self.attacks)):
+        for name, values, kind in (("architectures", self.architectures, Architecture),
+                                   ("ansatz_kinds", self.ansatz_kinds, AnsatzKind),
+                                   ("attacks", self.attacks, AttackKind)):
             if not values:
                 raise ValueError(f"{name} must not be empty")
+            for v in values:
+                if not isinstance(v, kind):
+                    raise ValueError(f"{name} must hold {kind.__name__} members, got {v!r}")
             repeated = sorted({v.value for v in values if values.count(v) > 1})
             if repeated:
                 raise ValueError(f"{name} lists {', '.join(repeated)} more than once")
+        # a float seed would hash as "1.0", not "1", and draw other circuits and weights
+        for name in ("trials", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.mode not in ("surrogate", "end_to_end"):
@@ -111,6 +119,8 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One row of results.csv: a cell's accuracy at one epsilon in one trial."""
+
     dataset: str
     architecture: str
     ansatz: str  # "-" for classical architectures
@@ -119,12 +129,13 @@ class SweepRecord:
     epsilon: float
     trial: int
     accuracy: float
-    clean_accuracy: float
-    train_accuracy: float
 
     def sort_key(self):
         return (self.dataset, self.architecture, self.ansatz, self.attack,
                 self.mode, self.epsilon, self.trial)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 
 
 @dataclass(frozen=True)
@@ -255,9 +266,7 @@ def run_trial(
     accuracies = [trained.clean_accuracy, *adversarial_accuracies]
     return [SweepRecord(
         dataset=cfg.train_data.name, architecture=architecture.value, ansatz=ansatz_label,
-        attack=attack.value, mode=cfg.mode, epsilon=float(epsilon), trial=trial,
-        accuracy=accuracy, clean_accuracy=trained.clean_accuracy,
-        train_accuracy=trained.train_accuracy,
+        attack=attack.value, mode=cfg.mode, epsilon=float(epsilon), trial=trial, accuracy=accuracy,
     ) for epsilon, accuracy in zip(cfg.epsilons_for(attack), accuracies, strict=True)]
 
 
@@ -302,7 +311,9 @@ def _record_lists(cfg: SweepConfig, threads: int):
 
 def iter_sweep(cfg: SweepConfig, threads: int = 1, progress=None):
     """Yield one (cell, trial)'s records at a time; lets callers keep
-    partial results if a later task fails."""
+    partial results if a later task fails.  For ``threads > 1``, set
+    OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before numpy
+    is first imported, as the CLI does, or every forked worker runs BLAS threads."""
     total = cfg.trials * len(cfg.attacks) * sum(
         len(cfg.ansatz_kinds) if a is Architecture.QUNN else 1 for a in cfg.architectures)
     if progress is None:
@@ -314,7 +325,8 @@ def iter_sweep(cfg: SweepConfig, threads: int = 1, progress=None):
 
 
 def run_sweep(cfg: SweepConfig, threads: int = 1, progress=None) -> list[SweepRecord]:
-    """Run every (cell, trial); records sorted so output is order-independent."""
+    """Run every (cell, trial); records sorted so output is order-independent.
+    For ``threads > 1``, set the BLAS thread variables first (see `iter_sweep`)."""
     records: list[SweepRecord] = []
     for batch in iter_sweep(cfg, threads=threads, progress=progress):
         records.extend(batch)

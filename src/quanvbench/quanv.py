@@ -29,20 +29,17 @@ keeps it, so filters and pullbacks can share one cos and sin per block.
 
 The encoding is defined for any real pixel, so unclamped adversarial images
 are quanvolved as they are; `data.Dataset` checks float pixels lie in [0, 1].
-A uint8 image holds IDX bytes and means its pixels ``data.pixels(image)``,
-byte b standing for b / 255; its maps and gradients (float64) have, bit for
-bit, the values of its pixels', and no cosine or sine is evaluated per pixel.
-When every channel's terms read one pixel, as for the four rotation kinds
-(no_entanglement, zz_full, zz_linear, zz_star), a channel takes at most 256
-values over bytes: the config's ``byte_table`` holds them, computed by the
-float path from ``data.pixels`` of every byte when bytes are first
-quanvolved under it and kept for later calls (sweeps quanvolve float pixels
-and never build it).  `contract` looks each channel up there, one gather
-per channel, no term evaluated.  A filter that mixes pixels in a channel
-(``random``) has no table: bytes take their (cos, sin)(pi x) from two
-256-entry tables, built at import by the float path's own operations, and
-every term is evaluated on them, as for the gradients of bytes under any
-filter.
+A uint8 image holds IDX bytes and is its pixels ``data.pixels(image)``,
+byte b standing for b / 255: each block's bytes become pixels as it is
+encoded, so its maps and gradients (float64) are its pixels', bit for bit.
+A filter whose channels each read one pixel, as the four rotation kinds
+(no_entanglement, zz_full, zz_linear, zz_star) do, looks bytes up in its
+``byte_table`` instead: a channel takes at most 256 values over bytes,
+computed by the float path from ``data.pixels`` of every byte when bytes are
+first quanvolved under it and kept for later calls (sweeps quanvolve float
+pixels and never build it).  `contract` gathers each channel there, one
+gather per channel, no cosine, sine or term evaluated.  A filter that mixes
+pixels in a channel (``random``) has no table and reads bytes as pixels.
 Any other integer or boolean image is rejected rather than read as angles.
 
 Features are summed in float64, per block and channel, and each sum is
@@ -172,17 +169,6 @@ def _trig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(phi), np.sin(phi)
 
 
-# (cos, sin)(pi x) of the 256 pixels a byte can stand for, by the same
-# operations as on float pixels, so byte images get the bits of their pixels
-_BYTE_TRIG = _trig(data.pixels(np.arange(256, dtype=np.uint8)))
-
-
-def _byte_trig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cos, sin)(pi x) of the pixels of bytes x, looked up in the tables."""
-    index = x.astype(np.intp)  # one index for both tables
-    return _BYTE_TRIG[0][index], _BYTE_TRIG[1][index]
-
-
 class Encoding(NamedTuple):
     """A batch's encoding, which any filter contracts: (N, H, W, 1) images, float64
     or uint8, feature maps shape, ``pixels[i]`` indexing pixel i of every patch in
@@ -197,11 +183,9 @@ class Encoding(NamedTuple):
 def _blocked(images: np.ndarray) -> Encoding:
     """The encoding of ``images``, each block's (cos, sin) computed as it is iterated."""
     images = np.asarray(images)
-    if images.dtype == np.uint8:
-        trig = _byte_trig
-    elif images.dtype.kind == "f":
-        images, trig = images.astype(float, copy=False), _trig
-    else:
+    if images.dtype.kind == "f":
+        images = images.astype(float, copy=False)
+    elif images.dtype != np.uint8:
         raise ValueError(f"{images.dtype} images are neither float pixels nor uint8 bytes; "
                          "data.pixels turns bytes into pixels")
     if images.ndim != 4 or images.shape[-1] != 1:
@@ -211,7 +195,7 @@ def _blocked(images: np.ndarray) -> Encoding:
               for a in range(PATCH) for b in range(PATCH)]
     blocks = (slice(start, start + BLOCK) for start in range(0, len(images), BLOCK))
     return Encoding(images, (len(images), rows, cols, n), pixels, (
-        (block, trig(images[block, ..., 0])) for block in blocks))
+        (block, _trig(data.pixels(images[block, ..., 0]))) for block in blocks))
 
 
 def encode(images: np.ndarray) -> Encoding:
@@ -290,9 +274,8 @@ def quanvolve_dataset(images: np.ndarray, cfg: QuanvConfig, dtype=np.float64) ->
     """Feature maps (N, H // 2, W // 2, 4) of (N, H, W, 1) images; order preserved.
     Float images are pixels; uint8 images are bytes and give, bit for bit, the
     maps of ``data.pixels(images)``, through ``cfg.byte_table`` when it
-    exists, else through the (cos, sin) tables.  Computed
-    in float64 and stored as ``dtype`` (float32 maps round as
-    ``.astype(np.float32)`` would)."""
+    exists.  Computed in float64 and stored as ``dtype`` (float32 maps round
+    as ``.astype(np.float32)`` would)."""
     return contract(cfg, _blocked(images), dtype)
 
 

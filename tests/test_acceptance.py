@@ -185,18 +185,17 @@ def test_criterion_2_protocol_fidelity(mnist_sweep, mnist_trained, tmp_path, rep
 # Criterion 3: clean-accuracy sanity on MNIST
 # ---------------------------------------------------------------------------
 
-def test_criterion_3_clean_accuracy(mnist_sweep, report):
-    _cfg, records, _ = mnist_sweep
-    per_model = {}
-    for r in records:
-        per_model[(r.architecture, r.ansatz, r.trial)] = (r.train_accuracy, r.clean_accuracy)
-    worst_train = min(v[0] for v in per_model.values())
-    worst_clean = min(v[1] for v in per_model.values())
+def test_criterion_3_clean_accuracy(mnist_trained, report):
+    # the in-process tasks' models: criterion 2 checks their records are the sweep's
+    tasks, _records = mnist_trained
+    models = [trained for task in tasks for _, trained, _ in task.models]
+    worst_train = min(trained.train_accuracy for trained in models)
+    worst_clean = min(trained.clean_accuracy for trained in models)
     ok = worst_train >= 0.9 and worst_clean >= 0.5
     assert report(
         "criterion 3 (clean-accuracy sanity)",
         ok,
-        f"{len(per_model)} trained models: min train accuracy {worst_train:.3f} "
+        f"{len(models)} trained models: min train accuracy {worst_train:.3f} "
         f"(floor 0.9), min clean test accuracy {worst_clean:.3f} (floor 0.5)",
     )
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -570,6 +571,23 @@ def test_cmd_sweep_config_that_is_not_utf8_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(config) in err and "UTF-8" in err and "internal error" not in err
     assert not (tmp_path / "o").exists()
+
+
+OFFLINE_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "configs", "offline_synthetic.cfg")
+OFFLINE_RESULTS_SHA1 = "88dd4ad17377a94fc0f70c04a68fca084d040de2"
+
+
+def test_offline_sweep_writes_the_pinned_results(tmp_path):
+    """The behaviour gate of a change meant to keep every output byte: the
+    offline sweep's results.csv, pooled on 2 workers, has this sha1.  The
+    digest holds for the numpy this suite was pinned on, whose float
+    arithmetic sets the bits; a declared arithmetic change, such as float32
+    training (ROADMAP item 17), updates it with its declaration."""
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", OFFLINE_CONFIG, "--out", str(out),
+                 "--threads", "2"]) == EXIT_OK
+    assert hashlib.sha1((out / "results.csv").read_bytes()).hexdigest() == OFFLINE_RESULTS_SHA1
 
 
 def test_importing_the_cli_loads_no_process_pool():

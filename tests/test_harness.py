@@ -48,7 +48,7 @@ def tiny_config(**overrides) -> SweepConfig:
 def fake_record(eps, trial, acc, **kw):
     base = dict(dataset="mnist", architecture="qunn", ansatz="zz_full",
                 attack="fgsm", mode="surrogate", epsilon=eps, trial=trial,
-                accuracy=acc, clean_accuracy=0.9, train_accuracy=1.0)
+                accuracy=acc)
     base.update(kw)
     return SweepRecord(**base)
 
@@ -58,51 +58,54 @@ def fake_record(eps, trial, acc, **kw):
 # ---------------------------------------------------------------------------
 
 def fresh_trial(cfg, architecture, trial):
-    """The records of one freshly trained task, attacked as the sweep attacks
-    it; tiny_config's one attack and one ansatz make that a single cell."""
-    (records,) = task_records(cfg, train_task(cfg, architecture, trial))
-    return records
+    """The trained model and records of one freshly trained task, attacked as
+    the sweep attacks it; tiny_config's one attack and one ansatz make that a
+    single model and a single cell."""
+    task = train_task(cfg, architecture, trial)
+    ((_, trained, _),) = task.models
+    (records,) = task_records(cfg, task)
+    return trained, records
 
 
 @pytest.fixture(scope="module")
 def trial_records():
     cfg = tiny_config()
-    return cfg, fresh_trial(cfg, Architecture.QUNN, 0)
+    return cfg, *fresh_trial(cfg, Architecture.QUNN, 0)
 
 
 def test_trial_epsilon_zero_equals_clean_accuracy(trial_records):
-    _cfg, records = trial_records
+    _cfg, trained, records = trial_records
     assert records[0].epsilon == 0.0
-    assert records[0].accuracy == records[0].clean_accuracy
+    assert records[0].accuracy == trained.clean_accuracy
 
 
 def test_trial_record_count_matches_grid(trial_records):
-    cfg, records = trial_records
+    cfg, _trained, records = trial_records
     assert len(records) == len(cfg.epsilons_for(AttackKind.FGSM))
     assert [r.epsilon for r in records] == list(cfg.epsilons_for(AttackKind.FGSM))
 
 
 def test_trial_deterministic(trial_records):
-    cfg, records = trial_records
-    again = fresh_trial(cfg, Architecture.QUNN, 0)
+    cfg, _trained, records = trial_records
+    _, again = fresh_trial(cfg, Architecture.QUNN, 0)
     assert [r.accuracy for r in again] == [r.accuracy for r in records]
 
 
 def test_trials_differ(trial_records):
-    cfg, records = trial_records
-    other = fresh_trial(cfg, Architecture.QUNN, 1)
+    cfg, trained, records = trial_records
+    other_trained, other = fresh_trial(cfg, Architecture.QUNN, 1)
     assert [r.accuracy for r in other] != [r.accuracy for r in records] or (
-        other[0].clean_accuracy != records[0].clean_accuracy
+        other_trained.clean_accuracy != trained.clean_accuracy
     )
 
 
 def test_classical_trial_skips_quanvolution(trial_records, monkeypatch):
-    cfg, _ = trial_records
+    cfg, _trained, _records = trial_records
     for name in ("quanvolve_dataset", "encode", "contract", "_trig"):
         monkeypatch.setattr(harness.quanv, name, None)  # any call fails
-    records = fresh_trial(cfg, Architecture.CLASSICAL_CNN, 0)
+    trained, records = fresh_trial(cfg, Architecture.CLASSICAL_CNN, 0)
     assert records[0].ansatz == "-"
-    assert records[0].accuracy == records[0].clean_accuracy
+    assert records[0].accuracy == trained.clean_accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +235,12 @@ def test_sweep_complete_and_reproducible(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def strip_timing(records):
-    return [(r.sort_key(), r.accuracy, r.clean_accuracy) for r in records]
-
-
 def test_sweep_parallel_matches_serial(tmp_path):
     cfg = tiny_config()
     quiet = lambda msg: None
     serial = run_sweep(cfg, threads=1, progress=quiet)
     parallel = run_sweep(cfg, threads=2, progress=quiet)
-    assert strip_timing(serial) == strip_timing(parallel)
+    assert serial == parallel
 
 
 def count_calls(monkeypatch, module, name, keep=lambda *args: True):
@@ -295,11 +294,16 @@ def test_epsilon_zero_row_is_the_clean_accuracy_without_recomputing_it(monkeypat
     evaluates = count_calls(monkeypatch, nn, "evaluate")
     records = run_sweep(cfg, progress=lambda msg: None)
     assert len(records) == 4 * 2 * 2  # (cnn, fc, 2 heads) x attacks x trials
-    assert all(r.epsilon == 0.0 and r.accuracy == r.clean_accuracy for r in records)
     assert attacks == []
     models = len(cfg.architectures) - 1 + len(cfg.ansatz_kinds)
     assert len(quanvolves) == 2 * len(cfg.ansatz_kinds) * cfg.trials  # train and test sets
     assert len(evaluates) == 2 * models * cfg.trials  # train and clean accuracy
+    tasks = [train_task(cfg, architecture, trial)
+             for architecture in cfg.architectures for trial in range(cfg.trials)]
+    clean = {(task.architecture.value, kind.value if kind else "-", task.trial):
+             trained.clean_accuracy for task in tasks for kind, trained, _ in task.models}
+    assert all(r.epsilon == 0.0 and r.accuracy == clean[r.architecture, r.ansatz, r.trial]
+               for r in records)
 
 
 @pytest.mark.parametrize("mode, own_heads", [("surrogate", 0), ("end_to_end", 2)])
@@ -361,6 +365,34 @@ def test_sweep_config_rejects_a_repeated_name(name, values):
     # a repeat would run its cells twice and write duplicate records
     with pytest.raises(ValueError, match=f"{name} lists {values[0].value} more than once"):
         tiny_config(**{name: values})
+
+
+@pytest.mark.parametrize("name, values, member", [
+    ("architectures", ("classical_fc",), "Architecture"),
+    ("ansatz_kinds", (AnsatzKind.ZZ_STAR, "zz_full"), "AnsatzKind"),
+    ("attacks", ("fgsm",), "AttackKind"),
+])
+def test_sweep_config_rejects_a_name_that_is_not_a_member(name, values, member):
+    # unchecked, the names a config file holds, passed unparsed, would fail
+    # only when a task reads their .value or builds an AttackConfig
+    with pytest.raises(ValueError, match=f"{name} must hold {member} members, got {values[-1]!r}"):
+        tiny_config(**{name: values})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("trials", 2.5), ("trials", True), ("trials", "2"),
+    ("base_seed", 1.0), ("base_seed", True), ("base_seed", None)])
+def test_sweep_config_rejects_a_count_or_seed_that_is_not_an_integer(name, value):
+    # unchecked, trials=2.5 would fail at range(), trials=True run one trial,
+    # and base_seed=1.0 hash as "1.0", every draw differing from base_seed=1
+    with pytest.raises(ValueError, match=rf"{name} must be an integer, got {value!r}"):
+        tiny_config(**{name: value})
+
+
+def test_sweep_config_takes_numpy_integers():
+    # a numpy integer seed hashes as the text of its value, as a Python int does
+    cfg = tiny_config(trials=np.int64(2), base_seed=np.uint32(11))
+    assert stable_seed(cfg.base_seed, cfg.trials) == stable_seed(11, 2)
 
 
 @pytest.mark.parametrize("name", ["architectures", "ansatz_kinds", "attacks"])

@@ -378,14 +378,15 @@ def test_the_byte_table_is_built_once_and_only_for_bytes(rng, monkeypatch):
 
 def test_bytes_under_a_table_evaluate_no_cos_or_sin(rng, monkeypatch):
     def forbidden(_x):
-        raise AssertionError("byte (cos, sin) looked up")
+        raise AssertionError("(cos, sin) evaluated")
 
     images = rng.integers(0, 256, (quanv.BLOCK + 1, 6, 6, 1), dtype=np.uint8)
-    monkeypatch.setattr(quanv, "_byte_trig", forbidden)
     cfg = ansatz_cfg(AnsatzKind.ZZ_FULL)
-    assert quanvolve_dataset(images, cfg).tobytes() == \
-        quanvolve_dataset(data.pixels(images), cfg).tobytes()
-    with pytest.raises(AssertionError, match="looked up"):
+    expected = quanvolve_dataset(data.pixels(images), cfg)
+    assert cfg.byte_table is not None  # built before cos and sin are forbidden
+    monkeypatch.setattr(quanv, "_trig", forbidden)
+    assert quanvolve_dataset(images, cfg).tobytes() == expected.tobytes()
+    with pytest.raises(AssertionError, match="evaluated"):
         quanvolve_dataset(images, ansatz_cfg(AnsatzKind.RANDOM))
 
 
