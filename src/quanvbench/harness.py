@@ -15,17 +15,15 @@ running `trials` independently seeded repetitions of the four-step protocol:
 The pool's task is one (architecture, trial), computed as
 ``task_records(cfg, train_task(cfg, architecture, trial))`` by the serial
 sweep, by each worker and by any caller that wants the trained models.
-`train_task` does steps 1 and 2: each model -- one head per ansatz for qunn
--- is trained once into a `TrainedModel` (whose `evaluate` quanvolves first
-when it has a filter) and paired with the gradient source that attacks it.
-Classical models face their own gradients.  The heads face a classical CNN
-trained on the trial's raw pixels, one shared by all of them, in
-"surrogate" mode, and their own gradients through the quanvolution in
-"end_to_end" mode.  `task_records` does steps 3 and 4 set by set: it builds
-one set of `attacker(cfg, source)` (each source's attacks start from one
-gradient at the clean test images), encodes it once (`quanv.encode`) if a
-model facing that source has a filter, lets every such model score it and
-drops it; `run_trial` then turns each cell's accuracies into its records.
+`train_task` does steps 1 and 2: it trains each model once into a
+`TrainedModel` -- one head per ansatz for qunn, all scored on one
+`quanv.encode` of the clean test set -- and in "surrogate" mode a qunn
+task's surrogate, a classical CNN on the raw pixels.  `task_records` does
+steps 3 and 4, and ``cfg.mode`` alone picks each model's attacker there: the
+surrogate for every head in "surrogate" mode, otherwise the model's own
+gradients (through the quanvolution for a head).  It builds each set with
+`attack_batch` (a source's attacks share one clean-image gradient), encodes
+it once if its models have filters, lets them all score it and drops it.
 
 Determinism: every random draw is derived from base_seed via stable hashes
 of the cell coordinates other than the attack, so any (architecture, ansatz,
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 import numbers
 import sys
@@ -53,6 +50,7 @@ from .quanv import QuanvConfig
 
 DEFAULT_EPSILONS = (0.0, 0.01, 0.05, 0.1, 0.3, 0.5, 1.0, 2.0, 5.0, 10.0)
 FGSM_EXTRA_EPSILONS = (15.0,)
+CLASSICAL_ANSATZ = "-"  # the ansatz label of classical models
 
 
 @dataclass(frozen=True)
@@ -81,6 +79,13 @@ class SweepConfig:
             if split.images.shape[1:] != (28, 28, 1):
                 raise ValueError(f"images must be 28x28x1, the input every architecture "
                                  f"is built for, got {split.images.shape[1:]}")
+        dataset = self.train_data.name
+        if dataset not in ("mnist", "fmnist"):
+            raise ValueError(f"train_data.name must be mnist or fmnist, got {dataset!r}")
+        if self.test_data.name != dataset:  # every row is labelled with the train set's name
+            raise ValueError(f"test_data.name must be {dataset!r} too, got {self.test_data.name!r}")
+        if not isinstance(self.train_cfg, nn.TrainConfig):
+            raise ValueError(f"train_cfg must be an nn.TrainConfig, got {self.train_cfg!r}")
         for name, values, kind in (("architectures", self.architectures, Architecture),
                                    ("ansatz_kinds", self.ansatz_kinds, AnsatzKind),
                                    ("attacks", self.attacks, AttackKind)):
@@ -123,7 +128,7 @@ class SweepRecord:
 
     dataset: str
     architecture: str
-    ansatz: str  # "-" for classical architectures
+    ansatz: str  # CLASSICAL_ANSATZ for classical architectures
     attack: str
     mode: str
     epsilon: float
@@ -164,28 +169,27 @@ class TrainedModel:
     train_accuracy: float
     clean_accuracy: float
 
-    def own_source(self):
-        """The model's own gradients: through the quanvolution for a head."""
-        if self.qcfg is None:
-            return SurrogateSource(self.model)
-        return EndToEndSource(self.qcfg, self.model)
-
     def evaluate(self, images: np.ndarray, labels: np.ndarray, encoding=None) -> float:
         """Accuracy on pixel images, quanvolved first when the model has a filter
         (contracting ``encoding``, their `quanv.encode`, when it is given)."""
-        if self.qcfg is not None:
-            encoding = quanv.encode(images) if encoding is None else encoding
-            images = quanv.contract(self.qcfg, encoding, np.float32)
-        return nn.evaluate(self.model, images, labels)
+        return _accuracy(self.model, self.qcfg, images, labels, encoding)
+
+
+def _accuracy(model: nn.Model, qcfg: QuanvConfig | None, images, labels, encoding) -> float:
+    if qcfg is not None:
+        encoding = quanv.encode(images) if encoding is None else encoding
+        images = quanv.contract(qcfg, encoding, np.float32)
+    return nn.evaluate(model, images, labels)
 
 
 @dataclass(frozen=True)
 class TrainedTask:
-    """One (architecture, trial)'s (ansatz kind or None, model, source) triples."""
+    """One (architecture, trial)'s (ansatz kind or None, model) pairs."""
 
     architecture: Architecture
     trial: int
-    models: tuple[tuple[AnsatzKind | None, TrainedModel, object], ...]
+    models: tuple[tuple[AnsatzKind | None, TrainedModel], ...]
+    surrogate: nn.Model | None  # the CNN attacking a qunn task's heads in surrogate mode
 
 
 def stable_seed(*parts) -> int:
@@ -195,10 +199,10 @@ def stable_seed(*parts) -> int:
 
 
 def _train_model(cfg: SweepConfig, architecture: Architecture,
-                 ansatz_kind: AnsatzKind | None, trial: int) -> TrainedModel:
-    """Steps 1 and 2 for one (architecture, ansatz, trial)."""
+                 ansatz_kind: AnsatzKind | None, trial: int, test_encoding) -> TrainedModel:
+    """Steps 1 and 2 for one (architecture, ansatz, trial); heads score ``test_encoding``."""
     dataset = cfg.train_data.name
-    ansatz_label = ansatz_kind.value if ansatz_kind is not None else "-"
+    ansatz_label = ansatz_kind.value if ansatz_kind is not None else CLASSICAL_ANSATZ
     cell_seed = stable_seed(cfg.base_seed, dataset, architecture.value, ansatz_label, trial)
 
     if architecture is Architecture.QUNN:
@@ -207,46 +211,31 @@ def _train_model(cfg: SweepConfig, architecture: Architecture,
         # every head is trained and evaluated at (and the one `quanvbench
         # quanvolve` writes); results.csv depends on this rounding
         train_x = quanv.quanvolve_dataset(cfg.train_data.images, qcfg, np.float32)
-        test_x = quanv.quanvolve_dataset(cfg.test_data.images, qcfg, np.float32)
     else:
-        qcfg = None
-        train_x, test_x = cfg.train_data.images, cfg.test_data.images
+        qcfg, train_x = None, cfg.train_data.images
 
     model = nn.build_model(architecture, dataset, cell_seed)
     nn.train(model, train_x, cfg.train_data.labels, replace(cfg.train_cfg, seed=cell_seed))
     return TrainedModel(model, qcfg,
                         train_accuracy=nn.evaluate(model, train_x, cfg.train_data.labels),
-                        clean_accuracy=nn.evaluate(model, test_x, cfg.test_data.labels))
+                        clean_accuracy=_accuracy(model, qcfg, cfg.test_data.images,
+                                                 cfg.test_data.labels, test_encoding))
 
 
 def train_task(cfg: SweepConfig, architecture: Architecture, trial: int) -> TrainedTask:
     """Steps 1 and 2 for one (architecture, trial): each model trained once,
-    with the source that attacks it (in surrogate mode, one for every head)."""
-    kinds = cfg.ansatz_kinds if architecture is Architecture.QUNN else (None,)
-    models = [(kind, _train_model(cfg, architecture, kind, trial)) for kind in kinds]
+    and in surrogate mode a qunn task's surrogate CNN on the raw pixels."""
+    qunn = architecture is Architecture.QUNN
+    test_encoding = quanv.encode(cfg.test_data.images) if qunn else None
+    models = tuple((kind, _train_model(cfg, architecture, kind, trial, test_encoding))
+                   for kind in (cfg.ansatz_kinds if qunn else (None,)))
     surrogate = None
-    if architecture is Architecture.QUNN and cfg.mode == "surrogate":
+    if qunn and cfg.mode == "surrogate":
         seed = stable_seed(cfg.base_seed, "surrogate", cfg.train_data.name, trial)
-        surrogate = SurrogateSource(nn.train(
+        surrogate = nn.train(
             nn.build_model(Architecture.CLASSICAL_CNN, cfg.train_data.name, seed),
-            cfg.train_data.images, cfg.train_data.labels, replace(cfg.train_cfg, seed=seed)))
-    return TrainedTask(architecture, trial, tuple(
-        (kind, trained, surrogate or trained.own_source()) for kind, trained in models))
-
-
-def attacker(cfg: SweepConfig, source):
-    """attack -> its adversarial test sets against ``source``, one per nonzero
-    epsilon of its grid, built as they are iterated; all share one clean-image
-    gradient."""
-    images, labels = cfg.test_data.images, cfg.test_data.labels
-    clean_gradient = functools.cache(functools.partial(source.gradient, images, labels))
-
-    def adversarial_sets(attack: AttackKind):
-        for epsilon in cfg.epsilons_for(attack)[1:]:
-            attack_cfg = AttackConfig(attack, epsilon, clamp=cfg.clamp)
-            yield attack_batch(source, images, labels, attack_cfg, gradient=clean_gradient())
-
-    return adversarial_sets
+            cfg.train_data.images, cfg.train_data.labels, replace(cfg.train_cfg, seed=seed))
+    return TrainedTask(architecture, trial, models, surrogate)
 
 
 def run_trial(
@@ -262,7 +251,7 @@ def run_trial(
     attack's adversarial test sets, one per nonzero epsilon of its grid in
     order (as `task_records` scores them), after its clean accuracy, the row
     of the grid's first epsilon, 0."""
-    ansatz_label = ansatz_kind.value if ansatz_kind is not None else "-"
+    ansatz_label = ansatz_kind.value if ansatz_kind is not None else CLASSICAL_ANSATZ
     accuracies = [trained.clean_accuracy, *adversarial_accuracies]
     return [SweepRecord(
         dataset=cfg.train_data.name, architecture=architecture.value, ansatz=ansatz_label,
@@ -271,21 +260,31 @@ def run_trial(
 
 
 def task_records(cfg: SweepConfig, task: TrainedTask):
-    """Yield the record lists of one trained task, one per cell, in model order
-    within each attack: each model faces every attack.  The models facing one
-    source score its sets set by set: each set is built once, encoded once if
-    any of them has a filter, scored by all of them and dropped."""
-    groups = [list(group) for _, group in itertools.groupby(task.models, key=lambda m: m[2])]
-    attackers = [attacker(cfg, group[0][2]) for group in groups]
-    for attack in cfg.attacks:
-        for group, adversarial_sets in zip(groups, attackers):
-            accuracies = [[] for _ in group]
-            encodes = any(trained.qcfg is not None for _, trained, _ in group)
-            for adv in adversarial_sets(attack):
-                encoding = quanv.encode(adv) if encodes else None
-                for row, (_, trained, _) in zip(accuracies, group):
-                    row.append(trained.evaluate(adv, cfg.test_data.labels, encoding))
-            for (kind, trained, _), row in zip(group, accuracies):
+    """Yield the record lists of one trained task, one per cell, source by source
+    and attack by attack.  ``cfg.mode`` picks the sources: in surrogate mode the
+    task's surrogate attacks every head, otherwise each model faces its own
+    gradients.  A source's attacks share one clean-image gradient; its sets are
+    built one at a time, encoded once if they need it, scored by all its models."""
+    images, labels = cfg.test_data.images, cfg.test_data.labels
+    qunn = task.architecture is Architecture.QUNN
+    if qunn and cfg.mode == "surrogate":
+        if task.surrogate is None:
+            raise ValueError(f"qunn trial {task.trial} has no surrogate to attack it in surrogate mode")
+        groups = [(SurrogateSource(task.surrogate), task.models)]
+    else:
+        groups = [(EndToEndSource(m.qcfg, m.model) if qunn else SurrogateSource(m.model), [(k, m)])
+                  for k, m in task.models]  # each model's own gradients
+    for source, models in groups:
+        clean_gradient = functools.cache(functools.partial(source.gradient, images, labels))
+        for attack in cfg.attacks:
+            accuracies = [[] for _ in models]
+            for epsilon in cfg.epsilons_for(attack)[1:]:
+                adv = attack_batch(source, images, labels, AttackConfig(
+                    attack, epsilon, clamp=cfg.clamp), gradient=clean_gradient())
+                encoding = quanv.encode(adv) if qunn else None
+                for row, (_, trained) in zip(accuracies, models):
+                    row.append(trained.evaluate(adv, labels, encoding))
+            for (kind, trained), row in zip(models, accuracies):
                 yield run_trial(cfg, task.architecture, kind, attack, task.trial, trained, row)
 
 
@@ -470,7 +469,7 @@ def emit_plot(aggregated: list[AggregateRecord], path) -> None:
             parts.append(f'<line x1="{x:.1f}" y1="{y0:.1f}" x2="{x:.1f}" y2="{y1:.1f}" stroke="{color}"/>')
             parts.append(f'<line x1="{x - 3:.1f}" y1="{y0:.1f}" x2="{x + 3:.1f}" y2="{y0:.1f}" stroke="{color}"/>')
             parts.append(f'<line x1="{x - 3:.1f}" y1="{y1:.1f}" x2="{x + 3:.1f}" y2="{y1:.1f}" stroke="{color}"/>')
-        label = key[0] if key[1] == "-" else f"{key[0]}/{key[1]}"
+        label = key[0] if key[1] == CLASSICAL_ANSATZ else f"{key[0]}/{key[1]}"
         ly = top + 16 * i
         parts.append(f'<line x1="{right + 10}" y1="{ly}" x2="{right + 30}" y2="{ly}" '
                      f'stroke="{color}" stroke-width="1.5"/>')

@@ -30,7 +30,7 @@ from quanvbench import data, nn, quanv, verify
 from quanvbench.ansatz import AnsatzKind, build_ansatz
 from quanvbench.attacks import AttackKind
 from quanvbench.harness import (
-    SweepConfig, SweepRecord, attacker, emit_csv, run_sweep, run_trial, task_records, train_task)
+    SweepConfig, SweepRecord, emit_csv, run_sweep, task_records, train_task)
 from quanvbench.nn import Architecture
 from quanvbench.quanv import QuanvConfig
 from quanvbench.synthdata import synthetic_dataset
@@ -188,7 +188,7 @@ def test_criterion_2_protocol_fidelity(mnist_sweep, mnist_trained, tmp_path, rep
 def test_criterion_3_clean_accuracy(mnist_trained, report):
     # the in-process tasks' models: criterion 2 checks their records are the sweep's
     tasks, _records = mnist_trained
-    models = [trained for task in tasks for _, trained, _ in task.models]
+    models = [trained for task in tasks for _, trained in task.models]
     worst_train = min(trained.train_accuracy for trained in models)
     worst_clean = min(trained.clean_accuracy for trained in models)
     ok = worst_train >= 0.9 and worst_clean >= 0.5
@@ -246,23 +246,17 @@ def test_report_end_to_end_next_to_surrogate(mnist_sweep, mnist_trained, capsys)
     """Report-only, no gate: whether the surrogate robustness of the heads
     survives their own exact gradients.  Training reads neither the mode nor
     the grid, so the in-process pass's heads are the ones an end_to_end sweep
-    trains.  The grid stops at the reported budgets: each epsilon's attack is
-    independent of the others, so these are the full grid's numbers."""
+    trains, and under the end_to_end config `task_records` attacks them with
+    their own gradients.  The grid stops at the reported budgets: each
+    epsilon's attack is independent of the others, so these are the full
+    grid's numbers."""
     cfg, surrogate, _ = mnist_sweep
     tasks, _records = mnist_trained
     cfg = replace(cfg, mode="end_to_end", epsilons=(0.0,) + REPORT_EPSILONS,
                   fgsm_extra_epsilons=())
     t0 = time.perf_counter()
-    heads = [(task.trial, kind, trained) for task in tasks
-             if task.architecture is Architecture.QUNN for kind, trained, _source in task.models]
-    end_to_end = []
-    for trial, kind, trained in heads:
-        adversarial = attacker(cfg, trained.own_source())
-        for attack in cfg.attacks:
-            accuracies = [trained.evaluate(adv, cfg.test_data.labels)
-                          for adv in adversarial(attack)]
-            end_to_end += run_trial(cfg, Architecture.QUNN, kind, attack, trial, trained,
-                                    accuracies)
+    end_to_end = [record for task in tasks if task.architecture is Architecture.QUNN
+                  for records in task_records(cfg, task) for record in records]
     lines = [f"    (report-only) mnist qunn accuracy, surrogate/end_to_end "
              f"({time.perf_counter() - t0:.1f}s for the end_to_end attacks):"]
     for ans in ANSATZ_NAMES:

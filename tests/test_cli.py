@@ -590,6 +590,30 @@ def test_offline_sweep_writes_the_pinned_results(tmp_path):
     assert hashlib.sha1((out / "results.csv").read_bytes()).hexdigest() == OFFLINE_RESULTS_SHA1
 
 
+QUANVOLVE_QNVF_SHA1 = {
+    "no_entanglement": "cd08ab995df5f68d5b14f7838d00bee7f9fe702a",
+    "zz_full": "484362a45dc4c0a3db01887fbd1a9195a05f47f1",
+    "zz_linear": "492fce777491443ea8bbe930fc525a1470454217",
+    "zz_star": "13bd7b63f5327d70b0a0c00313f78e8719dfa0df",
+    "random": "82998bf9cc2b833b9d67b228d77ceae255c682a8",
+}
+
+
+def test_quanvolve_writes_the_pinned_maps(idx_dir, tmp_path):
+    """The behaviour gate for the feature maps: `quanvolve` on IDX files
+    writes a QNVF file of this sha1 under each ansatz (the four rotation
+    ansatze through their byte tables, random pixel by pixel).  As for the
+    offline sweep's digest, these hold for the numpy this suite was pinned
+    on, and a declared arithmetic change updates them."""
+    digests = {}
+    for kind in QUANVOLVE_QNVF_SHA1:
+        out = tmp_path / f"{kind}.qnvf"
+        assert main(["quanvolve", "--dataset-dir", str(idx_dir), "--ansatz", kind, "--seed", "5",
+                     "--n-train", "100", "--n-test", "50", "--out", str(out)]) == EXIT_OK
+        digests[kind] = hashlib.sha1(out.read_bytes()).hexdigest()
+    assert digests == QUANVOLVE_QNVF_SHA1
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # the pool's modules are imported only when a sweep runs on 2+ workers
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -1,18 +1,20 @@
+import re
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from quanvbench import harness, nn
 from quanvbench.ansatz import AnsatzKind
-from quanvbench.attacks import AttackKind, EndToEndSource, SurrogateSource
+from quanvbench.attacks import (
+    AttackConfig, AttackKind, EndToEndSource, SurrogateSource, attack_batch)
 from quanvbench.data import Dataset
 from quanvbench.harness import (
     AggregateRecord,
     SweepConfig,
     SweepRecord,
     aggregate,
-    attacker,
     emit_csv,
     emit_plot,
     run_sweep,
@@ -62,7 +64,7 @@ def fresh_trial(cfg, architecture, trial):
     the sweep attacks it; tiny_config's one attack and one ansatz make that a
     single model and a single cell."""
     task = train_task(cfg, architecture, trial)
-    ((_, trained, _),) = task.models
+    ((_, trained),) = task.models
     (records,) = task_records(cfg, task)
     return trained, records
 
@@ -135,26 +137,43 @@ def test_qunn_heads_do_not_depend_on_the_mode_the_grid_or_clamp():
     surrogate = train_task(tiny_config(ansatz_kinds=TWO_HEADS), Architecture.QUNN, 0)
     end_to_end = train_task(tiny_config(ansatz_kinds=TWO_HEADS, mode="end_to_end", clamp=True,
                                         epsilons=(0.0, 0.05)), Architecture.QUNN, 0)
-    for (kind, a, _), (other, b, _) in zip(surrogate.models, end_to_end.models, strict=True):
+    for (kind, a), (other, b) in zip(surrogate.models, end_to_end.models, strict=True):
         assert kind is other
         assert a.model.flat.tobytes() == b.model.flat.tobytes()
         assert (a.train_accuracy, a.clean_accuracy) == (b.train_accuracy, b.clean_accuracy)
 
 
 @pytest.mark.parametrize("mode", ["surrogate", "end_to_end"])
-def test_each_model_comes_with_the_source_that_attacks_it(mode):
+def test_only_a_surrogate_mode_qunn_task_trains_a_surrogate(mode):
     cfg = tiny_config(ansatz_kinds=TWO_HEADS, mode=mode)
-    ((_, cnn, cnn_source),) = train_task(cfg, Architecture.CLASSICAL_CNN, 0).models
-    assert isinstance(cnn_source, SurrogateSource) and cnn_source.model is cnn.model
-    heads = train_task(cfg, Architecture.QUNN, 0).models
-    assert [kind for kind, _, _ in heads] == list(TWO_HEADS)
+    cnn = train_task(cfg, Architecture.CLASSICAL_CNN, 0)
+    assert [kind for kind, _ in cnn.models] == [None] and cnn.surrogate is None
+    qunn = train_task(cfg, Architecture.QUNN, 0)
+    assert [kind for kind, _ in qunn.models] == list(TWO_HEADS)
     if mode == "surrogate":
-        (shared,) = {source for _, _, source in heads}
-        assert isinstance(shared, SurrogateSource)
-        assert all(shared.model is not trained.model for _, trained, _ in heads)
+        # a classical CNN on the raw pixels, none of the heads
+        assert qunn.surrogate.arch is Architecture.CLASSICAL_CNN
+        assert all(qunn.surrogate is not trained.model for _, trained in qunn.models)
     else:
-        for _, trained, source in heads:
-            assert isinstance(source, EndToEndSource) and source.head is trained.model
+        assert qunn.surrogate is None
+
+
+def test_the_mode_alone_picks_the_attacker_of_a_trained_task():
+    # a task trained in surrogate mode and scored under end_to_end: its heads
+    # face their own gradients, and its records are an end_to_end task's
+    surrogate_cfg = tiny_config(ansatz_kinds=TWO_HEADS)
+    end_to_end_cfg = replace(surrogate_cfg, mode="end_to_end")
+    scored = list(task_records(end_to_end_cfg, train_task(surrogate_cfg, Architecture.QUNN, 0)))
+    assert scored == list(task_records(end_to_end_cfg,
+                                       train_task(end_to_end_cfg, Architecture.QUNN, 0)))
+    assert {record.mode for records in scored for record in records} == {"end_to_end"}
+
+
+def test_surrogate_mode_rejects_a_qunn_task_without_a_surrogate():
+    cfg = tiny_config()
+    task = train_task(replace(cfg, mode="end_to_end"), Architecture.QUNN, 0)
+    with pytest.raises(ValueError, match="qunn trial 0 has no surrogate"):
+        list(task_records(cfg, task))
 
 
 @pytest.mark.parametrize("clamp", [False, True])
@@ -162,12 +181,15 @@ def test_set_by_set_scores_equal_each_heads_own_pixel_path(clamp):
     cfg = two_attack_config(architectures=(Architecture.QUNN,), clamp=clamp)
     task = train_task(cfg, Architecture.QUNN, 0)
     cells = list(task_records(cfg, task))
+    images, labels = cfg.test_data.images, cfg.test_data.labels
+    source = SurrogateSource(task.surrogate)
     expected = []
     for attack in cfg.attacks:
-        for kind, trained, source in task.models:
-            sets = attacker(cfg, source)(attack)
+        for kind, trained in task.models:
+            sets = [attack_batch(source, images, labels, AttackConfig(attack, eps, clamp=clamp))
+                    for eps in cfg.epsilons_for(attack)[1:]]
             expected.append((kind.value, attack.value, [trained.clean_accuracy] + [
-                trained.evaluate(adv, cfg.test_data.labels) for adv in sets]))
+                trained.evaluate(adv, labels) for adv in sets]))
     got = [(r[0].ansatz, r[0].attack, [record.accuracy for record in r]) for r in cells]
     assert repr(got) == repr(expected)
 
@@ -179,7 +201,7 @@ def test_each_shared_set_is_scored_by_every_head_before_the_next_is_built(monkey
     count_calls(monkeypatch, harness, "attack_batch", lambda *args: events.append("build"))
     count_calls(monkeypatch, nn, "evaluate", lambda model, *_: events.append(model))
     list(task_records(cfg, task))
-    heads = [trained.model for _, trained, _ in task.models]
+    heads = [trained.model for _, trained in task.models]
     sets = sum(len(cfg.epsilons_for(attack)) - 1 for attack in cfg.attacks)
     assert events == ["build", *heads] * sets
 
@@ -200,7 +222,8 @@ def test_each_adversarial_set_is_encoded_once_for_every_head(monkeypatch):
         counts.append(len(trigs))
     sets = sum(len(paper_grid_trial(TWO_HEADS).epsilons_for(a)) - 1 for a in AttackKind)
     assert sets == 28
-    assert counts == [2 * 5 + sets, 2 * 1 + sets, 2 * 2 + sets]  # 38, not 5 * 30 = 150
+    # each head's train set, the clean test set once, each set once
+    assert counts == [5 + 1 + sets, 1 + 1 + sets, 2 + 1 + sets]  # 34, not 5 * 30 = 150
 
 
 def test_classical_models_never_encode(monkeypatch):
@@ -214,7 +237,7 @@ def test_classical_models_never_encode(monkeypatch):
 def test_evaluate_takes_pixel_images_for_every_model():
     cfg = tiny_config()
     for architecture in cfg.architectures:
-        ((_, trained, _),) = train_task(cfg, architecture, 0).models
+        ((_, trained),) = train_task(cfg, architecture, 0).models
         assert trained.evaluate(cfg.test_data.images, cfg.test_data.labels) == \
             trained.clean_accuracy
 
@@ -296,12 +319,12 @@ def test_epsilon_zero_row_is_the_clean_accuracy_without_recomputing_it(monkeypat
     assert len(records) == 4 * 2 * 2  # (cnn, fc, 2 heads) x attacks x trials
     assert attacks == []
     models = len(cfg.architectures) - 1 + len(cfg.ansatz_kinds)
-    assert len(quanvolves) == 2 * len(cfg.ansatz_kinds) * cfg.trials  # train and test sets
+    assert len(quanvolves) == len(cfg.ansatz_kinds) * cfg.trials  # train sets
     assert len(evaluates) == 2 * models * cfg.trials  # train and clean accuracy
     tasks = [train_task(cfg, architecture, trial)
              for architecture in cfg.architectures for trial in range(cfg.trials)]
     clean = {(task.architecture.value, kind.value if kind else "-", task.trial):
-             trained.clean_accuracy for task in tasks for kind, trained, _ in task.models}
+             trained.clean_accuracy for task in tasks for kind, trained in task.models}
     assert all(r.epsilon == 0.0 and r.accuracy == clean[r.architecture, r.ansatz, r.trial]
                for r in records)
 
@@ -367,16 +390,27 @@ def test_sweep_config_rejects_a_repeated_name(name, values):
         tiny_config(**{name: values})
 
 
-@pytest.mark.parametrize("name, values, member", [
-    ("architectures", ("classical_fc",), "Architecture"),
-    ("ansatz_kinds", (AnsatzKind.ZZ_STAR, "zz_full"), "AnsatzKind"),
-    ("attacks", ("fgsm",), "AttackKind"),
-])
-def test_sweep_config_rejects_a_name_that_is_not_a_member(name, values, member):
+@pytest.mark.parametrize("name, value, message", [
+    ("architectures", ("classical_fc",), " must hold Architecture members, got 'classical_fc'"),
+    ("ansatz_kinds", (AnsatzKind.ZZ_STAR, "zz_full"),
+     " must hold AnsatzKind members, got 'zz_full'"),
+    ("attacks", ("fgsm",), " must hold AttackKind members, got 'fgsm'"),
+    ("train_data", "cifar", ".name must be mnist or fmnist, got 'cifar'"),
+    ("test_data", "fmnist", ".name must be 'mnist' too, got 'fmnist'"),
+    ("train_cfg", {"epochs": 1}, " must be an nn.TrainConfig, got {'epochs': 1}"),
+], ids=["architectures", "ansatz_kinds", "attacks", "train_data_name", "test_data_name",
+        "train_cfg"])
+def test_sweep_config_rejects_a_name_that_is_not_a_member(name, value, message):
     # unchecked, the names a config file holds, passed unparsed, would fail
-    # only when a task reads their .value or builds an AttackConfig
-    with pytest.raises(ValueError, match=f"{name} must hold {member} members, got {values[-1]!r}"):
-        tiny_config(**{name: values})
+    # only when a task reads their .value or builds an AttackConfig; a set
+    # named "cifar" would fail only in nn.build_model, a test set of another
+    # dataset would have every row labelled with the train set's name, and a
+    # train_cfg dict would fail at the first replace()
+    if name.endswith("_data"):  # the set of that name
+        split = getattr(tiny_config(), name)
+        value = Dataset(split.images, split.labels, value)
+    with pytest.raises(ValueError, match=re.escape(name + message)):
+        tiny_config(**{name: value})
 
 
 @pytest.mark.parametrize("name, value", [
