@@ -319,7 +319,7 @@ def cmd_quanvolve(args) -> int:
             low, high = min(low, block_maps.min()), max(high, block_maps.max())
             yield block_maps
 
-    quanv.write_qnvf(args.out, maps(), meta_hash=meta, shape=shape)
+    quanv.write_qnvf(args.out, maps(), shape, meta_hash=meta)
     print(
         f"wrote {args.out}: {shape[0]} maps of {shape[1]}x{shape[2]}x{shape[3]}, "
         f"values in [{low:.4f}, {high:.4f}] ({kind.value}, seed {args.seed})"
@@ -350,22 +350,22 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"cannot make --out directory {args.out}: {exc.strerror}") from exc
     csv_path = os.path.join(args.out, "results.csv")
 
-    records = []
+    records, failure = [], None
     try:
         for batch in harness.iter_sweep(sweep_cfg, threads=args.threads):
             records.extend(batch)
-    except Exception as exc:  # preserve partial output, mark the run failed
-        records.sort(key=harness.SweepRecord.sort_key)
-        if records:
-            harness.emit_csv(records, csv_path)
+    except Exception as exc:  # keep the partial output, mark the run failed
+        failure = exc
+    records.sort(key=harness.SweepRecord.sort_key)
+    if records:
+        harness.emit_csv(records, csv_path)
+    if failure is not None:
         _write_manifest(args.out, cfg, "FAILED", len(records),
-                        error=f"{type(exc).__name__}: {exc}")
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        traceback.print_exc()
+                        error=f"{type(failure).__name__}: {failure}")
+        print(f"sweep failed: {failure}", file=sys.stderr)
+        traceback.print_exception(failure)
         return EXIT_FAILURE
 
-    records.sort(key=harness.SweepRecord.sort_key)
-    harness.emit_csv(records, csv_path)
     aggregated = harness.aggregate(records, expected_trials=sweep_cfg.trials)
     for attack in sweep_cfg.attacks:
         subset_rows = [a for a in aggregated if a.attack == attack.value]

@@ -101,7 +101,7 @@ def _read_labels(labels_path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 
-# images per read when load_idx reads a selection
+# images per read in load_idx
 _READ_CHUNK = 1024
 
 
@@ -123,8 +123,8 @@ def _read_rows(fh, indices: np.ndarray, size: int) -> np.ndarray:
 
 def load_idx(images_path, labels_path, name: str = "mnist", select=None) -> Dataset:
     """Parse an IDX image/label file pair into a Dataset of its uint8 pixels.
-    ``select(labels)``, if given, returns the increasing indices of the images to
-    keep: the Dataset holds only those, and only their pixels are read."""
+    ``select(labels)`` (None: every image) returns the increasing indices of the
+    images to keep: the Dataset holds only those, and only their pixels are read."""
     with open(images_path, "rb") as fh:
         magic, count, rows, cols = struct.unpack(
             ">IIII", _read_exact(fh, 16, images_path, "image header")
@@ -138,14 +138,11 @@ def load_idx(images_path, labels_path, name: str = "mnist", select=None) -> Data
                 f"{count} images in {images_path} vs {len(labels)} labels in {labels_path}"
             )
         _check_labels(labels)  # of the whole file, before any selection
-        if select is None:
-            pixels = np.frombuffer(fh.read(count * rows * cols), dtype=np.uint8)
-        else:
-            indices = np.asarray(select(labels))
-            if len(indices) and not (0 <= indices[0] and indices[-1] < count
-                                     and np.all(indices[1:] > indices[:-1])):
-                raise ValueError("select must return increasing indices of images in the file")
-            pixels, labels = _read_rows(fh, indices, rows * cols), labels[indices]
+        indices = np.arange(count) if select is None else np.asarray(select(labels))
+        if len(indices) and not (0 <= indices[0] and indices[-1] < count
+                                 and np.all(indices[1:] > indices[:-1])):
+            raise ValueError("select must return increasing indices of images in the file")
+        pixels, labels = _read_rows(fh, indices, rows * cols), labels[indices]
     return Dataset(pixels.reshape(-1, rows, cols, 1), labels, name)
 
 

@@ -9,21 +9,23 @@ running `trials` independently seeded repetitions of the four-step protocol:
     2. train the model (batch 4, 30 epochs by default),
     3. build adversarial test sets for every attack and nonzero epsilon,
     4. evaluate and record accuracy; at epsilon 0 the set is the clean test
-       set (pixels lie in [0, 1], so clamping keeps them), and its row is
-       the clean accuracy measured after step 2.
+       set (pixels lie in [0, 1], so clamping keeps them), and its accuracy
+       is the clean accuracy measured after step 2.
 
 The pool's task is one (architecture, trial), computed as
 ``task_records(cfg, train_task(cfg, architecture, trial))`` by the serial
 sweep, by each worker and by any caller that wants the trained models.
-`train_task` does steps 1 and 2: it trains each model once into a
-`TrainedModel` -- one head per ansatz for qunn, all scored on one
-`quanv.encode` of the clean test set -- and in "surrogate" mode a qunn
-task's surrogate, a classical CNN on the raw pixels.  `task_records` does
-steps 3 and 4, and ``cfg.mode`` alone picks each model's attacker there: the
+`train_task` does steps 1 and 2, every model built and trained once by `_fit`:
+each `TrainedModel` (one head per ansatz for qunn, all scored on one
+`quanv.encode` of the clean test set) and in "surrogate" mode a qunn task's
+surrogate, a classical CNN on the raw pixels.  `task_records` does steps 3
+and 4, and ``cfg.mode`` alone picks each model's attacker there: the
 surrogate for every head in "surrogate" mode, otherwise the model's own
-gradients (through the quanvolution for a head).  It builds each set with
-`attack_batch` (a source's attacks share one clean-image gradient), encodes
-it once if its models have filters, lets them all score it and drops it.
+gradients (through the quanvolution for a head).  It starts each model's row
+with its clean accuracy, builds each set with `attack_batch` (a source's
+attacks share one clean-image gradient), encodes it once if its models have
+filters, lets them all score it and drops it; `run_trial` zips a row with
+the attack's epsilon grid.
 
 Determinism: every random draw is derived from base_seed via stable hashes
 of the cell coordinates other than the attack, so any (architecture, ansatz,
@@ -198,12 +200,21 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(digest.digest(), "little")
 
 
+def _ansatz_label(ansatz_kind: AnsatzKind | None) -> str:
+    return ansatz_kind.value if ansatz_kind is not None else CLASSICAL_ANSATZ
+
+
+def _fit(cfg: SweepConfig, architecture: Architecture, seed: int, inputs) -> nn.Model:
+    """A model of ``architecture`` built from ``seed`` and trained on ``inputs``."""
+    return nn.train(nn.build_model(architecture, cfg.train_data.name, seed), inputs,
+                    cfg.train_data.labels, replace(cfg.train_cfg, seed=seed))
+
+
 def _train_model(cfg: SweepConfig, architecture: Architecture,
                  ansatz_kind: AnsatzKind | None, trial: int, test_encoding) -> TrainedModel:
     """Steps 1 and 2 for one (architecture, ansatz, trial); heads score ``test_encoding``."""
-    dataset = cfg.train_data.name
-    ansatz_label = ansatz_kind.value if ansatz_kind is not None else CLASSICAL_ANSATZ
-    cell_seed = stable_seed(cfg.base_seed, dataset, architecture.value, ansatz_label, trial)
+    cell_seed = stable_seed(cfg.base_seed, cfg.train_data.name, architecture.value,
+                            _ansatz_label(ansatz_kind), trial)
 
     if architecture is Architecture.QUNN:
         qcfg = QuanvConfig(circuit=build_ansatz(ansatz_kind, seed=cell_seed))
@@ -214,8 +225,7 @@ def _train_model(cfg: SweepConfig, architecture: Architecture,
     else:
         qcfg, train_x = None, cfg.train_data.images
 
-    model = nn.build_model(architecture, dataset, cell_seed)
-    nn.train(model, train_x, cfg.train_data.labels, replace(cfg.train_cfg, seed=cell_seed))
+    model = _fit(cfg, architecture, cell_seed, train_x)
     return TrainedModel(model, qcfg,
                         train_accuracy=nn.evaluate(model, train_x, cfg.train_data.labels),
                         clean_accuracy=_accuracy(model, qcfg, cfg.test_data.images,
@@ -232,27 +242,16 @@ def train_task(cfg: SweepConfig, architecture: Architecture, trial: int) -> Trai
     surrogate = None
     if qunn and cfg.mode == "surrogate":
         seed = stable_seed(cfg.base_seed, "surrogate", cfg.train_data.name, trial)
-        surrogate = nn.train(
-            nn.build_model(Architecture.CLASSICAL_CNN, cfg.train_data.name, seed),
-            cfg.train_data.images, cfg.train_data.labels, replace(cfg.train_cfg, seed=seed))
+        surrogate = _fit(cfg, Architecture.CLASSICAL_CNN, seed, cfg.train_data.images)
     return TrainedTask(architecture, trial, models, surrogate)
 
 
-def run_trial(
-    cfg: SweepConfig,
-    architecture: Architecture,
-    ansatz_kind: AnsatzKind | None,
-    attack: AttackKind,
-    trial: int,
-    trained: TrainedModel,
-    adversarial_accuracies,
-) -> list[SweepRecord]:
-    """The records of one cell and one trial: ``trained``'s accuracies on the
-    attack's adversarial test sets, one per nonzero epsilon of its grid in
-    order (as `task_records` scores them), after its clean accuracy, the row
-    of the grid's first epsilon, 0."""
-    ansatz_label = ansatz_kind.value if ansatz_kind is not None else CLASSICAL_ANSATZ
-    accuracies = [trained.clean_accuracy, *adversarial_accuracies]
+def run_trial(cfg: SweepConfig, architecture: Architecture, ansatz_kind: AnsatzKind | None,
+              attack: AttackKind, trial: int, accuracies) -> list[SweepRecord]:
+    """The records of one cell and one trial: ``accuracies`` holds one model's
+    accuracy at each epsilon of the attack's grid, in order, as `task_records`
+    scores them (the clean accuracy at the grid's first epsilon, 0)."""
+    ansatz_label = _ansatz_label(ansatz_kind)
     return [SweepRecord(
         dataset=cfg.train_data.name, architecture=architecture.value, ansatz=ansatz_label,
         attack=attack.value, mode=cfg.mode, epsilon=float(epsilon), trial=trial, accuracy=accuracy,
@@ -277,15 +276,15 @@ def task_records(cfg: SweepConfig, task: TrainedTask):
     for source, models in groups:
         clean_gradient = functools.cache(functools.partial(source.gradient, images, labels))
         for attack in cfg.attacks:
-            accuracies = [[] for _ in models]
+            accuracies = [[trained.clean_accuracy] for _, trained in models]
             for epsilon in cfg.epsilons_for(attack)[1:]:
                 adv = attack_batch(source, images, labels, AttackConfig(
                     attack, epsilon, clamp=cfg.clamp), gradient=clean_gradient())
                 encoding = quanv.encode(adv) if qunn else None
                 for row, (_, trained) in zip(accuracies, models):
                     row.append(trained.evaluate(adv, labels, encoding))
-            for (kind, trained), row in zip(models, accuracies):
-                yield run_trial(cfg, task.architecture, kind, attack, task.trial, trained, row)
+            for (kind, _), row in zip(models, accuracies):
+                yield run_trial(cfg, task.architecture, kind, attack, task.trial, row)
 
 
 def _run_task(task) -> list[list[SweepRecord]]:

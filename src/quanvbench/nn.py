@@ -243,10 +243,18 @@ def forward(model: Model, x: np.ndarray, training=False, rng=None):
     return e / e.sum(axis=-1, keepdims=True), caches
 
 
+def _batch_labels(x, labels) -> np.ndarray:
+    """``labels`` as an array, checked to hold one class per input of the batch ``x``."""
+    labels = np.asarray(labels)
+    if labels.shape != np.shape(x)[:1]:
+        raise ValueError(f"labels {labels.shape} do not match a batch of {np.shape(x)[:1]} inputs")
+    return labels
+
+
 def loss(model: Model, x: np.ndarray, labels) -> float:
     """Mean softmax cross-entropy of a batch and its labels."""
+    labels = _batch_labels(x, labels)
     probs, _ = forward(model, x)
-    labels = np.asarray(labels)
     picked = np.clip(probs[np.arange(len(labels)), labels], 1e-12, None)
     return float(-np.log(picked).mean())
 
@@ -277,10 +285,7 @@ def input_gradient(model: Model, x: np.ndarray, labels: np.ndarray) -> np.ndarra
     ``x`` is an (N, *input_shape) batch and ``labels`` its (N,) classes; row i
     of the result is the gradient of image i's loss alone (no 1/N).
     """
-    labels = np.asarray(labels)
-    if labels.shape != np.shape(x)[:1]:
-        raise ValueError(f"labels {labels.shape} do not match a batch of "
-                         f"{np.shape(x)[:1]} inputs")
+    labels = _batch_labels(x, labels)
     dout, caches = _dlogits(model, x, labels)  # then each layer's input gradient
     for li in range(len(model.layers) - 1, -1, -1):
         dout = model.layers[li].backward(dout, caches[li])
@@ -289,9 +294,9 @@ def input_gradient(model: Model, x: np.ndarray, labels: np.ndarray) -> np.ndarra
 
 def evaluate(model: Model, inputs: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of argmax predictions equal to the labels."""
-    labels = np.asarray(labels)
     if len(inputs) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    labels = _batch_labels(inputs, labels)
     probs, _ = forward(model, inputs)
     return float(np.mean(np.argmax(probs, axis=1) == labels))
 
@@ -359,11 +364,9 @@ def train(model: Model, inputs, labels, cfg: TrainConfig):
     from one seeded generator.  The model is updated in place.
     """
     inputs = np.asarray(inputs, dtype=float)
-    labels = np.asarray(labels)
     if len(inputs) == 0:
         raise ValueError("cannot train on an empty dataset")
-    if len(inputs) != len(labels):
-        raise ValueError(f"{len(inputs)} inputs vs {len(labels)} labels")
+    labels = _batch_labels(inputs, labels)
     if labels.min() < 0 or labels.max() >= N_CLASSES:
         raise ValueError("labels must lie in [0, 10)")
 

@@ -48,8 +48,8 @@ float64 maps' values rounded, and cost no float64 copy of the whole batch.
 `quanvbench quanvolve` writes its feature maps in the QNVF container:
 little-endian header (magic "QNVF", version u32, count u32, H u32, W u32,
 C u32, metadata hash u64) followed by the maps as row-major float32.
-`write_qnvf` takes the maps as an iterable of blocks, so they can be
-computed while the file is written and never all be held.
+`write_qnvf` takes the maps as an iterable of blocks and their shape, so they
+can be computed while the file is written and never all be held.
 """
 from __future__ import annotations
 
@@ -294,19 +294,16 @@ def quanvolve_with_pullback(images: np.ndarray, cfg: QuanvConfig):
     return contract(cfg, encoding), functools.partial(_pullback, cfg, *encoding)
 
 
-def write_qnvf(path, maps, meta_hash: int = 0, shape=None) -> None:
-    """Serialize feature maps as a QNVF container at ``path``.
+def write_qnvf(path, blocks, shape, meta_hash: int = 0) -> None:
+    """Serialize the (N, H, W, C) maps of ``shape`` as a QNVF container at ``path``.
 
-    ``maps`` is an (N, H, W, C) array, which counts as one block, or an
-    iterable of (n, H, W, C) blocks, in order, together making up the maps
-    of ``shape``.  Each block is written as it comes, so the whole maps need
+    ``blocks`` yields them in order as (n, H, W, C) blocks, each written as it
+    comes (after the header, which declares ``shape``), so the whole maps need
     never exist.  The file is written under a temporary name in the same
     directory and renamed to ``path`` once complete: if anything fails,
     producing a block included, the temporary file is removed and a file
     already at ``path`` keeps its bytes.
     """
-    if isinstance(maps, np.ndarray):
-        shape, maps = maps.shape, (maps,)
     if len(shape) != 4:
         raise ValueError(f"expected (N, H, W, C) maps, got shape {shape}")
     count, height, width, channels = shape
@@ -318,7 +315,7 @@ def write_qnvf(path, maps, meta_hash: int = 0, shape=None) -> None:
         with open(partial, "wb") as fh:
             fh.write(header)
             written = 0
-            for block in maps:
+            for block in blocks:
                 block = np.ascontiguousarray(block, dtype="<f4")
                 written += len(block)
                 if block.shape[1:] != (height, width, channels) or written > count:

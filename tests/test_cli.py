@@ -224,7 +224,8 @@ def test_cmd_quanvolve_writes_the_maps_of_the_concatenated_images(idx_dir, tmp_p
     images = np.concatenate([train.images, test.images])
     qcfg = QuanvConfig(circuit=build_ansatz(AnsatzKind.RANDOM, seed=4))
     expected = tmp_path / "expected.qnvf"
-    quanv.write_qnvf(expected, quanv.quanvolve_dataset(images, qcfg).astype(np.float32),
+    maps = quanv.quanvolve_dataset(images, qcfg).astype(np.float32)
+    quanv.write_qnvf(expected, [maps], maps.shape,
                      meta_hash=harness.stable_seed("mnist", "random", 4, 70, 40,
                                                    zlib.crc32(images)))
     assert out.read_bytes() == expected.read_bytes()
@@ -511,7 +512,10 @@ def test_cmd_sweep_seed_override_changes_hash(tmp_path):
     assert m2["config"]["base_seed"] == "99"
 
 
-def test_cmd_sweep_failure_preserves_partial_csv(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("failing_call, cells_kept", [(3, 2), (1, 0)],
+                         ids=["third-cell", "first-cell"])
+def test_cmd_sweep_failure_preserves_partial_csv(tmp_path, capsys, monkeypatch,
+                                                 failing_call, cells_kept):
     from quanvbench import harness
 
     config = tmp_path / "sweep.cfg"
@@ -521,21 +525,28 @@ def test_cmd_sweep_failure_preserves_partial_csv(tmp_path, capsys, monkeypatch):
     real = harness.run_trial
     calls = {"n": 0}
 
-    def explode_on_third(*args, **kwargs):
+    def explode(*args, **kwargs):
         calls["n"] += 1
-        if calls["n"] == 3:
+        if calls["n"] == failing_call:
             raise RuntimeError("injected mid-run failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "run_trial", explode_on_third)
+    monkeypatch.setattr(harness, "run_trial", explode)
     rc = main(["sweep", "--config", str(config), "--out", str(out_dir)])
     assert rc == EXIT_FAILURE
 
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["status"] == "FAILED"
     assert "injected" in manifest["error"]
-    csv_lines = (out_dir / "results.csv").read_text().splitlines()
-    assert len(csv_lines) == 1 + 6  # two completed cell-trials of 3 epsilons
+    assert manifest["records_written"] == 3 * cells_kept  # 3 epsilons per cell-trial
+    err = capsys.readouterr().err
+    assert "sweep failed: injected mid-run failure" in err
+    assert "Traceback (most recent call last)" in err and "RuntimeError" in err
+    if cells_kept:
+        csv_lines = (out_dir / "results.csv").read_text().splitlines()
+        assert len(csv_lines) == 1 + 3 * cells_kept
+    else:
+        assert not (out_dir / "results.csv").exists()
 
 
 def test_cmd_sweep_missing_config_exit_2(tmp_path, capsys):

@@ -266,6 +266,19 @@ def test_input_gradient_rejects_unbatched_or_mislabelled_input(rng):
 # train / evaluate
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("labels", [np.array([3]), np.array([3, 3]), np.full((5, 1), 3)],
+                         ids=["one", "too-few", "a-column"])
+@pytest.mark.parametrize("score", [evaluate, nn.loss, input_gradient,
+                                   lambda m, x, y: train(m, x, y, TrainConfig(epochs=1))],
+                         ids=["evaluate", "loss", "input_gradient", "train"])
+def test_labels_that_are_not_one_per_image_are_rejected(score, labels):
+    # broadcast, [3] would score all five images against class 3 (evaluate)
+    # or score image 0 alone (loss)
+    m = zero_weights(build_model(Architecture.CLASSICAL_FC, "mnist", seed=0))
+    with pytest.raises(ValueError, match="do not match a batch"):
+        score(m, np.zeros((5, 28, 28, 1)), labels)
+
+
 def test_train_memorizes_small_dataset(rng):
     xs, ys = random_dataset(rng)
     m = build_model(Architecture.CLASSICAL_CNN, "mnist", seed=11)

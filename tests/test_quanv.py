@@ -516,7 +516,7 @@ def test_batched_gradient_rows_match_one_image_batches(rng):
 def test_qnvf_round_trip(tmp_path, rng):
     maps = rng.uniform(-1, 1, (3, 4, 5, 4)).astype(np.float32)
     path = tmp_path / "maps.qnvf"
-    quanv.write_qnvf(path, maps, meta_hash=0xDEADBEEF)
+    quanv.write_qnvf(path, [maps], maps.shape, meta_hash=0xDEADBEEF)
     loaded, meta = quanv.read_qnvf(path)
     assert meta == 0xDEADBEEF
     assert np.array_equal(loaded, maps)
@@ -525,15 +525,15 @@ def test_qnvf_round_trip(tmp_path, rng):
 def test_qnvf_write_is_deterministic(tmp_path, rng):
     maps = rng.uniform(-1, 1, (2, 3, 3, 4))
     p1, p2 = tmp_path / "a.qnvf", tmp_path / "b.qnvf"
-    quanv.write_qnvf(p1, maps, meta_hash=7)
-    quanv.write_qnvf(p2, maps, meta_hash=7)
+    quanv.write_qnvf(p1, [maps], maps.shape, meta_hash=7)
+    quanv.write_qnvf(p2, [maps], maps.shape, meta_hash=7)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_qnvf_rejects_corruption(tmp_path, rng):
     maps = rng.uniform(-1, 1, (2, 3, 3, 4))
     path = tmp_path / "c.qnvf"
-    quanv.write_qnvf(path, maps)
+    quanv.write_qnvf(path, [maps], maps.shape)
     raw = path.read_bytes()
 
     bad_magic = tmp_path / "bad_magic.qnvf"
@@ -550,8 +550,8 @@ def test_qnvf_rejects_corruption(tmp_path, rng):
 def test_qnvf_blocks_write_the_bytes_of_the_whole_array(tmp_path, rng):
     maps = rng.uniform(-1, 1, (7, 3, 3, 4))
     whole, blocks = tmp_path / "whole.qnvf", tmp_path / "blocks.qnvf"
-    quanv.write_qnvf(whole, maps, meta_hash=11)
-    quanv.write_qnvf(blocks, (maps[:3], maps[3:3], maps[3:]), meta_hash=11, shape=maps.shape)
+    quanv.write_qnvf(whole, [maps], maps.shape, meta_hash=11)
+    quanv.write_qnvf(blocks, (maps[:3], maps[3:3], maps[3:]), maps.shape, meta_hash=11)
     assert blocks.read_bytes() == whole.read_bytes()
 
 
@@ -564,7 +564,7 @@ def test_qnvf_blocks_that_do_not_make_up_the_shape_leave_no_file(tmp_path, rng, 
     maps = rng.uniform(-1, 1, (7, 3, 3, 4))
     path = tmp_path / "maps.qnvf"
     with pytest.raises(ValueError):
-        quanv.write_qnvf(path, blocks(maps), shape=maps.shape)
+        quanv.write_qnvf(path, blocks(maps), maps.shape)
     assert list(tmp_path.iterdir()) == []
 
 
