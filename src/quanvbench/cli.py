@@ -46,7 +46,9 @@ clock.  source=idx expects the conventional file names
 (train-images-idx3-ubyte, train-labels-idx1-ubyte, t10k-images-idx3-ubyte,
 t10k-labels-idx1-ubyte) in dataset_dir/<dataset>, or in dataset_dir itself
 when that subdirectory does not exist; source=synthetic uses the built-in
-procedural stand-in corpus instead.
+procedural stand-in corpus instead.  The CLI lower-cases the dataset name,
+the one place a name is normalised; the input rules live in `data` (DATASETS,
+check_labels), `nn.IMAGE_SHAPE` and `harness.SweepConfig`.
 """
 from __future__ import annotations
 
@@ -181,8 +183,8 @@ def _select_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
     """Resolve config to stratified train/test subsets; an IDX source's
     images stay bytes, and only the selected ones are read."""
     name = cfg["dataset"].lower()
-    if name not in ("mnist", "fmnist"):
-        raise ConfigError(f"dataset: expected mnist or fmnist, got {cfg['dataset']!r}")
+    if name not in data.DATASETS:
+        raise ConfigError(f"dataset: expected one of {data.DATASETS}, got {cfg['dataset']!r}")
     n_train, n_test = _int(cfg, "n_train"), _int(cfg, "n_test")
     seed = _int(cfg, "subset_seed")
 
@@ -410,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("quanvolve", help="write quanvolved feature maps as a QNVF file")
-    q.add_argument("--dataset", default="mnist", choices=("mnist", "fmnist"))
+    q.add_argument("--dataset", default="mnist", choices=data.DATASETS)
     q.add_argument("--dataset-dir", help="directory with the IDX files")
     q.add_argument("--synthetic", action="store_true",
                    help="use the built-in stand-in corpus instead of IDX files")

@@ -16,6 +16,9 @@ never holds a whole image file.  `quanvbench quanvolve` hands its selection
 to the quantum layer as bytes, one block of images at a time.  There a byte
 is `pixels` of it too, and a filter whose channels each read one pixel
 looks bytes up in its ``byte_table``, built from `pixels` of all 256 bytes.
+
+The input contract is stated here once: `DATASETS`, `N_CLASSES` and the label
+rule `check_labels`, which a `Dataset`, an IDX label file and `nn` apply.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ import numpy as np
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+DATASETS = ("mnist", "fmnist")
 N_CLASSES = 10
 
 
@@ -48,8 +52,8 @@ class IdxCountMismatchError(IdxParseError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Images (N, H, W, 1) with integer labels below 10.  Float pixels must
-    be finite and in [0, 1]: this is the program's one check of input pixels.
+    """Images (N, H, W, 1), one class per image (`check_labels`).  Float pixels
+    must be finite and in [0, 1]: this is the program's one check of input pixels.
     A uint8 pool, or a selection from one, holds raw IDX bytes, byte b
     meaning pixel b / 255 as `pixels` makes it, also where the quantum
     layer reads bytes."""
@@ -59,11 +63,7 @@ class Dataset:
     name: str
 
     def __post_init__(self):
-        if len(self.images) != len(self.labels):
-            raise IdxCountMismatchError(
-                f"{len(self.images)} images vs {len(self.labels)} labels"
-            )
-        _check_labels(self.labels)
+        check_labels(self.labels, len(self.images))
         images = self.images
         # every byte is a pixel in [0, 1]; min and max of float pixels are
         # NaN if any pixel is, which fails both comparisons
@@ -75,9 +75,15 @@ class Dataset:
         return len(self.images)
 
 
-def _check_labels(labels: np.ndarray) -> None:
-    if labels.dtype.kind not in "iu" or len(labels) and not 0 <= labels.min() <= labels.max() < N_CLASSES:
+def check_labels(labels, count: int) -> np.ndarray:
+    """``labels`` as an array, checked to hold one class per input of a batch
+    of ``count``: integers in [0, N_CLASSES)."""
+    labels = np.asarray(labels)
+    if labels.shape != (count,):
+        raise ValueError(f"labels {labels.shape} do not match a batch of {count} inputs")
+    if labels.dtype.kind not in "iu" or count and not 0 <= labels.min() <= labels.max() < N_CLASSES:
         raise ValueError(f"labels must be integers in [0, {N_CLASSES}), got {labels.dtype}")
+    return labels
 
 
 def _check_remaining(fh, n: int, path, what: str) -> None:
@@ -137,7 +143,7 @@ def load_idx(images_path, labels_path, name: str = "mnist", select=None) -> Data
             raise IdxCountMismatchError(
                 f"{count} images in {images_path} vs {len(labels)} labels in {labels_path}"
             )
-        _check_labels(labels)  # of the whole file, before any selection
+        check_labels(labels, count)  # of the whole file, before any selection
         indices = np.arange(count) if select is None else np.asarray(select(labels))
         if len(indices) and not (0 <= indices[0] and indices[-1] < count
                                  and np.all(indices[1:] > indices[:-1])):

@@ -46,7 +46,7 @@ import numpy as np
 from . import nn, quanv
 from .ansatz import AnsatzKind, build_ansatz
 from .attacks import AttackConfig, AttackKind, EndToEndSource, SurrogateSource, attack_batch
-from .data import Dataset
+from .data import DATASETS, Dataset
 from .nn import Architecture
 from .quanv import QuanvConfig
 
@@ -78,12 +78,12 @@ class SweepConfig:
             if split.images.dtype.kind != "f":
                 raise ValueError(f"images must be float pixels, got {split.images.dtype}: "
                                  f"convert raw IDX bytes with data.pixels first")
-            if split.images.shape[1:] != (28, 28, 1):
-                raise ValueError(f"images must be 28x28x1, the input every architecture "
-                                 f"is built for, got {split.images.shape[1:]}")
+            if split.images.shape[1:] != nn.IMAGE_SHAPE:
+                raise ValueError(f"images must be {'x'.join(map(str, nn.IMAGE_SHAPE))}, the "
+                                 f"input of every architecture, got {split.images.shape[1:]}")
         dataset = self.train_data.name
-        if dataset not in ("mnist", "fmnist"):
-            raise ValueError(f"train_data.name must be mnist or fmnist, got {dataset!r}")
+        if dataset not in DATASETS:
+            raise ValueError(f"train_data.name must be {' or '.join(DATASETS)}, got {dataset!r}")
         if self.test_data.name != dataset:  # every row is labelled with the train set's name
             raise ValueError(f"test_data.name must be {dataset!r} too, got {self.test_data.name!r}")
         if not isinstance(self.train_cfg, nn.TrainConfig):
@@ -110,6 +110,9 @@ class SweepConfig:
             raise ValueError(f"unknown gradient mode {self.mode!r}")
         if not isinstance(self.clamp, bool):
             raise ValueError(f"clamp must be True or False, got {self.clamp!r}")
+        for name in ("epsilons", "fgsm_extra_epsilons"):
+            if not isinstance(getattr(self, name), tuple):
+                raise ValueError(f"{name} must be a tuple, got {getattr(self, name)!r}")
         for grid in (self.epsilons, self.epsilons_for(AttackKind.FGSM)):
             if not all(math.isfinite(e) for e in grid):
                 raise ValueError(f"epsilon grid must be finite, got {grid}")

@@ -12,6 +12,10 @@ applies the softmax, and `loss` is the mean cross-entropy of a batch.
 Weights use seeded Glorot-uniform initialization with zero biases, so the
 same seed always rebuilds the same model.
 
+`build_model` takes a name in `data.DATASETS`; `loss`, `input_gradient`,
+`evaluate` and `train` check their labels with `data.check_labels`.  The
+classical models read IMAGE_SHAPE (28x28x1) images, the qunn head 14x14x4 maps.
+
 Tensors are row-major numpy arrays; images are (H, W, C) and every layer
 works on (N, ...) batches.  Layer forward/backward are functional
 (caches are passed, not stored), so inference and input gradients on a
@@ -36,7 +40,9 @@ from enum import Enum
 
 import numpy as np
 
-N_CLASSES = 10
+from .data import DATASETS, N_CLASSES, check_labels
+
+IMAGE_SHAPE = (28, 28, 1)
 # the rate of the FMNIST hidden block's dropout
 DROP_PROB = 0.3
 
@@ -199,23 +205,15 @@ class Model:
 def build_model(arch: Architecture, dataset: str, seed: int) -> Model:
     """Assemble one of the three architectures with seeded initialization."""
     arch = Architecture(arch)
-    dataset = dataset.lower()
-    if dataset not in ("mnist", "fmnist"):
+    if dataset not in DATASETS:
         raise ValueError(f"unknown dataset {dataset!r}")
     rng = np.random.default_rng(seed)
 
-    layers: list = []
-    if arch is Architecture.CLASSICAL_CNN:
-        input_shape = (28, 28, 1)
-        layers += [Conv2D(4, rng), ReLU()]
-        flat = 14 * 14 * 4
-    elif arch is Architecture.QUNN:
-        input_shape = (14, 14, 4)
-        flat = 14 * 14 * 4
-    else:
-        input_shape = (28, 28, 1)
-        flat = 28 * 28
+    input_shape = (14, 14, 4) if arch is Architecture.QUNN else IMAGE_SHAPE
+    layers: list = [Conv2D(4, rng), ReLU()] if arch is Architecture.CLASSICAL_CNN else []
     layers.append(Flatten())
+    # the convolution's 14x14x4 output holds as many values as its 28x28x1 input
+    flat = math.prod(input_shape)
     if dataset == "fmnist":
         layers += [Dense(flat, 128, rng), ReLU(), Dropout()]
         flat = 128
@@ -243,17 +241,9 @@ def forward(model: Model, x: np.ndarray, training=False, rng=None):
     return e / e.sum(axis=-1, keepdims=True), caches
 
 
-def _batch_labels(x, labels) -> np.ndarray:
-    """``labels`` as an array, checked to hold one class per input of the batch ``x``."""
-    labels = np.asarray(labels)
-    if labels.shape != np.shape(x)[:1]:
-        raise ValueError(f"labels {labels.shape} do not match a batch of {np.shape(x)[:1]} inputs")
-    return labels
-
-
 def loss(model: Model, x: np.ndarray, labels) -> float:
     """Mean softmax cross-entropy of a batch and its labels."""
-    labels = _batch_labels(x, labels)
+    labels = check_labels(labels, len(x))
     probs, _ = forward(model, x)
     picked = np.clip(probs[np.arange(len(labels)), labels], 1e-12, None)
     return float(-np.log(picked).mean())
@@ -285,7 +275,7 @@ def input_gradient(model: Model, x: np.ndarray, labels: np.ndarray) -> np.ndarra
     ``x`` is an (N, *input_shape) batch and ``labels`` its (N,) classes; row i
     of the result is the gradient of image i's loss alone (no 1/N).
     """
-    labels = _batch_labels(x, labels)
+    labels = check_labels(labels, len(x))
     dout, caches = _dlogits(model, x, labels)  # then each layer's input gradient
     for li in range(len(model.layers) - 1, -1, -1):
         dout = model.layers[li].backward(dout, caches[li])
@@ -296,7 +286,7 @@ def evaluate(model: Model, inputs: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of argmax predictions equal to the labels."""
     if len(inputs) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    labels = _batch_labels(inputs, labels)
+    labels = check_labels(labels, len(inputs))
     probs, _ = forward(model, inputs)
     return float(np.mean(np.argmax(probs, axis=1) == labels))
 
@@ -366,9 +356,7 @@ def train(model: Model, inputs, labels, cfg: TrainConfig):
     inputs = np.asarray(inputs, dtype=float)
     if len(inputs) == 0:
         raise ValueError("cannot train on an empty dataset")
-    labels = _batch_labels(inputs, labels)
-    if labels.min() < 0 or labels.max() >= N_CLASSES:
-        raise ValueError("labels must lie in [0, 10)")
+    labels = check_labels(labels, len(inputs))
 
     rng = np.random.default_rng(cfg.seed)
     opt = _Adam(cfg.learning_rate, model.flat.size)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset
+from .data import N_CLASSES, Dataset
 
 _BLOCK = 64  # images rendered together; bounds the working set
 
@@ -143,7 +143,6 @@ def _dilate(img: np.ndarray) -> np.ndarray:
 
 def synthetic_dataset(name: str, count: int, seed: int) -> Dataset:
     """Seeded look-alike corpus; name is "mnist" (digits) or "fmnist"."""
-    name = name.lower()
     if name == "mnist":
         # digits are well-centered, like the centroid-normalized originals
         bases = [_upscale(_glyph_mask(g), 3) for g in _DIGIT_GLYPHS]
@@ -159,8 +158,8 @@ def synthetic_dataset(name: str, count: int, seed: int) -> Dataset:
     h, w = bases[0].shape
 
     rng = np.random.default_rng(seed)
-    labels = rng.integers(0, 10, size=count)
-    images = np.empty((count, 28, 28, 1))
+    labels = rng.integers(0, N_CLASSES, size=count)
+    images = np.empty((count, 28, 28))
     for start in range(0, count, _BLOCK):
         block_labels = labels[start : start + _BLOCK]
         k = len(block_labels)
@@ -180,5 +179,5 @@ def synthetic_dataset(name: str, count: int, seed: int) -> Dataset:
             noises[i] = rng.normal(0.0, noise, (28, 28))
         for _ in range(blur_passes):
             block = _box_blur(block)
-        np.clip(block * scales + noises, 0.0, 1.0, out=images[start : start + k, :, :, 0])
-    return Dataset(images, labels.astype(np.int64), name)
+        np.clip(block * scales + noises, 0.0, 1.0, out=images[start : start + k])
+    return Dataset(images[..., None], labels.astype(np.int64), name)

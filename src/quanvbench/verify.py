@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn, qsim, quanv
+from . import data, nn, qsim, quanv
 from .ansatz import AnsatzKind, build_ansatz
 from .attacks import AttackConfig, AttackKind, EndToEndSource, SurrogateSource, attack_batch
 from .nn import Architecture
@@ -162,7 +162,7 @@ def check_backprop_gradients() -> tuple[bool, str]:
     rng = np.random.default_rng(404)
     h = 1e-4
     worst = 0.0
-    for arch, dataset in ((Architecture.CLASSICAL_CNN, "mnist"), (Architecture.QUNN, "fmnist")):
+    for arch, dataset in zip((Architecture.CLASSICAL_CNN, Architecture.QUNN), data.DATASETS):
         model = nn.build_model(arch, dataset, seed=505)
         x = rng.uniform(0, 1, model.input_shape)
         label = int(rng.integers(10))
@@ -191,10 +191,10 @@ def check_end_to_end_gradients() -> tuple[bool, str]:
     rng = np.random.default_rng(1001)
     h = 1e-5
     worst = 0.0
-    for kind, dataset in zip(AnsatzKind, itertools.cycle(("mnist", "fmnist"))):
+    for kind, dataset in zip(AnsatzKind, itertools.cycle(data.DATASETS)):
         source = EndToEndSource(QuanvConfig(circuit=build_ansatz(kind, seed=1002)),
                                 nn.build_model(Architecture.QUNN, dataset, seed=1003))
-        images = rng.uniform(0, 1, (3, 28, 28, 1))
+        images = rng.uniform(0, 1, (3, *nn.IMAGE_SHAPE))
         labels = rng.integers(0, 10, len(images))
         for img, label, grad in zip(images, labels, source.gradient(images, labels)):
             def loss(x):
@@ -217,7 +217,7 @@ def check_end_to_end_gradients() -> tuple[bool, str]:
 def _toy_source() -> SurrogateSource:
     rng = np.random.default_rng(606)
     model = nn.build_model(Architecture.CLASSICAL_CNN, "mnist", seed=606)
-    xs = rng.uniform(0, 1, (16, 28, 28, 1))
+    xs = rng.uniform(0, 1, (16, *nn.IMAGE_SHAPE))
     ys = rng.integers(0, 10, 16)
     nn.train(model, xs, ys, nn.TrainConfig(epochs=3, seed=606))
     return SurrogateSource(model)
@@ -228,7 +228,7 @@ def check_attack_reductions() -> tuple[bool, str]:
     rng = np.random.default_rng(707)
     source = _toy_source()
     for trial in range(5):
-        imgs = rng.uniform(0, 1, (5, 28, 28, 1))
+        imgs = rng.uniform(0, 1, (5, *nn.IMAGE_SHAPE))
         labels = rng.integers(0, 10, 5)
         eps = float(rng.uniform(0.05, 0.5))
         attack = functools.partial(attack_batch, source, imgs, labels)
@@ -255,7 +255,7 @@ def check_epsilon_ball() -> tuple[bool, str]:
     worst = 0.0
     for kind in AttackKind:
         for _ in range(100):
-            imgs = rng.uniform(0, 1, (5, 28, 28, 1))
+            imgs = rng.uniform(0, 1, (5, *nn.IMAGE_SHAPE))
             labels = rng.integers(0, 10, 5)
             cfg = AttackConfig(
                 kind,

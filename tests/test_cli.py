@@ -71,6 +71,14 @@ def test_config_defaults_are_the_sweep_config_defaults():
     assert cfg.train_cfg == nn.TrainConfig()
 
 
+def test_config_dataset_name_is_lower_cased_once():
+    # the CLI normalises the name a user typed; data, nn and synthdata take
+    # the lower-case names alone
+    cfg = cli.build_sweep_config(parse_config_text(
+        TINY_SWEEP.replace("dataset = mnist", "dataset = MNIST")))
+    assert (cfg.train_data.name, cfg.test_data.name) == ("mnist", "mnist")
+
+
 def test_config_rejects_unknown_key():
     with pytest.raises(cli.ConfigError, match="no_such_key"):
         parse_config_text("no_such_key = 1\n")

@@ -398,14 +398,18 @@ def test_sweep_config_rejects_a_repeated_name(name, values):
     ("train_data", "cifar", ".name must be mnist or fmnist, got 'cifar'"),
     ("test_data", "fmnist", ".name must be 'mnist' too, got 'fmnist'"),
     ("train_cfg", {"epochs": 1}, " must be an nn.TrainConfig, got {'epochs': 1}"),
+    ("epsilons", [0.0, 0.1], " must be a tuple, got [0.0, 0.1]"),
+    ("fgsm_extra_epsilons", [15.0], " must be a tuple, got [15.0]"),
+    ("epsilons", np.array([0.0, 0.1]), " must be a tuple, got array("),
 ], ids=["architectures", "ansatz_kinds", "attacks", "train_data_name", "test_data_name",
-        "train_cfg"])
+        "train_cfg", "epsilons_list", "fgsm_extra_epsilons_list", "epsilons_ndarray"])
 def test_sweep_config_rejects_a_name_that_is_not_a_member(name, value, message):
     # unchecked, the names a config file holds, passed unparsed, would fail
     # only when a task reads their .value or builds an AttackConfig; a set
     # named "cifar" would fail only in nn.build_model, a test set of another
-    # dataset would have every row labelled with the train set's name, and a
-    # train_cfg dict would fail at the first replace()
+    # dataset would have every row labelled with the train set's name, a
+    # train_cfg dict would fail at the first replace(), and a list or array
+    # epsilon grid would fail at epsilons_for's tuple concatenation
     if name.endswith("_data"):  # the set of that name
         split = getattr(tiny_config(), name)
         value = Dataset(split.images, split.labels, value)

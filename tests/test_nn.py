@@ -266,17 +266,31 @@ def test_input_gradient_rejects_unbatched_or_mislabelled_input(rng):
 # train / evaluate
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("labels", [np.array([3]), np.array([3, 3]), np.full((5, 1), 3)],
-                         ids=["one", "too-few", "a-column"])
+@pytest.mark.parametrize("labels, n_images, message", [
+    (np.array([3]), 5, "do not match a batch"),
+    (np.array([3, 3]), 5, "do not match a batch"),
+    (np.full((5, 1), 3), 5, "do not match a batch"),
+    (np.array([12, -1, 40]), 3, "labels must be integers"),
+    (np.array([0.5, 1.0, 2.0]), 3, "labels must be integers"),
+    (np.array([True, False, True]), 3, "labels must be integers"),
+], ids=["one", "too-few", "a-column", "out-of-range", "floats", "bools"])
 @pytest.mark.parametrize("score", [evaluate, nn.loss, input_gradient,
                                    lambda m, x, y: train(m, x, y, TrainConfig(epochs=1))],
                          ids=["evaluate", "loss", "input_gradient", "train"])
-def test_labels_that_are_not_one_per_image_are_rejected(score, labels):
+def test_labels_that_are_not_one_per_image_are_rejected(score, labels, n_images, message):
     # broadcast, [3] would score all five images against class 3 (evaluate)
-    # or score image 0 alone (loss)
+    # or score image 0 alone (loss); a label that is not a class would score
+    # 0 (evaluate) or index past the class axis (loss, input_gradient, train)
     m = zero_weights(build_model(Architecture.CLASSICAL_FC, "mnist", seed=0))
-    with pytest.raises(ValueError, match="do not match a batch"):
-        score(m, np.zeros((5, 28, 28, 1)), labels)
+    with pytest.raises(ValueError, match=message):
+        score(m, np.zeros((n_images, 28, 28, 1)), labels)
+
+
+def test_build_model_takes_only_the_dataset_names():
+    # a name is normalised where a user types it, in the CLI, and nowhere else
+    for name in ("MNIST", "cifar"):
+        with pytest.raises(ValueError, match="unknown dataset"):
+            build_model(Architecture.QUNN, name, 0)
 
 
 def test_train_memorizes_small_dataset(rng):

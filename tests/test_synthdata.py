@@ -42,8 +42,9 @@ def test_classes_are_visually_distinct():
 
 
 def test_unknown_name_rejected():
-    with pytest.raises(ValueError):
-        synthetic_dataset("cifar", 10, seed=0)
+    for name in ("cifar", "MNIST"):  # only the CLI lower-cases a name
+        with pytest.raises(ValueError):
+            synthetic_dataset(name, 10, seed=0)
 
 
 @pytest.mark.parametrize("name, count, seed, digest", [
