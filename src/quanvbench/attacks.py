@@ -97,8 +97,9 @@ class EndToEndSource:
         self.head = head
 
     def gradient(self, images, labels):
-        features, pullback = quanv.quanvolve_with_pullback(images, self.quanv_cfg)
-        return pullback(nn.input_gradient(self.head, features, labels))
+        encoding = quanv.encode(images)
+        upstream = nn.input_gradient(self.head, quanv.contract(self.quanv_cfg, encoding), labels)
+        return quanv.pullback(self.quanv_cfg, encoding, upstream)
 
 
 def _clamped(x: np.ndarray, clamp: bool) -> np.ndarray:

@@ -27,9 +27,9 @@ Recognized keys, with defaults in brackets:
     dataset_dir    directory with the IDX files (source=idx)
     n_train        training subset size                    [50]
     n_test         test subset size                        [30]
-    subset_seed    subset selection seed                   [0]
+    subset_seed    subset selection seed, >= 0             [0]
     synth_count    pool size when source=synthetic         [600]
-    synth_seed     generator seed when source=synthetic    [7]
+    synth_seed     generator seed when source=synthetic, >= 0  [7]
     architectures  comma list                              [classical_cnn, classical_fc, qunn]
     ansatz_list    comma list                              [all five]
     attack_list    comma list                              [fgsm, pgd, mim]
@@ -154,6 +154,12 @@ def _int(cfg: dict[str, str], key: str) -> int:
     return _parse_number(key, cfg[key], int)
 
 
+def _seed(name: str, seed: int) -> int:
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"{name}: expected an integer >= 0, got {seed}")
+    return seed
+
+
 def _float(cfg: dict[str, str], key: str) -> float:
     return _parse_number(key, cfg[key], float)
 
@@ -186,10 +192,10 @@ def _select_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
     if name not in data.DATASETS:
         raise ConfigError(f"dataset: expected one of {data.DATASETS}, got {cfg['dataset']!r}")
     n_train, n_test = _int(cfg, "n_train"), _int(cfg, "n_test")
-    seed = _int(cfg, "subset_seed")
+    seed, synth_seed = (_seed(key, _int(cfg, key)) for key in ("subset_seed", "synth_seed"))
 
     if cfg["source"] == "synthetic":
-        pool = synthdata.synthetic_dataset(name, _int(cfg, "synth_count"), _int(cfg, "synth_seed"))
+        pool = synthdata.synthetic_dataset(name, _int(cfg, "synth_count"), synth_seed)
         return data.subset(pool, n_train, n_test, seed)
     if cfg["source"] != "idx":
         raise ConfigError(f"source: expected idx or synthetic, got {cfg['source']!r}")
@@ -283,22 +289,17 @@ def cmd_quanvolve(args) -> int:
     out_dir = os.path.dirname(args.out)
     if out_dir and not os.path.isdir(out_dir):
         raise ConfigError(f"--out {args.out}: directory {out_dir} does not exist")
-    cfg = dict(_CONFIG_DEFAULTS)
-    cfg.update(
-        dataset=args.dataset,
-        source="synthetic" if args.synthetic else "idx",
-        dataset_dir=args.dataset_dir or "",
-        n_train=str(args.n_train),
-        n_test=str(args.n_test),
-    )
+    _seed("--seed", args.seed)
+    cfg = dict(_CONFIG_DEFAULTS, dataset=args.dataset, dataset_dir=args.dataset_dir or "",
+               source="synthetic" if args.synthetic else "idx",
+               n_train=str(args.n_train), n_test=str(args.n_test))
     kind = AnsatzKind(args.ansatz)
     with _config_errors():
         train, test = _select_dataset_pair(cfg)
         if len(train) + len(test) == 0:
             raise ValueError("n_train and n_test are both 0: nothing to quanvolve")
-        if train.images.shape[1:] != test.images.shape[1:]:
-            raise ValueError(f"train images {train.images.shape[1:]} and test images "
-                             f"{test.images.shape[1:]} differ in shape")
+        for split in (train, test):
+            nn.check_image_shape(split.images)
         qcfg = QuanvConfig(circuit=build_ansatz(kind, seed=args.seed))
         shape = (len(train) + len(test), *quanv.output_shape(*train.images.shape[1:3]))
     # train's images then test's, one block at a time: no float copy of the

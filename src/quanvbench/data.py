@@ -81,8 +81,10 @@ def check_labels(labels, count: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.shape != (count,):
         raise ValueError(f"labels {labels.shape} do not match a batch of {count} inputs")
-    if labels.dtype.kind not in "iu" or count and not 0 <= labels.min() <= labels.max() < N_CLASSES:
-        raise ValueError(f"labels must be integers in [0, {N_CLASSES}), got {labels.dtype}")
+    integers = labels.dtype.kind in "iu"
+    if not integers or count and not 0 <= labels.min() <= labels.max() < N_CLASSES:
+        got = np.unique(labels[(labels < 0) | (labels >= N_CLASSES)]) if integers else labels.dtype
+        raise ValueError(f"labels must be integers in [0, {N_CLASSES}), got {got}")
     return labels
 
 

@@ -16,16 +16,16 @@ The pool's task is one (architecture, trial), computed as
 ``task_records(cfg, train_task(cfg, architecture, trial))`` by the serial
 sweep, by each worker and by any caller that wants the trained models.
 `train_task` does steps 1 and 2, every model built and trained once by `_fit`:
-each `TrainedModel` (one head per ansatz for qunn, all scored on one
-`quanv.encode` of the clean test set) and in "surrogate" mode a qunn task's
-surrogate, a classical CNN on the raw pixels.  `task_records` does steps 3
-and 4, and ``cfg.mode`` alone picks each model's attacker there: the
-surrogate for every head in "surrogate" mode, otherwise the model's own
-gradients (through the quanvolution for a head).  It starts each model's row
-with its clean accuracy, builds each set with `attack_batch` (a source's
-attacks share one clean-image gradient), encodes it once if its models have
-filters, lets them all score it and drops it; `run_trial` zips a row with
-the attack's epsilon grid.
+each `TrainedModel` (one head per ansatz for qunn, a qunn task's train and
+test sets each encoded once, `quanv.encode`, and contracted by every head)
+and in "surrogate" mode a qunn task's surrogate, a classical CNN on the raw
+pixels.  `task_records` does steps 3 and 4, and ``cfg.mode`` alone picks
+each model's attacker there: the surrogate for every head in "surrogate"
+mode, otherwise the model's own gradients (through the quanvolution for a
+head).  It starts each model's row with its clean accuracy, builds each set
+with `attack_batch` (a source's attacks share one clean-image gradient),
+encodes it once if its models have filters, lets them all score it and
+drops it; `run_trial` zips a row with the attack's epsilon grid.
 
 Determinism: every random draw is derived from base_seed via stable hashes
 of the cell coordinates other than the attack, so any (architecture, ansatz,
@@ -78,9 +78,7 @@ class SweepConfig:
             if split.images.dtype.kind != "f":
                 raise ValueError(f"images must be float pixels, got {split.images.dtype}: "
                                  f"convert raw IDX bytes with data.pixels first")
-            if split.images.shape[1:] != nn.IMAGE_SHAPE:
-                raise ValueError(f"images must be {'x'.join(map(str, nn.IMAGE_SHAPE))}, the "
-                                 f"input of every architecture, got {split.images.shape[1:]}")
+            nn.check_image_shape(split.images)
         dataset = self.train_data.name
         if dataset not in DATASETS:
             raise ValueError(f"train_data.name must be {' or '.join(DATASETS)}, got {dataset!r}")
@@ -177,14 +175,10 @@ class TrainedModel:
     def evaluate(self, images: np.ndarray, labels: np.ndarray, encoding=None) -> float:
         """Accuracy on pixel images, quanvolved first when the model has a filter
         (contracting ``encoding``, their `quanv.encode`, when it is given)."""
-        return _accuracy(self.model, self.qcfg, images, labels, encoding)
-
-
-def _accuracy(model: nn.Model, qcfg: QuanvConfig | None, images, labels, encoding) -> float:
-    if qcfg is not None:
-        encoding = quanv.encode(images) if encoding is None else encoding
-        images = quanv.contract(qcfg, encoding, np.float32)
-    return nn.evaluate(model, images, labels)
+        if self.qcfg is not None:
+            encoding = quanv.encode(images) if encoding is None else encoding
+            images = quanv.contract(self.qcfg, encoding, np.float32)
+        return nn.evaluate(self.model, images, labels)
 
 
 @dataclass(frozen=True)
@@ -214,8 +208,9 @@ def _fit(cfg: SweepConfig, architecture: Architecture, seed: int, inputs) -> nn.
 
 
 def _train_model(cfg: SweepConfig, architecture: Architecture,
-                 ansatz_kind: AnsatzKind | None, trial: int, test_encoding) -> TrainedModel:
-    """Steps 1 and 2 for one (architecture, ansatz, trial); heads score ``test_encoding``."""
+                 ansatz_kind: AnsatzKind | None, trial: int, encodings) -> TrainedModel:
+    """Steps 1 and 2 for one (architecture, ansatz, trial); a head contracts
+    ``encodings``, its task's one `quanv.encode` of the train and test sets."""
     cell_seed = stable_seed(cfg.base_seed, cfg.train_data.name, architecture.value,
                             _ansatz_label(ansatz_kind), trial)
 
@@ -224,23 +219,22 @@ def _train_model(cfg: SweepConfig, architecture: Architecture,
         # float32, each float64 channel sum rounded as it is stored: the precision
         # every head is trained and evaluated at (and the one `quanvbench
         # quanvolve` writes); results.csv depends on this rounding
-        train_x = quanv.quanvolve_dataset(cfg.train_data.images, qcfg, np.float32)
+        train_x, test_x = (quanv.contract(qcfg, encoding, np.float32) for encoding in encodings)
     else:
-        qcfg, train_x = None, cfg.train_data.images
+        qcfg, train_x, test_x = None, cfg.train_data.images, cfg.test_data.images
 
     model = _fit(cfg, architecture, cell_seed, train_x)
-    return TrainedModel(model, qcfg,
-                        train_accuracy=nn.evaluate(model, train_x, cfg.train_data.labels),
-                        clean_accuracy=_accuracy(model, qcfg, cfg.test_data.images,
-                                                 cfg.test_data.labels, test_encoding))
+    return TrainedModel(model, qcfg, nn.evaluate(model, train_x, cfg.train_data.labels),
+                        nn.evaluate(model, test_x, cfg.test_data.labels))
 
 
 def train_task(cfg: SweepConfig, architecture: Architecture, trial: int) -> TrainedTask:
     """Steps 1 and 2 for one (architecture, trial): each model trained once,
     and in surrogate mode a qunn task's surrogate CNN on the raw pixels."""
     qunn = architecture is Architecture.QUNN
-    test_encoding = quanv.encode(cfg.test_data.images) if qunn else None
-    models = tuple((kind, _train_model(cfg, architecture, kind, trial, test_encoding))
+    encodings = tuple(quanv.encode(split.images) if qunn else None
+                      for split in (cfg.train_data, cfg.test_data))
+    models = tuple((kind, _train_model(cfg, architecture, kind, trial, encodings))
                    for kind in (cfg.ansatz_kinds if qunn else (None,)))
     surrogate = None
     if qunn and cfg.mode == "surrogate":

@@ -47,6 +47,13 @@ IMAGE_SHAPE = (28, 28, 1)
 DROP_PROB = 0.3
 
 
+def check_image_shape(images: np.ndarray) -> None:
+    """Fail unless ``images`` is a batch of IMAGE_SHAPE images, every architecture's input."""
+    if images.shape[1:] != IMAGE_SHAPE:
+        raise ValueError(f"images must be {'x'.join(map(str, IMAGE_SHAPE))}, the input of "
+                         f"every architecture, got {images.shape[1:]}")
+
+
 class Architecture(Enum):
     CLASSICAL_CNN = "classical_cnn"
     CLASSICAL_FC = "classical_fc"

@@ -23,9 +23,10 @@ Feature maps take values in [-1, 1] and have 4 channels, one per qubit;
 they are 2-periodic in every pixel, and exact input gradients are the same
 terms with one factor differentiated.  Both are evaluated on blocks of
 images, every term reading pixel i of all patches through one strided view,
-in two steps: a batch's `Encoding` (its blocks' (cos, sin)), then per filter
-a `contract` over it.  `quanvolve_dataset` streams the encoding; `encode`
-keeps it, so filters and pullbacks can share one cos and sin per block.
+in three verbs: `encode` a batch once (its `Encoding`, each block's (cos,
+sin)), `contract` it per filter and `pullback` upstream weights through it.
+`quanvolve_dataset` and `input_gradient` stream their encoding; `encode`
+keeps it, so a batch's filters and pullbacks share one cos and sin per block.
 
 The encoding is defined for any real pixel, so unclamped adversarial images
 are quanvolved as they are; `data.Dataset` checks float pixels lie in [0, 1].
@@ -201,7 +202,7 @@ def _blocked(images: np.ndarray) -> Encoding:
 def encode(images: np.ndarray) -> Encoding:
     """The encoding of (N, H, W, 1) images, float pixels or uint8 bytes as
     `quanvolve_dataset` reads them, every block's (cos, sin) computed now,
-    once, for any number of `contract` calls and pullbacks."""
+    once, for any number of `contract` and `pullback` calls."""
     encoding = _blocked(images)
     return encoding._replace(blocks=list(encoding.blocks))
 
@@ -239,10 +240,11 @@ def _summed_terms(cfg: QuanvConfig, encoding: Encoding, dtype) -> np.ndarray:
     return out
 
 
-def _pullback(cfg: QuanvConfig, images, shape, pixels, blocks, upstream) -> np.ndarray:
-    """d(sum(upstream[j] * features[j]))/d(images[j]).  Each pixel of a term
-    of channel q gets upstream_q times the term with that pixel's factor
-    differentiated, added through the view that read it."""
+def pullback(cfg: QuanvConfig, encoding: Encoding, upstream) -> np.ndarray:
+    """d(sum(upstream[j] * features[j]))/d(images[j]) for the encoded images.
+    Each pixel of a term of channel q gets upstream_q times the term with that
+    pixel's factor differentiated, added through the view that read it."""
+    images, shape, pixels, blocks = encoding
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != shape:
         raise ValueError(
@@ -284,14 +286,7 @@ def input_gradient(images: np.ndarray, cfg: QuanvConfig, upstream: np.ndarray) -
     from (N, H, W, 1) images and (N, H // 2, W // 2, 4) upstream weights;
     pixels of an odd last row or column get 0.  Float64, for uint8 images
     too: the gradient at their pixels ``data.pixels(images)``, bit for bit."""
-    return _pullback(cfg, *_blocked(images), upstream)
-
-
-def quanvolve_with_pullback(images: np.ndarray, cfg: QuanvConfig):
-    """``quanvolve_dataset`` and the function taking upstream to ``input_gradient``
-    of the same images, both from their one `encode`."""
-    encoding = encode(images)
-    return contract(cfg, encoding), functools.partial(_pullback, cfg, *encoding)
+    return pullback(cfg, _blocked(images), upstream)
 
 
 def write_qnvf(path, blocks, shape, meta_hash: int = 0) -> None:

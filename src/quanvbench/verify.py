@@ -123,9 +123,9 @@ def check_input_gradients() -> tuple[bool, str]:
     """Quanvolution input gradients, as every end_to_end attack gradient
     computes them, vs finite differences and parameter shift.
 
-    The gradient comes from `quanvolve_with_pullback` on a batch of more than
-    one block, and the checked image is in the second block: the pullback
-    must reuse that block's cos and sin, and no other's.  Each feature is a
+    The gradient is `pullback` through `encode` of a batch of more than one
+    block, and the checked image is in the second block: the pullback must
+    read that block's cos and sin, and no other's.  Each feature is a
     degree-1 trigonometric polynomial in pi * x, so moving a pixel by +-1/2
     (a +-pi/2 shift of its angle) gives the exact derivative
     pi/2 * (f(x + 1/2) - f(x - 1/2)).
@@ -138,9 +138,8 @@ def check_input_gradients() -> tuple[bool, str]:
         cfg = QuanvConfig(circuit=build_ansatz(kind, seed=303))
         images = rng.uniform(0.05, 0.95, (quanv.BLOCK + 8, 6, 6, 1))
         upstreams = rng.normal(size=(len(images), 3, 3, 4))
-        _features, pullback = quanv.quanvolve_with_pullback(images, cfg)
         img, upstream = images[checked], upstreams[checked]
-        exact = pullback(upstreams)[checked]
+        exact = quanv.pullback(cfg, quanv.encode(images), upstreams)[checked]
         for flat in rng.choice(img.size, 20, replace=False):
             idx = np.unravel_index(flat, img.shape)
             fd = _central_difference(img, idx, h, cfg, upstream) / (2 * h)

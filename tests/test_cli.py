@@ -168,19 +168,20 @@ def test_qnvf_meta_hash_covers_the_subset(idx_dir, tmp_path):
     assert len(others) == 3 and ten not in others
 
 
-@pytest.mark.parametrize("flags", [
-    ["--n-train", "-5"],
-    ["--n-train", "700"],  # the synthetic pool holds 600 images
-    ["--seed", "-1"],
-    ["--n-train", "0", "--n-test", "0"],
+@pytest.mark.parametrize("flags, message", [
+    (["--n-train", "-5"], ""),
+    (["--n-train", "700"], ""),  # the synthetic pool holds 600 images
+    (["--seed", "-1"], "--seed"),
+    (["--n-train", "0", "--n-test", "0"], ""),
 ], ids=["negative-subset", "subset-beyond-pool", "negative-seed", "empty-selection"])
-def test_cmd_quanvolve_bad_value_exit_2(tmp_path, capsys, flags):
+def test_cmd_quanvolve_bad_value_exit_2(tmp_path, capsys, flags, message):
     out = tmp_path / "maps.qnvf"
     rc = main(["quanvolve", "--synthetic", "--out", str(out)] + flags)
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "internal error" not in err
+    assert message in err
     assert not out.exists()
 
 
@@ -205,8 +206,8 @@ def write_idx_dir(root, train, test):
     return root
 
 
-@pytest.mark.parametrize("train_side, test_side", [(1, 1), (28, 20)],
-                         ids=["smaller-than-kernel", "train-test-differ"])
+@pytest.mark.parametrize("train_side, test_side", [(1, 1), (28, 20), (20, 20)],
+                         ids=["smaller-than-kernel", "train-test-differ", "both-20x20"])
 def test_cmd_quanvolve_image_shape_exit_2(tmp_path, capsys, train_side, test_side):
     labels = np.arange(20) % 10
     root = write_idx_dir(tmp_path / "data",
@@ -218,6 +219,7 @@ def test_cmd_quanvolve_image_shape_exit_2(tmp_path, capsys, train_side, test_sid
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "internal error" not in err
+    assert "images must be 28x28x1" in err  # the sweep's message
     assert not out.exists()
 
 
@@ -413,11 +415,14 @@ def test_cmd_sweep_nan_epsilon_exit_2(tmp_path, capsys):
     ("n_test = 0", "empty"),
     ("epsilons = 0, 0.1, 0.1", "strictly ascending"),
     ("epsilons_fgsm_extra = 1", "strictly ascending"),  # repeats the last epsilon
+    ("subset_seed = -1", "subset_seed"),
+    ("synth_seed = -3", "synth_seed"),
 ])
 def test_cmd_sweep_bad_value_exit_2(tmp_path, capsys, line, message):
     key = line.split(" = ")[0]
     config = tmp_path / "bad.cfg"
-    config.write_text(re.sub(rf"^{key} =.*$", line, TINY_SWEEP, flags=re.M))
+    text, replaced = re.subn(rf"^{key} =.*$", line, TINY_SWEEP, flags=re.M)
+    config.write_text(text if replaced else TINY_SWEEP + line + "\n")  # a key left at its default
     rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
     assert rc == EXIT_USAGE
     assert message in capsys.readouterr().err
@@ -465,6 +470,17 @@ def test_cmd_sweep_rejects_images_that_are_not_28x28(tmp_path, capsys):
     rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
     assert rc == EXIT_USAGE
     assert "28x28x1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cmd_sweep_rejects_a_negative_subset_seed_of_an_idx_source(idx_dir, tmp_path, capsys):
+    # an idx subset hashes its seed, which takes any integer, but the key means one thing
+    config = tmp_path / "sweep.cfg"
+    config.write_text(TINY_SWEEP.replace("source = synthetic", f"dataset_dir = {idx_dir}")
+                      + "subset_seed = -1\n")
+    rc = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_USAGE
+    assert "subset_seed: expected an integer >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -222,8 +222,8 @@ def test_each_adversarial_set_is_encoded_once_for_every_head(monkeypatch):
         counts.append(len(trigs))
     sets = sum(len(paper_grid_trial(TWO_HEADS).epsilons_for(a)) - 1 for a in AttackKind)
     assert sets == 28
-    # each head's train set, the clean test set once, each set once
-    assert counts == [5 + 1 + sets, 1 + 1 + sets, 2 + 1 + sets]  # 34, not 5 * 30 = 150
+    # the train set once, the clean test set once, each set once
+    assert counts == [1 + 1 + sets] * 3  # 30, not 5 * 30 = 150
 
 
 def test_classical_models_never_encode(monkeypatch):
@@ -313,13 +313,13 @@ def test_epsilon_zero_row_is_the_clean_accuracy_without_recomputing_it(monkeypat
     # a grid of only epsilon 0: every call left is one that training makes
     cfg = two_attack_config(mode=mode, epsilons=(0.0,), fgsm_extra_epsilons=())
     attacks = count_calls(monkeypatch, harness, "attack_batch")
-    quanvolves = count_calls(monkeypatch, harness.quanv, "quanvolve_dataset")
+    encodes = count_calls(monkeypatch, harness.quanv, "encode")
     evaluates = count_calls(monkeypatch, nn, "evaluate")
     records = run_sweep(cfg, progress=lambda msg: None)
     assert len(records) == 4 * 2 * 2  # (cnn, fc, 2 heads) x attacks x trials
     assert attacks == []
     models = len(cfg.architectures) - 1 + len(cfg.ansatz_kinds)
-    assert len(quanvolves) == len(cfg.ansatz_kinds) * cfg.trials  # train sets
+    assert len(encodes) == 2 * cfg.trials  # a qunn task's train and test sets
     assert len(evaluates) == 2 * models * cfg.trials  # train and clean accuracy
     tasks = [train_task(cfg, architecture, trial)
              for architecture in cfg.architectures for trial in range(cfg.trials)]

@@ -270,7 +270,7 @@ def test_input_gradient_rejects_unbatched_or_mislabelled_input(rng):
     (np.array([3]), 5, "do not match a batch"),
     (np.array([3, 3]), 5, "do not match a batch"),
     (np.full((5, 1), 3), 5, "do not match a batch"),
-    (np.array([12, -1, 40]), 3, "labels must be integers"),
+    (np.array([12, -1, 40]), 3, r"labels must be integers in \[0, 10\), got \[-1 12 40\]$"),
     (np.array([0.5, 1.0, 2.0]), 3, "labels must be integers"),
     (np.array([True, False, True]), 3, "labels must be integers"),
 ], ids=["one", "too-few", "a-column", "out-of-range", "floats", "bools"])

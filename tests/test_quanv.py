@@ -313,9 +313,10 @@ def test_byte_images_give_the_float64_gradients_of_their_pixels(kind, count, rng
     expected = input_gradient(data.pixels(images), cfg, upstream)
     grad = input_gradient(images, cfg, upstream)
     assert grad.dtype == np.float64 and grad.tobytes() == expected.tobytes()
-    features, pullback = quanv.quanvolve_with_pullback(images, cfg)
+    encoding = quanv.encode(images)
+    features = quanv.contract(cfg, encoding)
     assert features.tobytes() == quanvolve_dataset(data.pixels(images), cfg).tobytes()
-    grad = pullback(upstream)
+    grad = quanv.pullback(cfg, encoding, upstream)
     assert grad.dtype == np.float64 and grad.tobytes() == expected.tobytes()
 
 
@@ -422,7 +423,7 @@ def test_integer_images_that_are_not_bytes_are_rejected(dtype):
     cfg = identity_cfg()
     calls = [lambda: quanvolve_dataset(images, cfg), lambda: quanvolve_image(images[0], cfg),
              lambda: input_gradient(images, cfg, np.zeros((2, 2, 2, 4))),
-             lambda: quanv.quanvolve_with_pullback(images, cfg)]
+             lambda: quanv.pullback(cfg, quanv.encode(images), np.zeros((2, 2, 2, 4)))]
     for call in calls:
         with pytest.raises(ValueError, match="data.pixels"):
             call()
@@ -576,10 +577,10 @@ def test_fused_features_and_pullback_equal_the_separate_paths(kind, rng):
     count = 2 * quanv.BLOCK + 2
     images = rng.uniform(-1.5, 2.5, (count, 28, 28, 1))
     upstream = rng.normal(size=(count, 14, 14, 4))
-    features, pullback = quanv.quanvolve_with_pullback(images, cfg)
-    assert np.array_equal(features, quanvolve_dataset(images, cfg))
+    encoding = quanv.encode(images)
+    assert np.array_equal(quanv.contract(cfg, encoding), quanvolve_dataset(images, cfg))
     expected = input_gradient(images, cfg, upstream)
-    assert np.array_equal(pullback(upstream), expected)
-    assert np.array_equal(pullback(upstream), expected)  # callable again
+    assert np.array_equal(quanv.pullback(cfg, encoding, upstream), expected)
+    assert np.array_equal(quanv.pullback(cfg, encoding, upstream), expected)  # read again
     with pytest.raises(ValueError):
-        pullback(upstream[1:])
+        quanv.pullback(cfg, encoding, upstream[1:])

@@ -25,21 +25,21 @@ def test_gradient_check_covers_every_ansatz_kind():
     assert "finite differences" in detail and "parameter shift" in detail
 
 
-@pytest.mark.parametrize("reuse", [
-    lambda blocks: blocks,           # the features use up the blocks' cos and sin
-    lambda blocks: list(blocks)[:1],  # only the first block's are kept
+@pytest.mark.parametrize("reuse, check", [
+    # the features use up the blocks' cos and sin before the pullback reads them
+    (lambda blocks: blocks, verify.check_end_to_end_gradients),
+    # only the first block's are kept, and the checked image is in the second
+    (lambda blocks: list(blocks)[:1], verify.check_input_gradients),
 ], ids=["consumed", "first-block-only"])
-def test_pullback_that_loses_the_block_reuse_fails_gradient_check(monkeypatch, reuse):
-    # mutation check: the end_to_end gradient of an image in the second block
-    # must come from that block's cos and sin
-    def mutated(images, cfg):
-        images, shape, pixels, blocks = quanv._blocked(images)
-        encoding = quanv.Encoding(images, shape, pixels, reuse(blocks))
-        return (quanv.contract(cfg, encoding),
-                functools.partial(quanv._pullback, cfg, *encoding))
+def test_pullback_that_loses_the_block_reuse_fails_gradient_check(monkeypatch, reuse, check):
+    # mutation check: an end_to_end gradient must come from the cos and sin of
+    # its image's own block, kept by encode for the contraction and the pullback
+    def mutated(images):
+        encoding = quanv._blocked(images)
+        return encoding._replace(blocks=reuse(encoding.blocks))
 
-    monkeypatch.setattr(quanv, "quanvolve_with_pullback", mutated)
-    passed, detail = verify.check_input_gradients()
+    monkeypatch.setattr(quanv, "encode", mutated)
+    passed, detail = check()
     assert not passed
     assert "relative error" in detail
 
@@ -58,12 +58,12 @@ def test_end_to_end_gradient_check_covers_every_ansatz_kind_and_both_heads():
 def test_mutated_pullback_fails_end_to_end_gradient_check(monkeypatch, mutate):
     # mutation check: an end_to_end gradient that is not the derivative of
     # the loss of quanvolution and head composed must be caught
-    real = quanv._pullback
+    real = quanv.pullback
 
-    def mutated(cfg, images, shape, pixels, blocks, upstream):
-        return mutate(functools.partial(real, cfg, images, shape, pixels, blocks), upstream)
+    def mutated(cfg, encoding, upstream):
+        return mutate(functools.partial(real, cfg, encoding), upstream)
 
-    monkeypatch.setattr(quanv, "_pullback", mutated)
+    monkeypatch.setattr(quanv, "pullback", mutated)
     passed, detail = verify.check_end_to_end_gradients()
     assert not passed
     assert "relative error" in detail
@@ -73,8 +73,10 @@ def test_end_to_end_gradient_of_the_wrong_labels_fails_its_check(monkeypatch):
     # mutation check: the head's half of the chain rule, which the
     # quanvolution gradient check does not reach
     def mutated(self, images, labels):
-        features, pullback = quanv.quanvolve_with_pullback(images, self.quanv_cfg)
-        return pullback(nn.input_gradient(self.head, features, labels[::-1]))
+        encoding = quanv.encode(images)
+        features = quanv.contract(self.quanv_cfg, encoding)
+        return quanv.pullback(self.quanv_cfg, encoding,
+                              nn.input_gradient(self.head, features, labels[::-1]))
 
     monkeypatch.setattr(attacks.EndToEndSource, "gradient", mutated)
     passed, detail = verify.check_end_to_end_gradients()
