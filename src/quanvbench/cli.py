@@ -82,6 +82,8 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
+_BLOCK = 64  # images per `quanv.quanvolve_dataset` call of `quanvolve`: bounds what it holds
+
 _IDX_NAMES = {
     "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
     "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
@@ -185,9 +187,11 @@ def _parse_enum_list(key, value, enum_cls):
     return tuple(out)
 
 
-def _select_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
+def _select_dataset_pair(cfg: dict[str, str],
+                         sizes=("n_train", "n_test")) -> tuple[Dataset, Dataset]:
     """Resolve config to stratified train/test subsets; an IDX source's
-    images stay bytes, and only the selected ones are read."""
+    images stay bytes, and only the selected ones are read.  A subset that
+    cannot be drawn is reported under ``sizes``, the names of n_train and n_test."""
     name = cfg["dataset"].lower()
     if name not in data.DATASETS:
         raise ConfigError(f"dataset: expected one of {data.DATASETS}, got {cfg['dataset']!r}")
@@ -196,7 +200,8 @@ def _select_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
 
     if cfg["source"] == "synthetic":
         pool = synthdata.synthetic_dataset(name, _int(cfg, "synth_count"), synth_seed)
-        return data.subset(pool, n_train, n_test, seed)
+        with _config_errors(" and ".join(sizes)):
+            return data.subset(pool, n_train, n_test, seed)
     if cfg["source"] != "idx":
         raise ConfigError(f"source: expected idx or synthetic, got {cfg['source']!r}")
     if not cfg["dataset_dir"]:
@@ -211,12 +216,15 @@ def _select_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing dataset file: {path}")
 
-    def split(which, n):
-        # the images `data.subset(pool, n, 0, ...)[0]` would copy out of the whole file
-        return data.load_idx(*paths[which], name, select=lambda labels: data.subset_indices(
-            labels, n, 0, harness.stable_seed(seed, which))[0])
+    def split(which, n, size):
+        def select(labels):
+            # the images `data.subset(pool, n, 0, ...)[0]` would copy out of the whole file
+            with _config_errors(size):
+                return data.subset_indices(labels, n, 0, harness.stable_seed(seed, which))[0]
 
-    return split("train", n_train), split("test", n_test)
+        return data.load_idx(*paths[which], name, select=select)
+
+    return split("train", n_train, sizes[0]), split("test", n_test, sizes[1])
 
 
 def load_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
@@ -226,12 +234,13 @@ def load_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
 
 
 @contextlib.contextmanager
-def _config_errors():
-    """Report a ValueError raised while resolving the inputs as a config error."""
+def _config_errors(name=None):
+    """Report a ValueError raised while resolving the inputs as a config
+    error, under ``name``, the key or flag it concerns, when given."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(str(exc) if name is None else f"{name}: {exc}") from exc
 
 
 def build_sweep_config(cfg: dict[str, str]) -> harness.SweepConfig:
@@ -295,17 +304,17 @@ def cmd_quanvolve(args) -> int:
                n_train=str(args.n_train), n_test=str(args.n_test))
     kind = AnsatzKind(args.ansatz)
     with _config_errors():
-        train, test = _select_dataset_pair(cfg)
+        train, test = _select_dataset_pair(cfg, ("--n-train", "--n-test"))
         if len(train) + len(test) == 0:
-            raise ValueError("n_train and n_test are both 0: nothing to quanvolve")
+            raise ValueError("--n-train and --n-test are both 0: nothing to quanvolve")
         for split in (train, test):
             nn.check_image_shape(split.images)
         qcfg = QuanvConfig(circuit=build_ansatz(kind, seed=args.seed))
         shape = (len(train) + len(test), *quanv.output_shape(*train.images.shape[1:3]))
     # train's images then test's, one block at a time: no float copy of the
     # selection, no map array
-    blocks = [images[start:start + quanv.BLOCK] for images in (train.images, test.images)
-              for start in range(0, len(images), quanv.BLOCK)]
+    blocks = [images[start:start + _BLOCK] for images in (train.images, test.images)
+              for start in range(0, len(images), _BLOCK)]
     # crc32, not blake2b: a few ms for thousands of images; chained over the
     # blocks, it equals the crc32 of all the selected pixels, train then test
     digest = 0

@@ -111,13 +111,14 @@ class SweepConfig:
         for name in ("epsilons", "fgsm_extra_epsilons"):
             if not isinstance(getattr(self, name), tuple):
                 raise ValueError(f"{name} must be a tuple, got {getattr(self, name)!r}")
-        for grid in (self.epsilons, self.epsilons_for(AttackKind.FGSM)):
+        for name, grid in (("epsilons", self.epsilons),
+                           ("fgsm_extra_epsilons", self.epsilons_for(AttackKind.FGSM))):
             if not all(math.isfinite(e) for e in grid):
-                raise ValueError(f"epsilon grid must be finite, got {grid}")
+                raise ValueError(f"{name}: epsilon grid must be finite, got {grid}")
             if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ValueError(f"epsilon grid must be strictly ascending, got {grid}")
+                raise ValueError(f"{name}: epsilon grid must be strictly ascending, got {grid}")
             if not grid or grid[0] != 0.0:
-                raise ValueError("epsilon grid must start at 0")
+                raise ValueError(f"{name}: epsilon grid must start at 0")
 
     def epsilons_for(self, attack: AttackKind) -> tuple[float, ...]:
         if attack is AttackKind.FGSM:

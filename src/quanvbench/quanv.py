@@ -21,31 +21,33 @@ filter of single-qubit rotations, with or without the diagonal ZZ gates
 after them, channel q has exactly two: the cos and the sin of pixel q.
 Feature maps take values in [-1, 1] and have 4 channels, one per qubit;
 they are 2-periodic in every pixel, and exact input gradients are the same
-terms with one factor differentiated.  Both are evaluated on blocks of
-images, every term reading pixel i of all patches through one strided view,
-in three verbs: `encode` a batch once (its `Encoding`, each block's (cos,
+terms with one factor differentiated.  Both are evaluated on the whole
+batch, every term reading pixel i of all patches through one strided view,
+in three verbs: `encode` a batch once (its `Encoding`, the batch's (cos,
 sin)), `contract` it per filter and `pullback` upstream weights through it.
-`quanvolve_dataset` and `input_gradient` stream their encoding; `encode`
-keeps it, so a batch's filters and pullbacks share one cos and sin per block.
+A caller of `quanvolve_dataset` holds the whole batch's cos and sin at once,
+16 bytes per pixel, as `encode` does for every sweep set; `quanvbench
+quanvolve` bounds that by handing `quanvolve_dataset` 64 images at a time,
+the one place a batch to quanvolve is cut into blocks.
 
 The encoding is defined for any real pixel, so unclamped adversarial images
 are quanvolved as they are; `data.Dataset` checks float pixels lie in [0, 1].
 A uint8 image holds IDX bytes and is its pixels ``data.pixels(image)``,
-byte b standing for b / 255: each block's bytes become pixels as it is
-encoded, so its maps and gradients (float64) are its pixels', bit for bit.
+byte b standing for b / 255: the bytes become pixels as they are encoded,
+so their maps and gradients (float64) are their pixels', bit for bit.
 A filter whose channels each read one pixel, as the four rotation kinds
-(no_entanglement, zz_full, zz_linear, zz_star) do, looks bytes up in its
-``byte_table`` instead: a channel takes at most 256 values over bytes,
-computed by the float path from ``data.pixels`` of every byte when bytes are
-first quanvolved under it and kept for later calls (sweeps quanvolve float
-pixels and never build it).  `contract` gathers each channel there, one
-gather per channel, no cosine, sine or term evaluated.  A filter that mixes
-pixels in a channel (``random``) has no table and reads bytes as pixels.
+(no_entanglement, zz_full, zz_linear, zz_star) do, has a ``byte_table``
+instead: a channel takes at most 256 values over bytes, contracted from
+``data.pixels`` of every byte when bytes are first quanvolved under it and
+kept for later calls (sweeps quanvolve float pixels and never build it).
+`quanvolve_dataset` gathers each channel of byte images there, one gather
+per channel, no cosine, sine or term evaluated.  A filter that mixes pixels
+in a channel (``random``) has no table and reads bytes as pixels.
 Any other integer or boolean image is rejected rather than read as angles.
 
-Features are summed in float64, per block and channel, and each sum is
-stored once into maps of the ``dtype`` asked for: float32 maps hold the
-float64 maps' values rounded, and cost no float64 copy of the whole batch.
+Features are summed in float64 per channel, and each sum is stored once
+into maps of the ``dtype`` asked for: float32 maps hold the float64 maps'
+values rounded.
 `quanvbench quanvolve` writes its feature maps in the QNVF container:
 little-endian header (magic "QNVF", version u32, count u32, H u32, W u32,
 C u32, metadata hash u64) followed by the maps as row-major float32.
@@ -61,7 +63,7 @@ import operator
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +77,6 @@ _QNVF_HEADER = struct.Struct("<4sIIIIIQ")
 # side of a patch and the stride between patches; one qubit per pixel of a patch
 PATCH = 2
 N_QUBITS = PATCH * PATCH
-# images per block of features and gradients: bounds the per-block temporaries
-BLOCK = 64
 # psi_a psi_b of one qubit, (cos, sin)(phi / 2) products, in the basis (1, cos phi, sin phi)
 _HALF_ANGLE_PRODUCTS = 0.5 * np.array([[[1, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, -1, 0]]])
 # Exact zeros come out of the contraction as rounding noise: at most 3.1e-16
@@ -154,7 +154,7 @@ class QuanvConfig:
         if self.channel_pixels is None:
             return None
         patches = np.repeat(data.pixels(np.arange(256, dtype=np.uint8)), N_QUBITS)
-        maps = _summed_terms(self, _blocked(patches.reshape(256, PATCH, PATCH, 1)), np.float64)
+        maps = contract(self, encode(patches.reshape(256, PATCH, PATCH, 1)))
         return maps[:, 0, 0].T.copy()
 
 
@@ -173,16 +173,16 @@ def _trig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Encoding(NamedTuple):
     """A batch's encoding, which any filter contracts: (N, H, W, 1) images, float64
     or uint8, feature maps shape, ``pixels[i]`` indexing pixel i of every patch in
-    an (N, H, W) array, and each block's slice with its (cos, sin)(pi x)."""
+    an (N, H, W) array, and ``trig[i]``, the (cos, sin)(pi x) of pixel i of every patch."""
 
     images: np.ndarray
     shape: tuple
     pixels: list
-    blocks: Iterable
+    trig: list
 
 
-def _blocked(images: np.ndarray) -> Encoding:
-    """The encoding of ``images``, each block's (cos, sin) computed as it is iterated."""
+def _patched(images: np.ndarray) -> tuple[np.ndarray, tuple, list]:
+    """Checked (N, H, W, 1) images, float64 or uint8, their maps' shape and ``pixels``."""
     images = np.asarray(images)
     if images.dtype.kind == "f":
         images = images.astype(float, copy=False)
@@ -194,49 +194,31 @@ def _blocked(images: np.ndarray) -> Encoding:
     rows, cols, n = output_shape(images.shape[1], images.shape[2])
     pixels = [(slice(None), slice(a, PATCH * rows, PATCH), slice(b, PATCH * cols, PATCH))
               for a in range(PATCH) for b in range(PATCH)]
-    blocks = (slice(start, start + BLOCK) for start in range(0, len(images), BLOCK))
-    return Encoding(images, (len(images), rows, cols, n), pixels, (
-        (block, _trig(data.pixels(images[block, ..., 0]))) for block in blocks))
+    return images, (len(images), rows, cols, n), pixels
 
 
 def encode(images: np.ndarray) -> Encoding:
     """The encoding of (N, H, W, 1) images, float pixels or uint8 bytes as
-    `quanvolve_dataset` reads them, every block's (cos, sin) computed now,
-    once, for any number of `contract` and `pullback` calls."""
-    encoding = _blocked(images)
-    return encoding._replace(blocks=list(encoding.blocks))
+    `quanvolve_dataset` reads them: the batch's (cos, sin) computed now, once,
+    for any number of `contract` and `pullback` calls."""
+    images, shape, pixels = _patched(images)
+    cos, sin = _trig(data.pixels(images[..., 0]))
+    return Encoding(images, shape, pixels, [(cos[p], sin[p]) for p in pixels])
 
 
 def contract(cfg: QuanvConfig, encoding: Encoding, dtype=np.float64) -> np.ndarray:
-    """Feature maps of the encoded images under ``cfg``'s filter, summed per
-    channel in float64 and stored once, so float32 maps hold the same bits as
-    the float64 maps cast as a whole.  Bytes are looked up in ``byte_table``
-    when the filter has one; otherwise every term is evaluated."""
-    images, shape, pixels, _blocks = encoding
-    table = cfg.byte_table if images.dtype == np.uint8 else None
-    if table is None:
-        return _summed_terms(cfg, encoding, dtype)
-    out = np.empty(shape, dtype)
-    for q, (i, features) in enumerate(zip(cfg.channel_pixels, table.astype(dtype, copy=False))):
-        # a byte never wraps; unlike the default mode, "wrap" fills out unbuffered
-        np.take(features, images[pixels[i] + (0,)], out=out[..., q], mode="wrap")
-    return out
-
-
-def _summed_terms(cfg: QuanvConfig, encoding: Encoding, dtype) -> np.ndarray:
-    """`contract` by evaluating every term on each block's (cos, sin)."""
-    _images, shape, pixels, blocks = encoding
-    out = np.zeros(shape, dtype)  # a channel without terms stays 0
-    for block, trig in blocks:
-        maps = out[block]
-        for q, terms in itertools.groupby(cfg.terms, key=operator.itemgetter(0)):
-            channel = np.zeros(maps.shape[:-1])
-            for _q, coefficient, factors in terms:
-                term = coefficient
-                for i, t in factors:
-                    term = term * trig[t][pixels[i]]
-                channel += term
-            maps[..., q] = channel
+    """Feature maps of the encoded images under ``cfg``'s filter, every term
+    summed per channel in float64 and stored once, so float32 maps hold the
+    same bits as the float64 maps cast as a whole."""
+    out = np.zeros(encoding.shape, dtype)  # a channel without terms stays 0
+    for q, terms in itertools.groupby(cfg.terms, key=operator.itemgetter(0)):
+        channel = np.zeros(encoding.shape[:-1])
+        for _q, coefficient, factors in terms:
+            term = coefficient
+            for i, t in factors:
+                term = term * encoding.trig[i][t]
+            channel += term
+        out[..., q] = channel
     return out
 
 
@@ -244,24 +226,22 @@ def pullback(cfg: QuanvConfig, encoding: Encoding, upstream) -> np.ndarray:
     """d(sum(upstream[j] * features[j]))/d(images[j]) for the encoded images.
     Each pixel of a term of channel q gets upstream_q times the term with that
     pixel's factor differentiated, added through the view that read it."""
-    images, shape, pixels, blocks = encoding
+    images, shape, pixels, trig = encoding
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != shape:
         raise ValueError(
             f"upstream shape {upstream.shape} does not match feature maps shape {shape}"
         )
     grad = np.zeros(images.shape)  # float64 for byte images too
-    for block, (cos, sin) in blocks:
-        trig, dtrig = (cos, sin), (-np.pi * sin, np.pi * cos)
-        u, g = upstream[block], grad[block, ..., 0]
-        for q, coefficient, factors in cfg.terms:
-            weight = coefficient * u[..., q]
-            for i, t in factors:
-                partial = weight * dtrig[t][pixels[i]]
-                for j, tj in factors:
-                    if j != i:
-                        partial = partial * trig[tj][pixels[j]]
-                g[pixels[i]] += partial
+    dtrig = [(-np.pi * sin, np.pi * cos) for cos, sin in trig]
+    for q, coefficient, factors in cfg.terms:
+        weight = coefficient * upstream[..., q]
+        for i, t in factors:
+            partial = weight * dtrig[i][t]
+            for j, tj in factors:
+                if j != i:
+                    partial = partial * trig[j][tj]
+            grad[pixels[i] + (0,)] += partial
     return grad
 
 
@@ -275,10 +255,18 @@ def quanvolve_image(image: np.ndarray, cfg: QuanvConfig) -> np.ndarray:
 def quanvolve_dataset(images: np.ndarray, cfg: QuanvConfig, dtype=np.float64) -> np.ndarray:
     """Feature maps (N, H // 2, W // 2, 4) of (N, H, W, 1) images; order preserved.
     Float images are pixels; uint8 images are bytes and give, bit for bit, the
-    maps of ``data.pixels(images)``, through ``cfg.byte_table`` when it
+    maps of ``data.pixels(images)``, looked up in ``cfg.byte_table`` when it
     exists.  Computed in float64 and stored as ``dtype`` (float32 maps round
     as ``.astype(np.float32)`` would)."""
-    return contract(cfg, _blocked(images), dtype)
+    images, shape, pixels = _patched(images)
+    table = cfg.byte_table if images.dtype == np.uint8 else None
+    if table is None:
+        return contract(cfg, encode(images), dtype)
+    out = np.empty(shape, dtype)
+    for q, (i, features) in enumerate(zip(cfg.channel_pixels, table.astype(dtype, copy=False))):
+        # a byte never wraps; unlike the default mode, "wrap" fills out unbuffered
+        np.take(features, images[pixels[i] + (0,)], out=out[..., q], mode="wrap")
+    return out
 
 
 def input_gradient(images: np.ndarray, cfg: QuanvConfig, upstream: np.ndarray) -> np.ndarray:
@@ -286,7 +274,7 @@ def input_gradient(images: np.ndarray, cfg: QuanvConfig, upstream: np.ndarray) -
     from (N, H, W, 1) images and (N, H // 2, W // 2, 4) upstream weights;
     pixels of an odd last row or column get 0.  Float64, for uint8 images
     too: the gradient at their pixels ``data.pixels(images)``, bit for bit."""
-    return pullback(cfg, _blocked(images), upstream)
+    return pullback(cfg, encode(images), upstream)
 
 
 def write_qnvf(path, blocks, shape, meta_hash: int = 0) -> None:

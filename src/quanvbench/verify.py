@@ -123,9 +123,9 @@ def check_input_gradients() -> tuple[bool, str]:
     """Quanvolution input gradients, as every end_to_end attack gradient
     computes them, vs finite differences and parameter shift.
 
-    The gradient is `pullback` through `encode` of a batch of more than one
-    block, and the checked image is in the second block: the pullback must
-    read that block's cos and sin, and no other's.  Each feature is a
+    The gradient is `pullback` through `encode` of a 4-image batch, and the
+    checked image is neither its first nor its last: the pullback must read
+    that image's cos and sin, and no other image's.  Each feature is a
     degree-1 trigonometric polynomial in pi * x, so moving a pixel by +-1/2
     (a +-pi/2 shift of its angle) gives the exact derivative
     pi/2 * (f(x + 1/2) - f(x - 1/2)).
@@ -133,10 +133,10 @@ def check_input_gradients() -> tuple[bool, str]:
     rng = np.random.default_rng(202)
     h = 1e-5
     worst_fd = worst_ps = 0.0
-    checked = quanv.BLOCK + 5
+    checked = 2
     for kind in AnsatzKind:
         cfg = QuanvConfig(circuit=build_ansatz(kind, seed=303))
-        images = rng.uniform(0.05, 0.95, (quanv.BLOCK + 8, 6, 6, 1))
+        images = rng.uniform(0.05, 0.95, (4, 6, 6, 1))
         upstreams = rng.normal(size=(len(images), 3, 3, 4))
         img, upstream = images[checked], upstreams[checked]
         exact = quanv.pullback(cfg, quanv.encode(images), upstreams)[checked]

@@ -169,10 +169,11 @@ def test_qnvf_meta_hash_covers_the_subset(idx_dir, tmp_path):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--n-train", "-5"], ""),
-    (["--n-train", "700"], ""),  # the synthetic pool holds 600 images
+    (["--n-train", "-5"], "--n-train and --n-test: subset sizes must be >= 0"),
+    # the synthetic pool holds 600 images
+    (["--n-train", "700"], "--n-train and --n-test: requested 700+30 examples"),
     (["--seed", "-1"], "--seed"),
-    (["--n-train", "0", "--n-test", "0"], ""),
+    (["--n-train", "0", "--n-test", "0"], "--n-train and --n-test are both 0"),
 ], ids=["negative-subset", "subset-beyond-pool", "negative-seed", "empty-selection"])
 def test_cmd_quanvolve_bad_value_exit_2(tmp_path, capsys, flags, message):
     out = tmp_path / "maps.qnvf"
@@ -183,6 +184,22 @@ def test_cmd_quanvolve_bad_value_exit_2(tmp_path, capsys, flags, message):
     assert "internal error" not in err
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    ("quanvolve", "--n-test: requested 70+0 examples from a 60-image"),
+    ("sweep", "n_test: requested 70+0 examples from a 60-image"),
+])
+def test_idx_subset_beyond_the_file_names_its_size_exit_2(idx_dir, tmp_path, capsys,
+                                                          command, message):
+    # each IDX split is drawn from its own file, so only its own size is named
+    config = tmp_path / "idx.cfg"
+    config.write_text(TINY_SWEEP.replace("source = synthetic", f"dataset_dir = {idx_dir}")
+                      .replace("n_test = 10", "n_test = 70"))
+    args = {"quanvolve": ["--dataset-dir", str(idx_dir), "--n-test", "70"],
+            "sweep": ["--config", str(config)]}[command]
+    assert main([command, *args, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_cmd_quanvolve_header_claiming_more_images_exit_2(idx_dir, tmp_path, capsys):
@@ -263,7 +280,7 @@ def test_cmd_quanvolve_hands_the_idx_selection_over_as_bytes(idx_dir, tmp_path, 
     monkeypatch.setattr(quanv, "quanvolve_dataset", spy)
     assert main(["quanvolve", "--dataset-dir", str(idx_dir), "--n-train", "70", "--n-test",
                  "40", "--out", str(tmp_path / "maps.qnvf")]) == EXIT_OK
-    assert calls == [(np.uint8, quanv.BLOCK), (np.uint8, 70 - quanv.BLOCK), (np.uint8, 40)]
+    assert calls == [(np.uint8, cli._BLOCK), (np.uint8, 70 - cli._BLOCK), (np.uint8, 40)]
 
 
 def test_cmd_quanvolve_holds_neither_float_images_nor_all_maps(tmp_path, rng):
@@ -310,7 +327,7 @@ def test_cmd_quanvolve_failing_block_leaves_out_as_it_was(tmp_path, capsys, monk
     rc = main(["quanvolve", "--synthetic", "--n-train", "200", "--out", str(out)])
     assert rc == EXIT_FAILURE
     assert "second block failed" in capsys.readouterr().err
-    assert calls == [quanv.BLOCK, quanv.BLOCK]  # the first block was written
+    assert calls == [cli._BLOCK, cli._BLOCK]  # the first block was written
     assert [p.name for p in out_dir.iterdir()] == ([] if earlier is None else ["maps.qnvf"])
     if earlier is not None:
         assert out.read_bytes() == earlier
@@ -411,10 +428,11 @@ def test_cmd_sweep_nan_epsilon_exit_2(tmp_path, capsys):
     ("synth_count = 0", "count >= 1 images, got 0"),
     ("synth_count = -3", "count >= 1 images, got -3"),
     ("epsilons = 0, abc", "epsilons"),
-    ("n_train = -5", ">= 0"),
+    ("n_train = -5", "n_train and n_test: subset sizes must be >= 0"),
     ("n_test = 0", "empty"),
     ("epsilons = 0, 0.1, 0.1", "strictly ascending"),
-    ("epsilons_fgsm_extra = 1", "strictly ascending"),  # repeats the last epsilon
+    # repeats the last epsilon
+    ("epsilons_fgsm_extra = 1", "fgsm_extra_epsilons: epsilon grid must be strictly ascending"),
     ("subset_seed = -1", "subset_seed"),
     ("synth_seed = -3", "synth_seed"),
 ])

@@ -210,8 +210,7 @@ def test_dataset_empty():
 
 
 def test_dataset_order_preserved(rng):
-    # the images span two internal blocks, the last one partial
-    count = quanv.BLOCK + 3
+    count = 67
     imgs = rng.uniform(0, 1, (count, 6, 6, 1))
     cfg = ansatz_cfg(AnsatzKind.RANDOM)
     batch = quanvolve_dataset(imgs, cfg)
@@ -222,7 +221,7 @@ def test_dataset_order_preserved(rng):
 
 def summed_terms(images, cfg):
     """Every compiled term of channel q added in order into one float64 array
-    of the whole batch, the evaluation quanvolve_dataset blocks."""
+    of the whole batch, built from its own cos and sin, not quanv's views."""
     rows, cols = images.shape[1] // 2, images.shape[2] // 2
     trig = (np.cos(np.pi * images[..., 0]), np.sin(np.pi * images[..., 0]))
     pixels = [(slice(None), slice(a, a + 2 * rows, 2), slice(b, b + 2 * cols, 2))
@@ -238,8 +237,7 @@ def summed_terms(images, cfg):
 
 @pytest.mark.parametrize("kind", list(AnsatzKind))
 def test_float32_maps_hold_the_float64_maps_rounded(kind, rng):
-    # 130 images: two full blocks and a partial third
-    imgs = rng.uniform(0, 1, (2 * quanv.BLOCK + 2, 28, 28, 1))
+    imgs = rng.uniform(0, 1, (130, 28, 28, 1))
     cfg = ansatz_cfg(kind)
     maps = quanvolve_dataset(imgs, cfg)
     assert maps.dtype == np.float64
@@ -268,7 +266,7 @@ def test_a_channel_without_terms_is_zero(pixel_type, rng):
 # byte images: each byte read as its pixel data.pixels(b) through a table
 # ---------------------------------------------------------------------------
 
-BATCH_SIZES = [1, quanv.BLOCK - 1, quanv.BLOCK, quanv.BLOCK + 1, 2 * quanv.BLOCK + 2]
+BATCH_SIZES = [1, 63, 64, 65, 130]
 
 
 def byte_images(count):
@@ -304,7 +302,7 @@ def test_byte_images_give_the_maps_of_their_pixels_bit_for_bit(kind, count, out_
         assert quanvolve_dataset(images, cfg).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("count", [1, quanv.BLOCK + 1, 2 * quanv.BLOCK + 2])
+@pytest.mark.parametrize("count", [1, 65, 130])
 @pytest.mark.parametrize("kind", list(AnsatzKind))
 def test_byte_images_give_the_float64_gradients_of_their_pixels(kind, count, rng):
     cfg = ansatz_cfg(kind)
@@ -324,7 +322,7 @@ def test_byte_images_give_the_float64_gradients_of_their_pixels(kind, count, rng
 @pytest.mark.parametrize("kind", [AnsatzKind.RANDOM, AnsatzKind.ZZ_FULL])  # terms, table
 def test_odd_sized_byte_images_give_the_maps_and_gradients_of_their_pixels(kind, h, w, rng):
     cfg = ansatz_cfg(kind)
-    images = rng.integers(0, 256, (quanv.BLOCK + 1, h, w, 1), dtype=np.uint8)
+    images = rng.integers(0, 256, (65, h, w, 1), dtype=np.uint8)
     pixels = data.pixels(images)
     maps = quanvolve_dataset(images, cfg)
     assert maps.shape == (len(images), *quanv.output_shape(h, w))
@@ -364,16 +362,15 @@ def test_the_byte_table_is_built_once_and_only_for_bytes(rng, monkeypatch):
     cfg = ansatz_cfg(AnsatzKind.ZZ_FULL)
     quanvolve_dataset(rng.uniform(0, 1, (3, 6, 6, 1)), cfg)
     assert "byte_table" not in vars(cfg)  # building and float pixels leave it unbuilt
-    calls, summed_terms = [], quanv._summed_terms
+    calls, contract = [], quanv.contract
 
     def counted(*args):
         calls.append(args)
-        return summed_terms(*args)
+        return contract(*args)
 
-    monkeypatch.setattr(quanv, "_summed_terms", counted)
+    monkeypatch.setattr(quanv, "contract", counted)
     for _block in range(3):
-        quanvolve_dataset(rng.integers(0, 256, (quanv.BLOCK, 6, 6, 1), dtype=np.uint8), cfg,
-                          np.float32)
+        quanvolve_dataset(rng.integers(0, 256, (64, 6, 6, 1), dtype=np.uint8), cfg, np.float32)
     assert len(calls) == 1 and vars(cfg)["byte_table"] is cfg.byte_table
 
 
@@ -381,7 +378,7 @@ def test_bytes_under_a_table_evaluate_no_cos_or_sin(rng, monkeypatch):
     def forbidden(_x):
         raise AssertionError("(cos, sin) evaluated")
 
-    images = rng.integers(0, 256, (quanv.BLOCK + 1, 6, 6, 1), dtype=np.uint8)
+    images = rng.integers(0, 256, (65, 6, 6, 1), dtype=np.uint8)
     cfg = ansatz_cfg(AnsatzKind.ZZ_FULL)
     expected = quanvolve_dataset(data.pixels(images), cfg)
     assert cfg.byte_table is not None  # built before cos and sin are forbidden
@@ -391,7 +388,7 @@ def test_bytes_under_a_table_evaluate_no_cos_or_sin(rng, monkeypatch):
         quanvolve_dataset(images, ansatz_cfg(AnsatzKind.RANDOM))
 
 
-@pytest.mark.parametrize("count", [1, quanv.BLOCK + 1, 2 * quanv.BLOCK + 2])
+@pytest.mark.parametrize("count", [1, 65, 130])
 @pytest.mark.parametrize("h,w", [(28, 28), (7, 9), (3, 3)])
 @pytest.mark.parametrize("pixel_type", ["float", "uint8"])
 def test_one_encoding_contracts_to_every_filters_maps_bit_for_bit(pixel_type, h, w, count, rng):
@@ -400,7 +397,6 @@ def test_one_encoding_contracts_to_every_filters_maps_bit_for_bit(pixel_type, h,
     if pixel_type == "float":
         images = rng.uniform(-1.5, 2.5, images.shape)  # unclamped adversarial pixels
     encoding = quanv.encode(images)
-    assert isinstance(encoding.blocks, list)  # kept, so every contraction reads it
     for kind in AnsatzKind:
         cfg = ansatz_cfg(kind)
         expected = quanvolve_dataset(images, cfg, np.float32)
@@ -498,9 +494,8 @@ def test_gradient_of_odd_sized_images_matches_finite_differences(h, w, rng):
 
 
 def test_batched_gradient_rows_match_one_image_batches(rng):
-    # the images span two internal blocks, the last one partial
     cfg = ansatz_cfg(AnsatzKind.RANDOM, seed=5)
-    count = quanv.BLOCK + 3
+    count = 67
     imgs = rng.uniform(-0.5, 1.5, (count, 8, 8, 1))
     upstream = rng.normal(size=(count, *quanvolve_image(imgs[0], cfg).shape))
     batched = input_gradient(imgs, cfg, upstream)
@@ -571,10 +566,9 @@ def test_qnvf_blocks_that_do_not_make_up_the_shape_leave_no_file(tmp_path, rng, 
 
 @pytest.mark.parametrize("kind", list(AnsatzKind))
 def test_fused_features_and_pullback_equal_the_separate_paths(kind, rng):
-    # 130 images: two full blocks and a partial third, each pulled back
-    # through the cos and sin its features were computed from
+    # each image pulled back through the cos and sin its features were computed from
     cfg = ansatz_cfg(kind)
-    count = 2 * quanv.BLOCK + 2
+    count = 130
     images = rng.uniform(-1.5, 2.5, (count, 28, 28, 1))
     upstream = rng.normal(size=(count, 14, 14, 4))
     encoding = quanv.encode(images)
@@ -584,3 +578,18 @@ def test_fused_features_and_pullback_equal_the_separate_paths(kind, rng):
     assert np.array_equal(quanv.pullback(cfg, encoding, upstream), expected)  # read again
     with pytest.raises(ValueError):
         quanv.pullback(cfg, encoding, upstream[1:])
+
+
+def test_one_encoding_serves_two_filters_and_their_pullbacks_as_each_image_alone(rng):
+    # contracted under both filters before either pulls back, as a sweep
+    # contracts an adversarial set per head and an end_to_end step pulls back
+    images = rng.uniform(-1.5, 2.5, (130, 28, 28, 1))
+    encoding = quanv.encode(images)
+    cfgs = [ansatz_cfg(kind) for kind in (AnsatzKind.ZZ_FULL, AnsatzKind.RANDOM)]
+    maps = [quanv.contract(cfg, encoding) for cfg in cfgs]
+    upstream = rng.normal(size=maps[0].shape)
+    for cfg, batch_maps in zip(cfgs, maps):
+        grad = quanv.pullback(cfg, encoding, upstream)
+        for j, image in enumerate(images[:, None]):
+            assert batch_maps[j].tobytes() == quanvolve_dataset(image, cfg)[0].tobytes()
+            assert grad[j].tobytes() == input_gradient(image, cfg, upstream[j, None])[0].tobytes()
