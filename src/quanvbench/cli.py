@@ -20,7 +20,8 @@ library caller of ``harness.run_sweep`` with ``threads > 1`` should set them
 before it first imports numpy, as ``tests/conftest.py`` does.
 
 Sweep configs are flat ``key = value`` text files ('#' comments allowed).
-Recognized keys, with defaults in brackets:
+Recognized keys, with defaults in brackets (from ``architectures`` on, the
+protocol's: those of `harness.SweepConfig` and `nn.TrainConfig`):
 
     dataset        mnist | fmnist                          [mnist]
     source         idx | synthetic                         [idx]
@@ -31,7 +32,7 @@ Recognized keys, with defaults in brackets:
     synth_count    pool size when source=synthetic         [600]
     synth_seed     generator seed when source=synthetic, >= 0  [7]
     architectures  comma list                              [classical_cnn, classical_fc, qunn]
-    ansatz_list    comma list                              [all five]
+    ansatz_list    comma list                              [no_entanglement, zz_full, zz_linear, zz_star, random]
     attack_list    comma list                              [fgsm, pgd, mim]
     epsilons       comma list, strictly ascending, from 0  [0, 0.01, 0.05, 0.1, 0.3, 0.5, 1, 2, 5, 10]
     epsilons_fgsm_extra  appended for FGSM only, ascending [15]
@@ -62,6 +63,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import contextlib
 import dataclasses
+import enum
+import functools
 import gc
 import hashlib
 import json
@@ -94,28 +97,88 @@ class ConfigError(ValueError):
     pass
 
 
-_CONFIG_DEFAULTS = {
-    "dataset": "mnist",
-    "source": "idx",
-    "dataset_dir": "",
-    "n_train": "50",
-    "n_test": "30",
-    "subset_seed": "0",
-    "synth_count": "600",
-    "synth_seed": "7",
-    "architectures": "classical_cnn, classical_fc, qunn",
-    "ansatz_list": "no_entanglement, zz_full, zz_linear, zz_star, random",
-    "attack_list": "fgsm, pgd, mim",
-    "epsilons": "0, 0.01, 0.05, 0.1, 0.3, 0.5, 1, 2, 5, 10",
-    "epsilons_fgsm_extra": "15",
-    "trials": "7",
-    "base_seed": "0",
-    "mode": "surrogate",
-    "clamp": "false",
-    "train.epochs": "30",
-    "train.batch_size": "4",
-    "train.lr": "0.001",
+def _number(text, kind=float, what="a number"):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"expected {what}, got {text!r}") from None
+
+
+_integer = functools.partial(_number, kind=int, what="an integer")
+
+
+def _seed(text) -> int:
+    if (seed := _integer(text)) < 0:  # numpy's generators take no negative seed
+        raise ValueError(f"expected an integer >= 0, got {seed}")
+    return seed
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(f"expected true/false, got {text!r}")
+    return text.lower() in ("true", "yes", "1")
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    return tuple(_number(item.strip()) for item in text.split(",") if item.strip())
+
+
+def _names(kind):
+    """The parser of a comma list of ``kind``'s values."""
+    def parse(text: str) -> tuple:
+        valid = [member.value for member in kind]
+        names = [name.strip() for name in text.split(",") if name.strip()]
+        if unknown := [name for name in names if name not in valid]:
+            raise ValueError(f"unknown name {unknown[0]!r} (valid: {', '.join(valid)})")
+        if not names:
+            raise ValueError("empty list")
+        return tuple(map(kind, names))
+    return parse
+
+
+def _one_of(names, expected, normalise=str):
+    """The parser of a name in ``names``, as ``normalise`` writes it."""
+    def parse(text: str) -> str:
+        if normalise(text) not in names:
+            raise ValueError(f"expected {expected}, got {text!r}")
+        return normalise(text)
+    return parse
+
+
+def _text(value) -> str:
+    """A default as the config text that parses back to it."""
+    if isinstance(value, tuple):
+        return ", ".join(_text(item) for item in value)
+    if isinstance(value, (bool, enum.Enum)):  # an enum by its value, a bool in lower case
+        return value.value if isinstance(value, enum.Enum) else str(value).lower()
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+# each config key once, with its parser and its default; the protocol's defaults
+# are SweepConfig's and TrainConfig's (a dataclass field's default is a class attribute)
+_CONFIG_KEYS = {
+    "dataset": (_one_of(data.DATASETS, f"one of {data.DATASETS}", str.lower), "mnist"),
+    "source": (_one_of(("idx", "synthetic"), "idx or synthetic"), "idx"),
+    "dataset_dir": (str, ""),
+    "n_train": (_integer, "50"),
+    "n_test": (_integer, "30"),
+    "subset_seed": (_seed, "0"),
+    "synth_count": (_integer, "600"),
+    "synth_seed": (_seed, "7"),
+    "architectures": (_names(Architecture), harness.SweepConfig.architectures),
+    "ansatz_list": (_names(AnsatzKind), harness.SweepConfig.ansatz_kinds),
+    "attack_list": (_names(AttackKind), harness.SweepConfig.attacks),
+    "epsilons": (_numbers, harness.SweepConfig.epsilons),
+    "epsilons_fgsm_extra": (_numbers, harness.SweepConfig.fgsm_extra_epsilons),
+    "trials": (_integer, harness.SweepConfig.trials),
+    "base_seed": (_integer, harness.SweepConfig.base_seed),
+    "mode": (str, harness.SweepConfig.mode),
+    "clamp": (_bool, harness.SweepConfig.clamp),
+    "train.epochs": (_integer, nn.TrainConfig.epochs),
+    "train.batch_size": (_integer, nn.TrainConfig.batch_size),
+    "train.lr": (_number, nn.TrainConfig.learning_rate),
 }
+_CONFIG_DEFAULTS = {key: _text(default) for key, (_, default) in _CONFIG_KEYS.items()}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -136,55 +199,10 @@ def parse_config_text(text: str) -> dict[str, str]:
     return resolved
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    if value.lower() in ("true", "yes", "1"):
-        return True
-    if value.lower() in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key}: expected true/false, got {value!r}")
-
-
-def _parse_number(key: str, value: str, kind):
-    try:
-        return kind(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected {'an integer' if kind is int else 'a number'}, "
-                          f"got {value!r}")
-
-
-def _int(cfg: dict[str, str], key: str) -> int:
-    return _parse_number(key, cfg[key], int)
-
-
-def _seed(name: str, seed: int) -> int:
-    if seed < 0:  # numpy's generators take no negative seed
-        raise ConfigError(f"{name}: expected an integer >= 0, got {seed}")
-    return seed
-
-
-def _float(cfg: dict[str, str], key: str) -> float:
-    return _parse_number(key, cfg[key], float)
-
-
-def _parse_list(value: str) -> list[str]:
-    return [item.strip() for item in value.split(",") if item.strip()]
-
-
-def _float_list(cfg: dict[str, str], key: str) -> tuple[float, ...]:
-    return tuple(_parse_number(key, item, float) for item in _parse_list(cfg[key]))
-
-
-def _parse_enum_list(key, value, enum_cls):
-    out = []
-    for name in _parse_list(value):
-        try:
-            out.append(enum_cls(name))
-        except ValueError:
-            valid = ", ".join(e.value for e in enum_cls)
-            raise ConfigError(f"{key}: unknown name {name!r} (valid: {valid})")
-    if not out:
-        raise ConfigError(f"{key}: empty list")
-    return tuple(out)
+def _value(cfg: dict[str, str], key: str):
+    """``cfg[key]`` read by its key's parser; an error names the key."""
+    with _config_errors(key):
+        return _CONFIG_KEYS[key][0](cfg[key])
 
 
 def _select_dataset_pair(cfg: dict[str, str],
@@ -192,24 +210,18 @@ def _select_dataset_pair(cfg: dict[str, str],
     """Resolve config to stratified train/test subsets; an IDX source's
     images stay bytes, and only the selected ones are read.  A subset that
     cannot be drawn is reported under ``sizes``, the names of n_train and n_test."""
-    name = cfg["dataset"].lower()
-    if name not in data.DATASETS:
-        raise ConfigError(f"dataset: expected one of {data.DATASETS}, got {cfg['dataset']!r}")
-    n_train, n_test = _int(cfg, "n_train"), _int(cfg, "n_test")
-    seed, synth_seed = (_seed(key, _int(cfg, key)) for key in ("subset_seed", "synth_seed"))
-
-    if cfg["source"] == "synthetic":
-        pool = synthdata.synthetic_dataset(name, _int(cfg, "synth_count"), synth_seed)
+    name, n_train, n_test, seed, synth_seed, source = (_value(cfg, key) for key in (
+        "dataset", "n_train", "n_test", "subset_seed", "synth_seed", "source"))
+    if source == "synthetic":
+        pool = synthdata.synthetic_dataset(name, _value(cfg, "synth_count"), synth_seed)
         with _config_errors(" and ".join(sizes)):
             return data.subset(pool, n_train, n_test, seed)
-    if cfg["source"] != "idx":
-        raise ConfigError(f"source: expected idx or synthetic, got {cfg['source']!r}")
-    if not cfg["dataset_dir"]:
+    directory = _value(cfg, "dataset_dir")
+    if not directory:
         raise ConfigError("dataset_dir is required when source = idx")
-
-    root = os.path.join(cfg["dataset_dir"], name)
+    root = os.path.join(directory, name)
     if not os.path.isdir(root):
-        root = cfg["dataset_dir"]
+        root = directory
     paths = {split: [os.path.join(root, file) for file in files]
              for split, files in _IDX_NAMES.items()}
     for path in paths["train"] + paths["test"]:
@@ -221,7 +233,6 @@ def _select_dataset_pair(cfg: dict[str, str],
             # the images `data.subset(pool, n, 0, ...)[0]` would copy out of the whole file
             with _config_errors(size):
                 return data.subset_indices(labels, n, 0, harness.stable_seed(seed, which))[0]
-
         return data.load_idx(*paths[which], name, select=select)
 
     return split("train", n_train, sizes[0]), split("test", n_test, sizes[1])
@@ -235,8 +246,7 @@ def load_dataset_pair(cfg: dict[str, str]) -> tuple[Dataset, Dataset]:
 
 @contextlib.contextmanager
 def _config_errors(name=None):
-    """Report a ValueError raised while resolving the inputs as a config
-    error, under ``name``, the key or flag it concerns, when given."""
+    """Report a ValueError as a config error, under ``name``, its key or flag, if given."""
     try:
         yield
     except ValueError as exc:
@@ -247,23 +257,15 @@ def build_sweep_config(cfg: dict[str, str]) -> harness.SweepConfig:
     with _config_errors():
         train, test = load_dataset_pair(cfg)
         return harness.SweepConfig(
-            train_data=train,
-            test_data=test,
-            architectures=_parse_enum_list("architectures", cfg["architectures"], Architecture),
-            ansatz_kinds=_parse_enum_list("ansatz_list", cfg["ansatz_list"], AnsatzKind),
-            attacks=_parse_enum_list("attack_list", cfg["attack_list"], AttackKind),
-            epsilons=_float_list(cfg, "epsilons"),
-            fgsm_extra_epsilons=_float_list(cfg, "epsilons_fgsm_extra"),
-            trials=_int(cfg, "trials"),
-            base_seed=_int(cfg, "base_seed"),
-            mode=cfg["mode"],
-            clamp=_parse_bool("clamp", cfg["clamp"]),
-            train_cfg=nn.TrainConfig(
-                batch_size=_int(cfg, "train.batch_size"),
-                epochs=_int(cfg, "train.epochs"),
-                learning_rate=_float(cfg, "train.lr"),
-            ),
-        )
+            train, test, architectures=_value(cfg, "architectures"),
+            ansatz_kinds=_value(cfg, "ansatz_list"), attacks=_value(cfg, "attack_list"),
+            epsilons=_value(cfg, "epsilons"),
+            fgsm_extra_epsilons=_value(cfg, "epsilons_fgsm_extra"),
+            trials=_value(cfg, "trials"), base_seed=_value(cfg, "base_seed"),
+            mode=_value(cfg, "mode"), clamp=_value(cfg, "clamp"),
+            train_cfg=nn.TrainConfig(batch_size=_value(cfg, "train.batch_size"),
+                                     epochs=_value(cfg, "train.epochs"),
+                                     learning_rate=_value(cfg, "train.lr")))
 
 
 def config_hash(cfg: dict[str, str]) -> str:
@@ -298,7 +300,8 @@ def cmd_quanvolve(args) -> int:
     out_dir = os.path.dirname(args.out)
     if out_dir and not os.path.isdir(out_dir):
         raise ConfigError(f"--out {args.out}: directory {out_dir} does not exist")
-    _seed("--seed", args.seed)
+    with _config_errors("--seed"):
+        _seed(args.seed)
     cfg = dict(_CONFIG_DEFAULTS, dataset=args.dataset, dataset_dir=args.dataset_dir or "",
                source="synthetic" if args.synthetic else "idx",
                n_train=str(args.n_train), n_test=str(args.n_test))
@@ -361,6 +364,10 @@ def cmd_sweep(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot make --out directory {args.out}: {exc.strerror}") from exc
     csv_path = os.path.join(args.out, "results.csv")
+    # a reused --out keeps no file of an earlier run beside this run's manifest
+    for name in ["results.csv"] + [f"plot_{kind.value}.svg" for kind in AttackKind]:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(args.out, name))
 
     records, failure = [], None
     try:
@@ -422,15 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("quanvolve", help="write quanvolved feature maps as a QNVF file")
-    q.add_argument("--dataset", default="mnist", choices=data.DATASETS)
+    q.add_argument("--dataset", default=_CONFIG_DEFAULTS["dataset"], choices=data.DATASETS)
     q.add_argument("--dataset-dir", help="directory with the IDX files")
     q.add_argument("--synthetic", action="store_true",
                    help="use the built-in stand-in corpus instead of IDX files")
     q.add_argument("--ansatz", default="zz_full",
                    choices=[k.value for k in AnsatzKind])
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--n-train", type=int, default=50)
-    q.add_argument("--n-test", type=int, default=30)
+    q.add_argument("--n-train", type=int, default=_CONFIG_DEFAULTS["n_train"])
+    q.add_argument("--n-test", type=int, default=_CONFIG_DEFAULTS["n_test"])
     q.add_argument("--out", required=True)
     q.set_defaults(fn=cmd_quanvolve)
 

@@ -162,15 +162,12 @@ class AggregateRecord:
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """One (architecture, ansatz, trial)'s model after steps 1 and 2.
-
-    ``qcfg`` is the filter that quanvolves its inputs (None for classical
-    models); the accuracies are measured on the training and clean test sets.
-    """
+    """One (architecture, ansatz, trial)'s model after steps 1 and 2: ``qcfg``
+    quanvolves its inputs (None for classical models), and ``clean_accuracy``
+    is its accuracy on the clean test set."""
 
     model: nn.Model
     qcfg: QuanvConfig | None
-    train_accuracy: float
     clean_accuracy: float
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray, encoding=None) -> float:
@@ -225,8 +222,7 @@ def _train_model(cfg: SweepConfig, architecture: Architecture,
         qcfg, train_x, test_x = None, cfg.train_data.images, cfg.test_data.images
 
     model = _fit(cfg, architecture, cell_seed, train_x)
-    return TrainedModel(model, qcfg, nn.evaluate(model, train_x, cfg.train_data.labels),
-                        nn.evaluate(model, test_x, cfg.test_data.labels))
+    return TrainedModel(model, qcfg, nn.evaluate(model, test_x, cfg.test_data.labels))
 
 
 def train_task(cfg: SweepConfig, architecture: Architecture, trial: int) -> TrainedTask:

@@ -2,9 +2,11 @@
 release criterion at its pinned tolerance, printing one PASS/FAIL line per
 criterion (run with -s to see them live).
 
-The sweeps run on the built-in synthetic stand-in corpus unless
-QUANVBENCH_DATA_DIR points at a directory with real IDX files
-(mnist/train-images-idx3-ubyte etc.), in which case those are used.
+The sweeps run the CLI's protocol, its config defaults, on the built-in
+synthetic stand-in corpus unless QUANVBENCH_DATA_DIR points at a directory
+with real IDX files (mnist/train-images-idx3-ubyte etc.), in which case the
+CLI draws its subsets from those, as `quanvbench sweep` with
+``dataset_dir = $QUANVBENCH_DATA_DIR`` does.
 
 Known honest failure: criterion 5's epsilon=15 clause.  With the default
 pipeline (angle encoding phi = pi * x, exact expectations, unclamped
@@ -26,14 +28,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quanvbench import data, nn, quanv, verify
+from quanvbench import cli, nn, quanv, verify
 from quanvbench.ansatz import AnsatzKind, build_ansatz
 from quanvbench.attacks import AttackKind
-from quanvbench.harness import (
-    SweepConfig, SweepRecord, emit_csv, run_sweep, task_records, train_task)
+from quanvbench.harness import SweepRecord, emit_csv, run_sweep, task_records, train_task
 from quanvbench.nn import Architecture
 from quanvbench.quanv import QuanvConfig
-from quanvbench.synthdata import synthetic_dataset
 
 pytestmark = pytest.mark.acceptance
 
@@ -55,28 +55,19 @@ def report(capsys):
     return _report
 
 
-def load_benchmark_data(name: str):
-    """50/30 stratified subsets from real IDX files if present, else synthetic."""
+def benchmark_config(name: str):
+    """The CLI's default sweep of ``name``: on its IDX files under
+    QUANVBENCH_DATA_DIR when all four are there, else on the synthetic corpus."""
     root = os.environ.get("QUANVBENCH_DATA_DIR")
-    if root:
-        img = os.path.join(root, name, "train-images-idx3-ubyte")
-        lbl = os.path.join(root, name, "train-labels-idx1-ubyte")
-        t_img = os.path.join(root, name, "t10k-images-idx3-ubyte")
-        t_lbl = os.path.join(root, name, "t10k-labels-idx1-ubyte")
-        if all(os.path.exists(p) for p in (img, lbl, t_img, t_lbl)):
-            train_pool = data.load_idx(img, lbl, name)
-            test_pool = data.load_idx(t_img, t_lbl, name)
-            train, _ = data.subset(train_pool, 50, 0, seed=0)
-            test, _ = data.subset(test_pool, 30, 0, seed=1)
-            return tuple(data.Dataset(data.pixels(split.images), split.labels, name)
-                         for split in (train, test))
-    pool = synthetic_dataset(name, 600, seed=7)
-    return data.subset(pool, 50, 30, seed=0)
+    source = "source = synthetic"
+    if root and all(os.path.exists(os.path.join(root, name, file))
+                    for files in cli._IDX_NAMES.values() for file in files):
+        source = f"dataset_dir = {root}"
+    return cli.build_sweep_config(cli.parse_config_text(f"dataset = {name}\n{source}\n"))
 
 
 def run_default_sweep(name: str):
-    train, test = load_benchmark_data(name)
-    cfg = SweepConfig(train_data=train, test_data=test, base_seed=0)
+    cfg = benchmark_config(name)
     t0 = time.perf_counter()
     records = run_sweep(cfg, threads=THREADS, progress=lambda m: None)
     return cfg, records, time.perf_counter() - t0
@@ -185,11 +176,13 @@ def test_criterion_2_protocol_fidelity(mnist_sweep, mnist_trained, tmp_path, rep
 # Criterion 3: clean-accuracy sanity on MNIST
 # ---------------------------------------------------------------------------
 
-def test_criterion_3_clean_accuracy(mnist_trained, report):
+def test_criterion_3_clean_accuracy(mnist_sweep, mnist_trained, report):
     # the in-process tasks' models: criterion 2 checks their records are the sweep's
+    cfg, _, _ = mnist_sweep
     tasks, _records = mnist_trained
     models = [trained for task in tasks for _, trained in task.models]
-    worst_train = min(trained.train_accuracy for trained in models)
+    worst_train = min(trained.evaluate(cfg.train_data.images, cfg.train_data.labels)
+                      for trained in models)
     worst_clean = min(trained.clean_accuracy for trained in models)
     ok = worst_train >= 0.9 and worst_clean >= 0.5
     assert report(
@@ -387,8 +380,8 @@ def test_criterion_8_structural_laws(rng, report):
     probs = nn.forward(cnn, img[None])[0][0]
     softmax_ok = bool(np.isclose(probs.sum(), 1.0, atol=1e-6) and np.all(probs >= 0))
 
-    pool = synthetic_dataset("mnist", 400, seed=3)
-    train, test = data.subset(pool, 50, 30, seed=0)
+    cfg = benchmark_config("mnist")
+    train, test = cfg.train_data, cfg.test_data
     tr_counts = np.bincount(train.labels, minlength=10)
     te_counts = np.bincount(test.labels, minlength=10)
     stratified = (

@@ -60,8 +60,8 @@ def test_config_defaults_and_overrides():
 
 
 def test_config_defaults_are_the_sweep_config_defaults():
-    # the protocol's defaults are written twice: as the config keys' strings
-    # and as the defaults of SweepConfig and TrainConfig
+    # the protocol keys' defaults are SweepConfig's and TrainConfig's, written
+    # as config text: they must survive the trip to text and back
     cfg = cli.build_sweep_config(parse_config_text("source = synthetic\n"))
     defaults = {f.name: f.default for f in dataclasses.fields(harness.SweepConfig)
                 if f.default is not dataclasses.MISSING}
@@ -105,11 +105,24 @@ def test_config_comments_and_blanks_ignored():
 
 
 def test_config_key_table_lists_exactly_the_config_keys():
-    # the module docstring's table: a key column, keys of one row joined by " / "
+    # the module docstring's table: a key column, keys of one row joined by " / ",
+    # and the row's last bracketed group, its defaults joined the same way
     table = cli.__doc__.split("Recognized keys")[1].split("\n\n")[1]
-    keys = [key for row in table.splitlines()
-            for key in re.split(r"\s{2,}", row.strip())[0].split(" / ")]
+    keys, documented = [], {}
+    for row in table.splitlines():
+        row_keys = re.split(r"\s{2,}", row.strip())[0].split(" / ")
+        brackets = re.findall(r"\[([^\]]*)\]", row)
+        defaults = brackets[-1].split(" / ") if brackets else [""]  # dataset_dir has none
+        keys += row_keys
+        documented.update(zip(row_keys, defaults, strict=True))
     assert sorted(keys) == sorted(cli._CONFIG_DEFAULTS)
+    assert documented == cli._CONFIG_DEFAULTS
+
+
+def test_the_default_config_hash_is_pinned():
+    # a manifest hashes the resolved config's text: a default written another
+    # way (such as "1.0" for "1") would change every manifest
+    assert cli.config_hash(parse_config_text("")) == "3b4a1d36f25e69b80280fea478f4849b"
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +602,33 @@ def test_cmd_sweep_failure_preserves_partial_csv(tmp_path, capsys, monkeypatch,
         assert len(csv_lines) == 1 + 3 * cells_kept
     else:
         assert not (out_dir / "results.csv").exists()
+
+
+def test_cmd_sweep_failure_into_a_reused_out_leaves_no_earlier_output(tmp_path, monkeypatch):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(TINY_SWEEP)
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out", str(out_dir)]) == EXIT_OK
+    assert (out_dir / "results.csv").exists() and (out_dir / "plot_fgsm.svg").exists()
+
+    def explode(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(harness, "run_trial", explode)
+    assert main(["sweep", "--config", str(config), "--out", str(out_dir)]) == EXIT_FAILURE
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert (manifest["status"], manifest["records_written"]) == ("FAILED", 0)
+    assert os.listdir(out_dir) == ["manifest.json"]
+
+
+def test_cmd_sweep_into_a_reused_out_leaves_no_plot_of_a_dropped_attack(tmp_path):
+    config = tmp_path / "sweep.cfg"
+    out_dir = tmp_path / "out"
+    for attacks in ("fgsm, pgd", "fgsm"):
+        config.write_text(TINY_SWEEP.replace("attack_list = fgsm", f"attack_list = {attacks}"))
+        assert main(["sweep", "--config", str(config), "--out", str(out_dir)]) == EXIT_OK
+    assert sorted(os.listdir(out_dir)) == ["manifest.json", "plot_fgsm.svg", "results.csv"]
+    assert ",pgd," not in (out_dir / "results.csv").read_text()
 
 
 def test_cmd_sweep_missing_config_exit_2(tmp_path, capsys):
